@@ -1,17 +1,18 @@
 """Online-premean contract: accumulator state, absorb, merge, finalize.
 
 Every mean in this package is evaluated as ``finalize(fold(absorb, init, xs))``
-where the state lives in a commutative semigroup (a fixed-length real vector,
-optionally extended by an integer element counter).  States are plain
-immutable values; absorb and merge return new states, so shard-parallel
-accumulation followed by a merge tree needs no locking.
+where the state lives in a commutative semigroup: the descriptor's
+``combine`` is its one operation, used by absorb (with the encoded element)
+and by merge alike.  States are plain immutable values; absorb and merge
+return new states, so shard-parallel accumulation followed by a merge tree
+needs no locking.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -97,27 +98,45 @@ class ComplexityType:
         return self.order_index < other.order_index
 
 
+def _vector_add(a: tuple, b: tuple) -> tuple:
+    """The default ``combine``: vector addition."""
+    return tuple(map(operator.add, a, b))
+
+
 @dataclass(frozen=True)
 class MeanDescriptor:
     """Finite encoding of a generating pair: per-element encoder + finalizer.
 
-    ``encode`` maps one input to its state-vector contribution; ``finalizer``
-    maps (reals, count) back to the interval.  ``ctype`` is None for means of
-    no finite type (median).  ``params`` must round-trip through JSON for the
-    descriptor to be reconstructible from a state file.
+    ``encode`` maps one input to its state contribution; ``combine`` is the
+    semigroup operation on reals tuples; ``finalizer`` maps (reals, count)
+    back to the interval.  ``combine`` must be associative and commutative,
+    and ``init``'s reals (k zeros) must be its identity.  A non-finite
+    component must stay non-finite under it, which is what lets a state's
+    ``overflow`` flag be read off its reals.
+
+    ``ctype`` is None for means of no finite type (median); their state is
+    the whole sorted multiset.  ``params`` must round-trip through JSON for
+    the descriptor to be reconstructible from a state file.
     """
 
     family: str
     params: dict
     domain: DomainInterval
     ctype: Optional[ComplexityType]
-    k: int
-    has_counter: bool
     encode: Callable[[float], tuple]
     finalizer: Callable[[tuple, int], float]
+    combine: Callable[[tuple, tuple], tuple] = _vector_add
     ctype_is_upper_bound: bool = False
-    unbounded_state: bool = False  # median: state is the whole sorted multiset
     paper_k: Optional[int] = None  # biplanar: exponent-set cardinality
+
+    @property
+    def k(self) -> int:
+        """Number of reals in the fixed-length state; 0 for no finite type."""
+        return self.ctype.k if self.ctype is not None else 0
+
+    @property
+    def has_counter(self) -> bool:
+        return self.ctype.plus_counter if self.ctype is not None else True
 
     @property
     def family_id(self) -> str:
@@ -135,16 +154,20 @@ class MeanDescriptor:
 
 @dataclass(frozen=True)
 class AccumulatorState:
-    """A semigroup element: real vector, element count, sticky overflow flag.
+    """A semigroup element: reals tuple and element count.
 
-    ``count`` is always tracked for emptiness detection; it is part of the
-    serialized state only for counter-bearing (T_k^+) families.
+    ``count`` is always tracked for emptiness detection; ``counter`` exposes
+    it only for counter-bearing (T_k^+) families.
     """
 
     descriptor: MeanDescriptor
     reals: tuple
     count: int
-    overflow: bool = False
+
+    @property
+    def overflow(self) -> bool:
+        """Sticky: a non-finite component stays non-finite under combine."""
+        return not all(map(math.isfinite, self.reals))
 
     @property
     def family_id(self) -> str:
@@ -169,9 +192,8 @@ class AccumulatorState:
 
 
 def init(descriptor: MeanDescriptor) -> AccumulatorState:
-    """The empty state: all-zero reals (or empty multiset), count 0."""
-    reals = () if descriptor.unbounded_state else (0.0,) * descriptor.k
-    return AccumulatorState(descriptor, reals, 0)
+    """The empty state: k zero reals (none for the median), count 0."""
+    return AccumulatorState(descriptor, (0.0,) * descriptor.k, 0)
 
 
 def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
@@ -179,31 +201,19 @@ def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
     x = float(x)
     if not d.domain.contains(x):
         raise DomainError(f"{x} outside domain of {d.name}")
-    if d.unbounded_state:
-        values = list(state.reals)
-        bisect.insort(values, x)
-        return AccumulatorState(d, tuple(values), state.count + 1, state.overflow)
     try:
         contribution = d.encode(x)
     except OverflowError:
-        contribution = (math.inf,) * d.k  # flagged below, surfaced at finalize
-    reals = tuple(a + b for a, b in zip(state.reals, contribution))
-    overflow = state.overflow or not all(math.isfinite(v) for v in reals)
-    return AccumulatorState(d, reals, state.count + 1, overflow)
+        contribution = (math.inf,) * d.k  # overflow, surfaced at finalize
+    return AccumulatorState(d, d.combine(state.reals, contribution),
+                            state.count + 1)
 
 
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
     if a.family_id != b.family_id:
         raise FamilyMismatch(f"{a.family_id} vs {b.family_id}")
     d = a.descriptor
-    if d.unbounded_state:
-        values = sorted(a.reals + b.reals)
-        return AccumulatorState(d, tuple(values), a.count + b.count,
-                                a.overflow or b.overflow)
-    reals = tuple(u + v for u, v in zip(a.reals, b.reals))
-    overflow = (a.overflow or b.overflow
-                or not all(math.isfinite(v) for v in reals))
-    return AccumulatorState(d, reals, a.count + b.count, overflow)
+    return AccumulatorState(d, d.combine(a.reals, b.reals), a.count + b.count)
 
 
 def finalize(state: AccumulatorState) -> float:
@@ -232,9 +242,9 @@ def serialize_state(state: AccumulatorState) -> bytes:
         "version": STATE_FORMAT_VERSION,
         "family": d.family,
         "params": d.params,
-        "k": len(state.reals) if d.unbounded_state else d.k,
+        "k": len(state.reals),
         "reals": [float(v).hex() for v in state.reals],
-        "counter": state.count if d.has_counter else None,
+        "counter": state.count,
         "overflow": state.overflow,
     }
     return json.dumps(payload).encode("utf-8")
@@ -263,19 +273,34 @@ def parse_state(data) -> AccumulatorState:
         descriptor = families.descriptor_from_params(payload["family"], payload["params"])
     except Exception as e:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
+    if not isinstance(payload["reals"], list):
+        raise ParseError("reals is not a list")
     try:
         reals = tuple(float.fromhex(s) for s in payload["reals"])
     except (ValueError, TypeError) as e:
         raise ParseError(f"bad hex float: {e}") from e
-    if not descriptor.unbounded_state and len(reals) != descriptor.k:
+    counter = payload["counter"]
+    if counter is None and not descriptor.has_counter:
+        # files written before every family stored its count: counterless
+        # families used the all-zero vector as the empty sentinel
+        count = 0 if all(v == 0.0 for v in reals) else 1
+    elif type(counter) is not int or counter < 0:
+        raise ParseError(f"bad counter {counter!r}")
+    else:
+        count = counter
+    state = AccumulatorState(descriptor, reals, count)
+    if descriptor.ctype is None:
+        # no finite type: the state is the sorted multiset of the inputs
+        if (count != len(reals) or state.overflow
+                or list(reals) != sorted(reals)):
+            raise ParseError(
+                f"expected {count} sorted finite components, one per element")
+    elif len(reals) != descriptor.k:
         raise ParseError(
             f"expected {descriptor.k} components, got {len(reals)}")
-    counter = payload["counter"]
-    if descriptor.has_counter:
-        if not isinstance(counter, int) or counter < 0:
-            raise ParseError(f"bad counter {counter!r}")
-        count = counter
-    else:
-        # counterless families use the all-zero vector as the empty sentinel
-        count = 0 if all(v == 0.0 for v in reals) else 1
-    return AccumulatorState(descriptor, reals, count, bool(payload["overflow"]))
+    if count == 0 and reals != init(descriptor).reals:
+        raise ParseError("an empty state must hold the identity reals")
+    if payload["overflow"] is not state.overflow:
+        raise ParseError(
+            f"overflow flag {payload['overflow']!r} disagrees with the reals")
+    return state

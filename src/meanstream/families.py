@@ -8,6 +8,7 @@ runtime tolerance.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -279,8 +280,7 @@ def power_mean(p: float) -> MeanDescriptor:
         fin = lambda reals, n: (reals[0] / n) ** (1.0 / p)
     return MeanDescriptor(
         family="power", params={"p": p}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(1, True), k=1, has_counter=True,
-        encode=encode, finalizer=fin)
+        ctype=ComplexityType(1, True), encode=encode, finalizer=fin)
 
 
 def quasi_arithmetic(f) -> MeanDescriptor:
@@ -290,8 +290,7 @@ def quasi_arithmetic(f) -> MeanDescriptor:
     f.validate()
     return MeanDescriptor(
         family="quasiarithmetic", params={"f": f.name}, domain=f.domain,
-        ctype=ComplexityType(1, True), k=1, has_counter=True,
-        encode=lambda x: (f.forward(x),),
+        ctype=ComplexityType(1, True), encode=lambda x: (f.forward(x),),
         finalizer=lambda reals, n: f.inverse(reals[0] / n))
 
 
@@ -306,8 +305,7 @@ def gini(p: float, q: float) -> MeanDescriptor:
         fin = lambda reals, n: (reals[0] / reals[1]) ** (1.0 / diff)
     return MeanDescriptor(
         family="gini", params={"p": p, "q": q}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(2, False), k=2, has_counter=False,
-        encode=encode, finalizer=fin)
+        ctype=ComplexityType(2, False), encode=encode, finalizer=fin)
 
 
 def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
@@ -315,8 +313,7 @@ def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
     return MeanDescriptor(
         family="bajraktarevic",
         params={"f": pair.f_name, "g": pair.g_name},
-        domain=pair.domain,
-        ctype=ComplexityType(2, False), k=2, has_counter=False,
+        domain=pair.domain, ctype=ComplexityType(2, False),
         encode=lambda x: (pair.f(x), pair.g(x)),
         finalizer=lambda reals, n: pair.ratio_inverse(reals[0] / reals[1]))
 
@@ -345,7 +342,7 @@ def hamy(r: int) -> MeanDescriptor:
 
     return MeanDescriptor(
         family="hamy", params={"r": r}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(r, True), k=r, has_counter=True,
+        ctype=ComplexityType(r, True),
         encode=encode, finalizer=fin, ctype_is_upper_bound=True)
 
 
@@ -367,7 +364,7 @@ def sympoly(r: int) -> MeanDescriptor:
 
     return MeanDescriptor(
         family="sympoly", params={"r": r}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(r, True), k=r, has_counter=True,
+        ctype=ComplexityType(r, True),
         encode=encode, finalizer=fin, ctype_is_upper_bound=True)
 
 
@@ -437,8 +434,7 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
 
     return MeanDescriptor(
         family="biplanar", params={"p": p, "q": q, "c": c, "d": d},
-        domain=DomainInterval.positive(),
-        ctype=ComplexityType(k_impl, True), k=k_impl, has_counter=True,
+        domain=DomainInterval.positive(), ctype=ComplexityType(k_impl, True),
         encode=encode, finalizer=fin, paper_k=params.k)
 
 
@@ -466,7 +462,7 @@ def piecewise_counterexample() -> MeanDescriptor:
 
     return MeanDescriptor(
         family="piecewise_h", params={}, domain=domain,
-        ctype=ComplexityType(2, False), k=2, has_counter=False,
+        ctype=ComplexityType(2, False),
         encode=lambda x: (x * x, x), finalizer=fin)
 
 
@@ -479,8 +475,17 @@ def cube_over_square() -> MeanDescriptor:
 
     return MeanDescriptor(
         family="cube_over_square", params={}, domain=DomainInterval.reals(),
-        ctype=ComplexityType(2, False), k=2, has_counter=False,
+        ctype=ComplexityType(2, False),
         encode=lambda x: (x ** 3, x * x), finalizer=fin)
+
+
+def _sorted_merge(a: tuple, b: tuple) -> tuple:
+    """The median's combine: multiset union of two sorted tuples."""
+    if len(b) == 1:  # absorb: an O(n) insert beats re-sorting
+        values = list(a)
+        bisect.insort(values, b[0])
+        return tuple(values)
+    return tuple(sorted(a + b))
 
 
 def median_mean(kind: str = "lower") -> MeanDescriptor:
@@ -494,8 +499,8 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
 
     return MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
-        ctype=None, k=0, has_counter=True,
-        encode=lambda x: (), finalizer=fin, unbounded_state=True)
+        ctype=None, encode=lambda x: (x,), combine=_sorted_merge,
+        finalizer=fin)
 
 
 # ---------------------------------------------------------------------------

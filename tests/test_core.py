@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -45,6 +46,14 @@ class TestInit:
         s = ms.init(ms.hamy(2))
         assert s.reals == (0.0, 0.0)
         assert s.counter == 0
+
+    def test_layout_follows_ctype(self):
+        layouts = [(d.k, d.has_counter, len(ms.init(d).reals))
+                   for d in all_families()]
+        assert layouts == ([(1, True, 1)] * 4 + [(2, False, 2)] * 3
+                           + [(2, True, 2), (3, True, 3)] * 2
+                           + [(5, True, 5), (2, True, 2)]
+                           + [(0, True, 0)] * 2)
 
 
 class TestAbsorb:
@@ -134,15 +143,95 @@ class TestEvaluateStream:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
-        for d in all_families():
-            rng = np.random.default_rng(7)
+        streams = [(d, np.random.default_rng(7).uniform(0.5, 20, size=5))
+                   for d in all_families()]
+        # a counterless state whose reals are all zero yet is not empty
+        streams.append((ms.cube_over_square(), [0.0]))
+        for d, xs in streams:
             s = ms.init(d)
-            for x in rng.uniform(0.5, 20, size=5):
+            for x in xs:
                 s = s.absorb(float(x))
             back = ms.parse_state(ms.serialize_state(s))
             assert back.reals == s.reals
+            assert back.count == s.count
             assert back.counter == s.counter
             assert back.finalize() == s.finalize()
+
+    def test_overflowed_state_round_trips(self):
+        s = ms.init(ms.power_mean(2.0)).absorb(1e200).absorb(1e200)
+        blob = ms.serialize_state(s)
+        back = ms.parse_state(blob)
+        assert back.overflow and back.reals == s.reals
+        assert ms.serialize_state(back) == blob
+
+    def test_v1_null_counter_still_parses(self):
+        # counterless families stored no count before every family did
+        blob = {"version": 1, "family": "gini", "params": {"p": 2.0, "q": 1.0},
+                "k": 2, "reals": [(9.0).hex(), (3.0).hex()], "counter": None,
+                "overflow": False}
+        back = ms.parse_state(json.dumps(blob))
+        assert back.count == 1 and back.finalize() == 3.0
+        blob["reals"] = [(0.0).hex()] * 2
+        assert ms.parse_state(json.dumps(blob)).is_empty()
+
+    @staticmethod
+    def median_blob(reals, counter):
+        return json.dumps({"version": 1, "family": "median",
+                           "params": {"kind": "lower"}, "k": len(reals),
+                           "reals": [float(v).hex() for v in reals],
+                           "counter": counter, "overflow": False})
+
+    def test_median_state_must_be_sorted(self):
+        # witness: [3, 1, 2] used to finalize to 1.0; the lower median is 2.0
+        with pytest.raises(ParseError):
+            ms.parse_state(self.median_blob([3.0, 1.0, 2.0], 3))
+
+    def test_median_counter_must_match_length(self):
+        # witnesses: counter 10 leaked an IndexError, counter 5 gave 3.0
+        for counter in (10, 5, 2):
+            with pytest.raises(ParseError):
+                ms.parse_state(self.median_blob([1.0, 2.0, 3.0], counter))
+
+    def test_median_state_must_be_finite(self):
+        # witness: [nan, 2, 3] used to finalize to 2.0
+        with pytest.raises(ParseError):
+            ms.parse_state(self.median_blob([math.nan, 2.0, 3.0], 3))
+
+    def test_counter_must_be_a_plain_int(self):
+        # witness: "counter": true on power(1) of [2, 4] used to give 6.0
+        s = ms.init(ms.power_mean(1.0)).absorb(2.0).absorb(4.0)
+        payload = json.loads(ms.serialize_state(s))
+        for bad in (True, -1, 2.0, "2", None):
+            payload["counter"] = bad
+            with pytest.raises(ParseError):
+                ms.parse_state(json.dumps(payload))
+
+    def test_reals_must_be_a_list(self):
+        # witness: "reals": "a" parsed as the one component 0xa = 10.0
+        payload = json.loads(ms.serialize_state(ms.init(ms.power_mean(1.0))))
+        payload["reals"] = "a"
+        with pytest.raises(ParseError):
+            ms.parse_state(json.dumps(payload))
+
+    def test_empty_state_must_hold_identity(self):
+        # witness: count 0 with reals [100] merged into [2] finalized to 102
+        payload = json.loads(ms.serialize_state(ms.init(ms.power_mean(1.0))))
+        payload["reals"] = [(100.0).hex()]
+        with pytest.raises(ParseError):
+            ms.parse_state(json.dumps(payload))
+
+    def test_overflow_flag_must_match_reals(self):
+        # witness: a finite state flagged as overflowed parsed, then
+        # finalize raised NumericalFailure
+        s = ms.init(ms.power_mean(1.0)).absorb(2.0)
+        payload = json.loads(ms.serialize_state(s))
+        payload["overflow"] = True
+        with pytest.raises(ParseError):
+            ms.parse_state(json.dumps(payload))
+        payload["overflow"] = False
+        payload["reals"] = [math.inf.hex()]
+        with pytest.raises(ParseError):
+            ms.parse_state(json.dumps(payload))
 
     def test_empty_round_trip(self):
         payload = ms.serialize_state(ms.init(ms.power_mean(1.0)))
