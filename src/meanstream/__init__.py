@@ -15,6 +15,7 @@ from .core import (
     DomainInterval,
     MeanDescriptor,
     absorb,
+    absorb_many,
     evaluate_stream,
     finalize,
     init,
@@ -79,7 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccumulatorState", "ComplexityType", "DomainInterval", "MeanDescriptor",
-    "absorb", "evaluate_stream", "finalize", "init", "merge",
+    "absorb", "absorb_many", "evaluate_stream", "finalize", "init", "merge",
     "parse_state", "serialize_state",
     "BajraktarevicPair", "BiplanarParams", "GeneratorFunction",
     "bajraktarevic", "biplanar", "cube_over_square", "descriptor_from_params",

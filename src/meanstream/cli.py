@@ -3,7 +3,11 @@
 Subcommands: eval (stream -> value), merge (partial state files), classify
 (type-hierarchy report), verify (axiom suite), myhill (state-complexity
 profile).  Input streams are newline- or comma-separated decimals on stdin
-or a file; a lone "#" line terminates the stream early.
+or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
+first cell is "#") terminates the stream early.  eval reads its input in
+blocks of BLOCK_LINES lines and absorbs each block at once, so its memory
+does not grow with the input (except for the median, whose state is the
+multiset itself).
 
 Exit codes: 0 ok, 2 parse error, 3 domain error, 4 empty input,
 5 family mismatch.
@@ -12,14 +16,20 @@ Exit codes: 0 ok, 2 parse error, 3 domain error, 4 empty input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+from functools import partial
+from itertools import chain, islice
+from operator import itemgetter
 
 from . import families, myhill, verify
-from .core import (absorb, finalize, init, merge, parse_state,
-                   serialize_state)
+# absorb is not called here; it stays importable as cli.absorb beside the
+# other core operations, which bench/job.py wraps by attribute
+from .core import (absorb, absorb_many, finalize, init, merge,  # noqa: F401
+                   parse_state, serialize_state)
 from .errors import (DomainError, EmptyStateError, FamilyMismatch,
                      InvalidDescriptor, MeanStreamError, ParseError)
 
@@ -28,6 +38,8 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_EMPTY = 4
 EXIT_MISMATCH = 5
+
+BLOCK_LINES = 8192  # input lines per absorb_many call in eval
 
 
 class CliError(Exception):
@@ -71,73 +83,109 @@ def _build_descriptor(args):
         raise CliError(str(e), EXIT_PARSE)
 
 
-def _read_values(args) -> list:
-    if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
-
+def _parse_lines(lines: list, lineno: int) -> tuple:
+    """(values, ended) of plain lines, the first of them line lineno + 1."""
     values = []
-    if args.column is not None:
-        reader = csv.reader(lines)
-        rows = list(reader)
-        if not rows:
-            return values
-        header = rows[0]
-        start = 1
-        if args.column in header:
-            idx = header.index(args.column)
-            rows = rows[1:]
-            start = 2
-        else:
-            try:
-                idx = int(args.column)
-            except ValueError:
-                raise CliError(f"column {args.column!r} not found", EXIT_PARSE)
-        for lineno, row in enumerate(rows, start=start):
-            if not row or (len(row) == 1 and row[0].strip() in ("", "#")):
-                continue
-            if row[0].strip() == "#":
-                break
-            try:
-                values.append(float(row[idx]))
-            except (ValueError, IndexError):
-                raise CliError(f"line {lineno}: cannot parse {row!r}", EXIT_PARSE)
-        return values
-
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if line == "#":
-            break
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        if line.strip() == "#":
+            return values, True
         for token in line.split(","):
             token = token.strip()
+            if token == "#":
+                return values, True
             if not token:
                 continue
-            if token == "#":
-                return values
             try:
                 values.append(float(token))
             except ValueError:
                 raise CliError(f"line {lineno}: cannot parse {token!r}",
                                EXIT_PARSE)
-    return values
+    return values, False
+
+
+def _parse_rows(rows: list, lineno: int, idx: int) -> tuple:
+    """(values, ended) of CSV rows, the first of them line lineno + 1."""
+    values = []
+    for lineno, row in enumerate(rows, start=lineno + 1):
+        if row and row[0].strip() == "#":
+            return values, True
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            values.append(float(row[idx]))
+        except (ValueError, IndexError):
+            raise CliError(f"line {lineno}: cannot parse {row!r}", EXIT_PARSE)
+    return values, False
+
+
+def _column_floats(rows: list, idx: int) -> list:
+    """Column idx of well-formed rows; raises on any other row."""
+    if "#" in map(str.strip, map(itemgetter(0), rows)):
+        raise ValueError("a '#' row ends the stream")
+    return list(map(float, map(itemgetter(idx), rows)))
+
+
+def _chunks(items):
+    while chunk := list(islice(items, BLOCK_LINES)):
+        yield chunk
+
+
+def _blocks(chunks, fast, careful, lineno: int):
+    """Each chunk's values, up to a "#": fast(chunk) when it takes the whole
+    chunk, else careful(chunk, lineno) -> (values, ended), which applies
+    every rule and numbers the lines; lineno lines precede the chunk."""
+    for chunk in chunks:
+        try:
+            values, ended = fast(chunk), False
+        except (ValueError, IndexError):  # a blank, "#", comma or bad line
+            values, ended = careful(chunk, lineno)
+        yield values
+        if ended:
+            return
+        lineno += len(chunk)
+
+
+def _value_blocks(args):
+    """The input's values, BLOCK_LINES lines at a time."""
+    with (open(args.input, "r", encoding="utf-8")
+          if args.input and args.input != "-"
+          else contextlib.nullcontext(sys.stdin)) as fh:
+        if args.column is None:
+            # re-split as str.splitlines does: the line numbers count its breaks
+            lines = ("".join(c).splitlines() for c in _chunks(fh))
+            yield from _blocks(lines, lambda c: list(map(float, c)),
+                               _parse_lines, 0)
+            return
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return
+        if args.column in header:
+            idx, lineno = header.index(args.column), 1
+        else:
+            try:
+                idx = int(args.column)
+            except ValueError:
+                raise CliError(f"column {args.column!r} not found", EXIT_PARSE)
+            reader, lineno = chain([header], reader), 0
+        yield from _blocks(_chunks(reader), partial(_column_floats, idx=idx),
+                           partial(_parse_rows, idx=idx), lineno)
 
 
 def cmd_eval(args) -> int:
     descriptor = _build_descriptor(args)
-    values = _read_values(args)
-    if not values:
+    state, domain_error = init(descriptor), None
+    for values in _value_blocks(args):
+        if domain_error is None:
+            try:
+                state = absorb_many(state, values)
+            except DomainError as e:
+                domain_error = e  # read on: a later parse error takes precedence
+    if domain_error is not None:
+        raise CliError(str(domain_error), EXIT_DOMAIN)
+    if state.is_empty():
         raise CliError("empty input", EXIT_EMPTY)
-    state = init(descriptor)
-    try:
-        for x in values:
-            state = absorb(state, x)
-        value = finalize(state)
-    except DomainError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
+    value = finalize(state)
     if args.state_out:
         with open(args.state_out, "wb") as fh:
             fh.write(serialize_state(state))

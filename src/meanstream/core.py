@@ -3,18 +3,24 @@
 Every mean in this package is evaluated as ``finalize(fold(absorb, init, xs))``
 where the state lives in a commutative semigroup: the descriptor's
 ``combine`` is its one operation, used by absorb (with the encoded element)
-and by merge alike.  States are plain immutable values; absorb and merge
-return new states, so shard-parallel accumulation followed by a merge tree
-needs no locking.
+and by merge alike.  ``absorb_many`` takes a whole batch at once: the
+descriptor's ``encode_many`` turns it into one state contribution, which is
+combined once.  States are plain immutable values; absorb and merge return
+new states, so shard-parallel accumulation followed by a merge tree needs no
+locking.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -40,14 +46,11 @@ class DomainInterval:
         if not self.lo < self.hi:
             raise ValueError(f"empty interval: lo={self.lo} hi={self.hi}")
 
-    def contains(self, x: float) -> bool:
-        if math.isnan(x):
-            return False
-        if x < self.lo or (x == self.lo and not self.lo_closed):
-            return False
-        if x > self.hi or (x == self.hi and not self.hi_closed):
-            return False
-        return True
+    def contains(self, x):
+        """Membership of a float, or elementwise of an array; NaN is outside."""
+        lo_ok = x >= self.lo if self.lo_closed else x > self.lo
+        hi_ok = x <= self.hi if self.hi_closed else x < self.hi
+        return lo_ok & hi_ok
 
     def sample_grid(self, points: int = 64) -> list[float]:
         """A finite representative grid, clipping infinite endpoints."""
@@ -107,12 +110,14 @@ def _vector_add(a: tuple, b: tuple) -> tuple:
 class MeanDescriptor:
     """Finite encoding of a generating pair: per-element encoder + finalizer.
 
-    ``encode`` maps one input to its state contribution; ``combine`` is the
-    semigroup operation on reals tuples; ``finalizer`` maps (reals, count)
-    back to the interval.  ``combine`` must be associative and commutative,
-    and ``init``'s reals (k zeros) must be its identity.  A non-finite
-    component must stay non-finite under it, which is what lets a state's
-    ``overflow`` flag be read off its reals.
+    ``encode`` maps one input to its state contribution; ``encode_many``, if
+    given, maps a 1-D float64 array of inputs to the whole batch's
+    contribution (without it, a batch is absorbed one element at a time);
+    ``combine`` is the semigroup operation on reals tuples; ``finalizer``
+    maps (reals, count) back to the interval.  ``combine`` must be
+    associative and commutative, and ``init``'s reals (k zeros) must be its
+    identity.  A non-finite component must stay non-finite under it, which
+    is what lets a state's ``overflow`` flag be read off its reals.
 
     ``ctype`` is None for means of no finite type (median); their state is
     the whole sorted multiset.  ``params`` must round-trip through JSON for
@@ -126,6 +131,7 @@ class MeanDescriptor:
     encode: Callable[[float], tuple]
     finalizer: Callable[[tuple, int], float]
     combine: Callable[[tuple, tuple], tuple] = _vector_add
+    encode_many: Optional[Callable[[np.ndarray], tuple]] = None
     ctype_is_upper_bound: bool = False
     paper_k: Optional[int] = None  # biplanar: exponent-set cardinality
 
@@ -209,6 +215,26 @@ def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
                             state.count + 1)
 
 
+def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
+    """Absorb a batch: one domain check, one ``encode_many``, one combine.
+
+    Same state as absorbing each element in turn, up to rounding; the first
+    out-of-domain element raises the DomainError ``absorb`` would.  A
+    descriptor without ``encode_many`` absorbs the elements in turn.
+    """
+    d = state.descriptor
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
+    if d.encode_many is None:  # encode through combine, one element at a time
+        return reduce(absorb, xs.tolist(), state)
+    inside = d.domain.contains(xs)
+    if not inside.all():
+        raise DomainError(f"{float(xs[inside.argmin()])} outside domain of {d.name}")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf surfaces at finalize
+        batch = d.encode_many(xs)
+    return AccumulatorState(d, d.combine(state.reals, batch),
+                            state.count + len(xs))
+
+
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
     if a.family_id != b.family_id:
         raise FamilyMismatch(f"{a.family_id} vs {b.family_id}")
@@ -222,7 +248,7 @@ def finalize(state: AccumulatorState) -> float:
     if state.overflow:
         raise NumericalFailure("state carries non-finite components")
     value = state.descriptor.finalizer(state.reals, state.count)
-    if not math.isfinite(value):
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise NumericalFailure(f"finalizer produced {value}")
     return value
 
@@ -251,7 +277,8 @@ def serialize_state(state: AccumulatorState) -> bytes:
 
 
 def parse_state(data) -> AccumulatorState:
-    """Inverse of serialize_state; raises ParseError with a byte offset."""
+    """Inverse of serialize_state; raises ParseError, with the byte offset
+    of a JSON syntax error."""
     from . import families  # deferred: families depends on core
 
     if isinstance(data, bytes):
@@ -267,8 +294,9 @@ def parse_state(data) -> AccumulatorState:
     for key in ("version", "family", "params", "k", "reals", "counter", "overflow"):
         if key not in payload:
             raise ParseError(f"missing field {key!r}")
-    if payload["version"] != STATE_FORMAT_VERSION:
-        raise ParseError(f"unsupported version {payload['version']}")
+    if (type(payload["version"]) is not int
+            or payload["version"] != STATE_FORMAT_VERSION):
+        raise ParseError(f"unsupported version {payload['version']!r}")
     try:
         descriptor = families.descriptor_from_params(payload["family"], payload["params"])
     except Exception as e:
@@ -279,6 +307,8 @@ def parse_state(data) -> AccumulatorState:
         reals = tuple(float.fromhex(s) for s in payload["reals"])
     except (ValueError, TypeError) as e:
         raise ParseError(f"bad hex float: {e}") from e
+    if type(payload["k"]) is not int or payload["k"] != len(reals):
+        raise ParseError(f"k {payload['k']!r} disagrees with {len(reals)} reals")
     counter = payload["counter"]
     if counter is None and not descriptor.has_counter:
         # files written before every family stored its count: counterless

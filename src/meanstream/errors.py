@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class MeanStreamError(Exception):
     """Base class for all library errors."""
@@ -26,10 +28,12 @@ class NumericalFailure(MeanStreamError):
 
 
 class ParseError(MeanStreamError):
-    """State payload could not be parsed; carries a byte offset."""
+    """State payload could not be parsed; carries the byte offset when known."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (at byte {offset})")
+    def __init__(self, message: str, offset: Optional[int] = None):
+        if offset is not None:
+            message = f"{message} (at byte {offset})"
+        super().__init__(message)
         self.offset = offset
 
 

@@ -1,7 +1,8 @@
 """Concrete generating pairs for each mean family.
 
 Each constructor returns a MeanDescriptor: a state layout (the per-element
-encoder) plus a finalization formula.  Parameters are validated at build
+encoder, and a numpy batch encoder where the encoder needs no user
+callable) plus a finalization formula.  Parameters are validated at build
 time; branch selection (p = 0, p = q) uses exact parameter comparison, never
 runtime tolerance.
 """
@@ -13,7 +14,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
+
+import numpy as np
 
 from .core import ComplexityType, DomainInterval, MeanDescriptor
 from .errors import (
@@ -270,17 +273,25 @@ def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
 # ---------------------------------------------------------------------------
 # the seven families
 
+def _sums(*columns) -> tuple:
+    """A batch's contribution to an additive state: each column's sum."""
+    return tuple(float(c.sum()) for c in columns)
+
+
 def power_mean(p: float) -> MeanDescriptor:
     p = float(p)
     if p == 0.0:
         encode = lambda x: (math.log(x),)
+        encode_many = lambda xs: _sums(np.log(xs))
         fin = lambda reals, n: math.exp(reals[0] / n)
     else:
         encode = lambda x: (x ** p,)
+        encode_many = lambda xs: _sums(xs ** p)
         fin = lambda reals, n: (reals[0] / n) ** (1.0 / p)
     return MeanDescriptor(
         family="power", params={"p": p}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(1, True), encode=encode, finalizer=fin)
+        ctype=ComplexityType(1, True), encode=encode, finalizer=fin,
+        encode_many=encode_many)
 
 
 def quasi_arithmetic(f) -> MeanDescriptor:
@@ -298,14 +309,17 @@ def gini(p: float, q: float) -> MeanDescriptor:
     p, q = float(p), float(q)
     if p == q:
         encode = lambda x: (x ** p * math.log(x), x ** p)
+        encode_many = lambda xs: _sums(xs ** p * np.log(xs), xs ** p)
         fin = lambda reals, n: math.exp(reals[0] / reals[1])
     else:
         diff = p - q
         encode = lambda x: (x ** p, x ** q)
+        encode_many = lambda xs: _sums(xs ** p, xs ** q)
         fin = lambda reals, n: (reals[0] / reals[1]) ** (1.0 / diff)
     return MeanDescriptor(
         family="gini", params={"p": p, "q": q}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(2, False), encode=encode, finalizer=fin)
+        ctype=ComplexityType(2, False), encode=encode, finalizer=fin,
+        encode_many=encode_many)
 
 
 def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
@@ -334,6 +348,9 @@ def hamy(r: int) -> MeanDescriptor:
     def encode(x: float) -> tuple:
         return tuple(x ** e for e in fexps)
 
+    def encode_many(xs) -> tuple:
+        return _sums(*(xs ** e for e in fexps))
+
     def fin(reals, n):
         if n < r:
             return reals[-1] / n
@@ -342,8 +359,8 @@ def hamy(r: int) -> MeanDescriptor:
 
     return MeanDescriptor(
         family="hamy", params={"r": r}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(r, True),
-        encode=encode, finalizer=fin, ctype_is_upper_bound=True)
+        ctype=ComplexityType(r, True), encode=encode, finalizer=fin,
+        encode_many=encode_many, ctype_is_upper_bound=True)
 
 
 def sympoly(r: int) -> MeanDescriptor:
@@ -356,6 +373,9 @@ def sympoly(r: int) -> MeanDescriptor:
     def encode(x: float) -> tuple:
         return tuple(x ** e for e in exps)
 
+    def encode_many(xs) -> tuple:
+        return _sums(*(xs ** e for e in exps))
+
     def fin(reals, n):
         if n < r:
             return reals[0] / n
@@ -364,8 +384,8 @@ def sympoly(r: int) -> MeanDescriptor:
 
     return MeanDescriptor(
         family="sympoly", params={"r": r}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(r, True),
-        encode=encode, finalizer=fin, ctype_is_upper_bound=True)
+        ctype=ComplexityType(r, True), encode=encode, finalizer=fin,
+        encode_many=encode_many, ctype_is_upper_bound=True)
 
 
 @dataclass(frozen=True)
@@ -417,6 +437,12 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
             out = out + (math.log(x),)
         return out
 
+    def encode_many(xs) -> tuple:
+        columns = [xs ** e for e in fslots]
+        if ln_slot:
+            columns.append(np.log(xs))
+        return _sums(*columns)
+
     def fin(reals, n):
         if n >= n_min:
             values = dict(zip(slots, reals))
@@ -435,7 +461,8 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     return MeanDescriptor(
         family="biplanar", params={"p": p, "q": q, "c": c, "d": d},
         domain=DomainInterval.positive(), ctype=ComplexityType(k_impl, True),
-        encode=encode, finalizer=fin, paper_k=params.k)
+        encode=encode, finalizer=fin, encode_many=encode_many,
+        paper_k=params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +527,7 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
     return MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
         ctype=None, encode=lambda x: (x,), combine=_sorted_merge,
-        finalizer=fin)
+        encode_many=lambda xs: tuple(np.sort(xs).tolist()), finalizer=fin)
 
 
 # ---------------------------------------------------------------------------

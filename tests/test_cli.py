@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import meanstream as ms
-from meanstream.cli import main
+from meanstream.cli import BLOCK_LINES, main
 
 
 def run_cli(argv, stdin="", monkeypatch=None, capsys=None):
@@ -58,6 +58,74 @@ class TestEval:
                                "", monkeypatch, capsys)
         assert code == 0
         assert out.strip() == "3.5"
+
+    def test_csv_lone_hash_row_ends_stream(self, monkeypatch, capsys, tmp_path):
+        # witness: the lone "#" row was skipped, and this printed 50
+        path = tmp_path / "data.csv"
+        path.write_text("x\n1\n#\n99\n")
+        code, out, _ = run_cli(["eval", "--family", "power", "--p", "1",
+                                "--input", str(path), "--column", "x"],
+                               "", monkeypatch, capsys)
+        assert code == 0
+        assert out.strip() == "1"
+
+    def test_crlf_input(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1\r\n2\r\n\r\n6\r\n")
+        code, out, _ = run_cli(["eval", "--family", "power", "--p", "1",
+                                "--input", str(path)], "", monkeypatch, capsys)
+        assert code == 0
+        assert out.strip() == "3"
+        path.write_bytes(b"x,y\r\n1,3\r\n2,4\r\n")
+        code, out, _ = run_cli(["eval", "--family", "power", "--p", "1",
+                                "--input", str(path), "--column", "y"],
+                               "", monkeypatch, capsys)
+        assert code == 0
+        assert out.strip() == "3.5"
+
+    def test_parse_error_in_a_later_block(self, monkeypatch, capsys):
+        lines = ["2"] * (2 * BLOCK_LINES + 10)
+        lines[BLOCK_LINES + 3] = "1, 2"  # a slow-path block that parses
+        lines[2 * BLOCK_LINES + 4] = "bogus"
+        code, _, err = run_cli(["eval", "--family", "power", "--p", "1"],
+                               "\n".join(lines), monkeypatch, capsys)
+        assert code == 2
+        assert f"line {2 * BLOCK_LINES + 5}:" in err
+
+    def test_parse_error_beats_an_earlier_domain_error(self, monkeypatch,
+                                                       capsys, tmp_path):
+        lines = ["2"] * (BLOCK_LINES + 10)
+        lines[1] = "-1"
+        lines[BLOCK_LINES + 5] = "bogus"
+        code, _, err = run_cli(["eval", "--family", "power", "--p", "1"],
+                               "\n".join(lines), monkeypatch, capsys)
+        assert code == 2
+        assert f"line {BLOCK_LINES + 6}:" in err
+        path = tmp_path / "data.csv"
+        path.write_text("v\n" + "\n".join(lines) + "\n")
+        code, _, err = run_cli(["eval", "--family", "power", "--p", "1",
+                                "--input", str(path), "--column", "v"],
+                               "", monkeypatch, capsys)
+        assert code == 2
+        assert f"line {BLOCK_LINES + 7}:" in err
+        lines[BLOCK_LINES + 5] = "2"
+        code, _, err = run_cli(["eval", "--family", "power", "--p", "1"],
+                               "\n".join(lines), monkeypatch, capsys)
+        assert code == 3
+        assert "-1.0 outside domain" in err
+
+    def test_stdin_over_many_blocks(self, monkeypatch, capsys):
+        values = [float(v) for v in range(1, 2 * BLOCK_LINES + 4)]
+        text = "".join(f"{v}\n" for v in values)
+        for argv in (["--input", "-"], []):
+            code, out, _ = run_cli(["eval", "--family", "power", "--p", "1",
+                                    *argv], text, monkeypatch, capsys)
+            assert code == 0
+            assert float(out) == sum(values) / len(values)
+        code, out, _ = run_cli(["eval", "--family", "median"], text,
+                               monkeypatch, capsys)
+        assert code == 0
+        assert float(out) == values[(len(values) - 1) // 2]
 
     def test_family_json(self, monkeypatch, capsys):
         code, out, _ = run_cli(

@@ -88,6 +88,70 @@ class TestAbsorb:
             s.finalize()
 
 
+class TestAbsorbMany:
+    def test_empty_batch_is_identity(self):
+        for d in all_families():
+            s = ms.init(d).absorb(2.0).absorb(5.0)
+            same = ms.absorb_many(s, [])
+            assert same.reals == s.reals and same.count == s.count
+
+    def test_domain_error_names_the_first_bad_value(self):
+        d = ms.power_mean(1.0)
+        for batch, bad in (([1.0, -3.0, -4.0], -3.0), ([2.0, math.nan, -1.0], math.nan)):
+            with pytest.raises(DomainError) as one:
+                ms.absorb(ms.init(d), bad)
+            with pytest.raises(DomainError) as many:
+                ms.absorb_many(ms.init(d), batch)
+            assert str(many.value) == str(one.value)
+        with pytest.raises(DomainError, match="^5.0 outside"):
+            ms.absorb_many(ms.init(ms.piecewise_counterexample()), [3.5, 5.0])
+
+    def test_overflow_fails_at_finalize_both_ways(self):
+        d = ms.power_mean(2.0)
+        for s in (ms.init(d).absorb(1e200), ms.absorb_many(ms.init(d), [1e200])):
+            assert s.overflow
+            with pytest.raises(NumericalFailure):
+                s.finalize()
+        # a callable encoder that raises OverflowError takes the default path
+        s = ms.absorb_many(ms.init(ms.quasi_arithmetic("exp")), [1000.0])
+        assert s.overflow and s.reals == ms.init(s.descriptor).absorb(1000.0).reals
+
+
+def _in_domain(d, u: float) -> float:
+    """Map u in [0, 1] into d's domain: log-uniform over [1e-3, 1e3] on the
+    positive reals, [3, 4] for the piecewise mean, [-1e3, 1e3] otherwise."""
+    if d.domain.lo == 0.0:
+        return 10.0 ** (6.0 * u - 3.0)
+    if d.family == "piecewise_h":
+        return 3.0 + u
+    return 2e3 * u - 1e3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=48),
+       st.lists(st.integers(0, 48), max_size=4))
+def test_absorb_many_matches_absorb(us, cuts):
+    """Batches split anywhere give per-element absorb's reals, to within
+    1e-12 of the sum of the contributions' magnitudes (exactly: median)."""
+    bounds = [0, *sorted(min(c, len(us)) for c in cuts), len(us)]
+    for d in all_families() + [ms.piecewise_counterexample(),
+                               ms.cube_over_square()]:
+        xs = [_in_domain(d, u) for u in us]
+        one = ms.init(d)
+        for x in xs:
+            one = ms.absorb(one, x)
+        many = ms.init(d)
+        for lo, hi in zip(bounds, bounds[1:]):
+            many = ms.absorb_many(many, xs[lo:hi])
+        assert many.count == one.count
+        if d.ctype is None:
+            assert many.reals == one.reals
+            continue
+        scale = [sum(abs(c[j]) for c in map(d.encode, xs)) for j in range(d.k)]
+        for got, want, mag in zip(many.reals, one.reals, scale):
+            assert abs(got - want) <= 1e-12 * mag
+
+
 class TestMerge:
     def test_additivity(self):
         d = ms.power_mean(1.0)
@@ -132,6 +196,15 @@ class TestFinalize:
         for d in all_families():
             with pytest.raises(EmptyStateError):
                 ms.finalize(ms.init(d))
+
+    def test_complex_value_is_numerical_failure(self):
+        # witness: Newton's identities cancel to a negative sigma, whose
+        # 8th root is complex; finalize leaked a bare TypeError
+        xs = [0.0068512217300177106, 0.02346348958286343, 95.60183817494051,
+              0.002482934692833788, 0.11043935883065963, 0.003467932778097728,
+              0.03740424522616018, 0.002198437006228983, 0.4645995283393699]
+        with pytest.raises(NumericalFailure):
+            ms.evaluate_stream(ms.sympoly(8), xs)
 
 
 class TestEvaluateStream:
@@ -206,6 +279,22 @@ class TestSerialization:
             with pytest.raises(ParseError):
                 ms.parse_state(json.dumps(payload))
 
+    def test_version_must_be_a_plain_int(self):
+        # witness: "version": true passed as version 1 (JSON true == 1)
+        payload = json.loads(ms.serialize_state(ms.init(ms.power_mean(1.0)).absorb(2.0)))
+        for bad in (True, 1.0, "1"):
+            payload["version"] = bad
+            with pytest.raises(ParseError):
+                ms.parse_state(json.dumps(payload))
+
+    def test_k_must_match_the_reals(self):
+        # witness: "k": 99 on power(1) of [2.0] parsed and finalized to 2.0
+        payload = json.loads(ms.serialize_state(ms.init(ms.power_mean(1.0)).absorb(2.0)))
+        for bad in (99, 0, True, 1.0, None):
+            payload["k"] = bad
+            with pytest.raises(ParseError):
+                ms.parse_state(json.dumps(payload))
+
     def test_reals_must_be_a_list(self):
         # witness: "reals": "a" parsed as the one component 0xa = 10.0
         payload = json.loads(ms.serialize_state(ms.init(ms.power_mean(1.0))))
@@ -251,6 +340,14 @@ class TestSerialization:
         except ParseError as e:
             err = e
         assert err is not None and err.offset > 0
+        assert f"(at byte {err.offset})" in str(err)
+
+    def test_parse_error_without_offset_names_none(self):
+        # witness: a missing field was reported "(at byte 0)"
+        with pytest.raises(ParseError) as err:
+            ms.parse_state(b'{"version": 1}')
+        assert err.value.offset is None
+        assert str(err.value) == "missing field 'family'"
 
 
 @settings(max_examples=40, deadline=None)
