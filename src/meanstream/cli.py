@@ -58,20 +58,10 @@ def _family_params(args) -> tuple:
     if not args.family:
         raise CliError("--family (or --family-json) is required", EXIT_PARSE)
     params = {}
-    for key in ("p", "q"):
+    for key in ("p", "q", "r", "c", "d", "f", "g", "kind"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    for key in ("r", "c", "d"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if getattr(args, "f", None) is not None:
-        params["f"] = args.f
-    if getattr(args, "g", None) is not None:
-        params["g"] = args.g
-    if getattr(args, "kind", None) is not None:
-        params["kind"] = args.kind
     return args.family, params
 
 

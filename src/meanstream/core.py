@@ -247,7 +247,10 @@ def finalize(state: AccumulatorState) -> float:
         raise EmptyStateError("finalize of the empty state")
     if state.overflow:
         raise NumericalFailure("state carries non-finite components")
-    value = state.descriptor.finalizer(state.reals, state.count)
+    try:
+        value = state.descriptor.finalizer(state.reals, state.count)
+    except OverflowError as e:  # e.g. a count whose C(n, r) exceeds binary64
+        raise NumericalFailure(f"finalizer overflowed: {e}") from e
     if not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise NumericalFailure(f"finalizer produced {value}")
     return value

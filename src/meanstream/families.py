@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -27,26 +26,12 @@ from .errors import (
     NumericalFailure,
     PairInvalid,
 )
-from .symfun import GammaTable, sigma_from_power
+from .symfun import MAX_MULTI_EXPONENTS, GammaTable, sigma_from_power
 
 GRID_POINTS = 64
 ROUNDTRIP_RTOL = 1e-10
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
-
-
-def binomial(n: int, r: int) -> float:
-    """C(n, r) in binary64 via the multiplicative formula."""
-    if r < 0 or r > n:
-        return 0.0
-    m = min(r, n - r)
-    out = 1.0
-    for i in range(1, m + 1):
-        out = out * (n - m + i) / i
-    if n > 10 ** 6 and r >= 8:
-        warnings.warn(f"binomial({n}, {r}) may have lost precision",
-                      RuntimeWarning, stacklevel=2)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +263,17 @@ def _sums(*columns) -> tuple:
     return tuple(float(c.sum()) for c in columns)
 
 
+def _sigma(s: int, sums, n: int, sign: int = 1) -> float:
+    """sigma_s of the x^b, from sums[j - 1] = the power sum at j * b.
+
+    The table is keyed by j * sign, sign being that of b, so its keys sort
+    as the exponents j * b do: the recursion takes the same steps, and
+    rounds the same way, as it would on the exponents themselves.
+    """
+    table = GammaTable({j * sign: v for j, v in enumerate(sums, 1)}, n)
+    return sigma_from_power(s, sign, table)
+
+
 def power_mean(p: float) -> MeanDescriptor:
     p = float(p)
     if p == 0.0:
@@ -335,27 +331,25 @@ def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
 def hamy(r: int) -> MeanDescriptor:
     """Mean of r-th roots of r-element products; arithmetic mean for n < r.
 
-    State holds power sums at exponents j/r (exact Fractions so the
-    recursion's subset sums hit the table keys exactly); the exponent-1 slot
-    doubles as the small-n fallback's plain sum.
+    State holds power sums at exponents j/r, j = 1..r, the multiples of the
+    base exponent 1/r; the exponent-1 slot doubles as the small-n fallback's
+    plain sum.
     """
-    if not isinstance(r, int) or r < 1:
-        raise InvalidDescriptor("hamy needs a positive integer r")
-    exps = [Fraction(j, r) for j in range(1, r + 1)]
-    fexps = [float(e) for e in exps]
-    base = Fraction(1, r)
+    if not isinstance(r, int) or not 1 <= r <= MAX_MULTI_EXPONENTS:
+        raise InvalidDescriptor(
+            f"hamy needs an integer r in 1..{MAX_MULTI_EXPONENTS}")
+    exps = [j / r for j in range(1, r + 1)]
 
     def encode(x: float) -> tuple:
-        return tuple(x ** e for e in fexps)
+        return tuple(x ** e for e in exps)
 
     def encode_many(xs) -> tuple:
-        return _sums(*(xs ** e for e in fexps))
+        return _sums(*(xs ** e for e in exps))
 
     def fin(reals, n):
         if n < r:
             return reals[-1] / n
-        table = GammaTable(dict(zip(exps, reals)), n)
-        return sigma_from_power(r, base, table) / binomial(n, r)
+        return _sigma(r, reals, n) / math.comb(n, r)
 
     return MeanDescriptor(
         family="hamy", params={"r": r}, domain=DomainInterval.positive(),
@@ -365,8 +359,9 @@ def hamy(r: int) -> MeanDescriptor:
 
 def sympoly(r: int) -> MeanDescriptor:
     """r-th root of the normalized elementary symmetric polynomial."""
-    if not isinstance(r, int) or r < 1:
-        raise InvalidDescriptor("sympoly needs a positive integer r")
+    if not isinstance(r, int) or not 1 <= r <= MAX_MULTI_EXPONENTS:
+        raise InvalidDescriptor(
+            f"sympoly needs an integer r in 1..{MAX_MULTI_EXPONENTS}")
     exps = list(range(1, r + 1))
     inv_r = 1.0 / r
 
@@ -379,8 +374,7 @@ def sympoly(r: int) -> MeanDescriptor:
     def fin(reals, n):
         if n < r:
             return reals[0] / n
-        table = GammaTable(dict(zip(exps, reals)), n)
-        return (sigma_from_power(r, 1, table) / binomial(n, r)) ** inv_r
+        return (_sigma(r, reals, n) / math.comb(n, r)) ** inv_r
 
     return MeanDescriptor(
         family="sympoly", params={"r": r}, domain=DomainInterval.positive(),
@@ -396,9 +390,10 @@ class BiplanarParams:
     d: int
 
     def __post_init__(self):
-        if not (isinstance(self.c, int) and isinstance(self.d, int)
-                and self.c >= 1 and self.d >= 1):
-            raise InvalidDescriptor("biplanar needs positive integers c, d")
+        if not all(isinstance(v, int) and 1 <= v <= MAX_MULTI_EXPONENTS
+                   for v in (self.c, self.d)):
+            raise InvalidDescriptor(
+                f"biplanar needs integers c, d in 1..{MAX_MULTI_EXPONENTS}")
         if self.c * Fraction(self.p) == self.d * Fraction(self.q):
             raise DegenerateExponents(f"c*p == d*q == {self.c * self.p}")
 
@@ -429,7 +424,12 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     k_impl = len(slots) + (1 if ln_slot else 0)
     n_min = max(c, d)
     exponent = 1.0 / (c * p - d * q)
-    p_slot = slots.index(P) if not ln_slot else None
+    # where the power sum at each multiple j*P (j*Q) sits in reals + (n,):
+    # an exponent of 0 sums to the count
+    at = {e: i for i, e in enumerate(slots)} | {0: k_impl}
+    p_at = [at[j * P] for j in range(1, c + 1)]
+    q_at = [at[j * Q] for j in range(1, d + 1)]
+    p_sign, q_sign = (P > 0) - (P < 0), (Q > 0) - (Q < 0)
 
     def encode(x: float) -> tuple:
         out = tuple(x ** e for e in fslots)
@@ -445,18 +445,15 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
 
     def fin(reals, n):
         if n >= n_min:
-            values = dict(zip(slots, reals))
-            if 0 in exps:
-                values[Fraction(0)] = float(n)
-            table = GammaTable(values, n)
-            num = binomial(n, d) * sigma_from_power(c, P, table)
-            den = binomial(n, c) * sigma_from_power(d, Q, table)
+            sums = reals + (float(n),)
+            num = math.comb(n, d) * _sigma(c, [sums[i] for i in p_at], n, p_sign)
+            den = math.comb(n, c) * _sigma(d, [sums[i] for i in q_at], n, q_sign)
             if den == 0:
                 raise NumericalFailure("biplanar denominator vanished")
             return (num / den) ** exponent
         if ln_slot:
             return math.exp(reals[-1] / n)
-        return (reals[p_slot] / n) ** (1.0 / p)
+        return (reals[p_at[0]] / n) ** (1.0 / p)
 
     return MeanDescriptor(
         family="biplanar", params={"p": p, "q": q, "c": c, "d": d},

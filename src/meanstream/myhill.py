@@ -9,13 +9,13 @@ counts are therefore lower bounds on the exact class counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MeanDescriptor, evaluate_stream, init, absorb
+from .core import MeanDescriptor, init, absorb
 from .errors import BudgetExceeded, InsufficientData
 from .verify import _subject
 

@@ -10,18 +10,17 @@ to single power sums gamma_q at the subset-sum closure of the exponents.
 sigma_{s,p} = gamma_{p,...,p} / s! is the elementary symmetric polynomial in
 the p-th powers.
 
-Exponents may be ints, floats, or Fractions.  Callers that need exact
-exponent arithmetic (e.g. r equal exponents 1/r) must pass Fractions so that
-subset sums computed here hit the table keys exactly; floats are only safe
-when their sums are exact (integers, dyadic rationals).
+Exponents may be ints, floats, or Fractions.  Subset sums computed here
+must hit the table keys exactly, so float exponents are only safe when their
+sums are exact (integers, dyadic rationals); pass Fractions otherwise.  The
+families' finalizers index sigma's power sums by multiple of a base exponent
+and call ``sigma_from_power(s, 1, table)`` with int keys 1..s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import DomainError, MissingGamma
@@ -81,22 +80,17 @@ def subset_sum_closure(exponents: Sequence) -> set:
     if len(exponents) > MAX_MULTI_EXPONENTS:
         raise ValueError(f"at most {MAX_MULTI_EXPONENTS} exponents supported")
     closure = set()
-    for size in range(1, len(exponents) + 1):
-        for subset in combinations(range(len(exponents)), size):
-            total = exponents[subset[0]]
-            for i in subset[1:]:
-                total = total + exponents[i]
-            closure.add(total)
+    for e in exponents:
+        closure |= {e} | {c + e for c in closure}
     return closure
 
 
-def gamma_multi(ms: ExponentMultiset, table: GammaTable, _stats: dict = None) -> float:
+def gamma_multi(ms: ExponentMultiset, table: GammaTable) -> float:
     """Distinct-index multi-power sum from single power sums.
 
     Uses exact integer arithmetic when every table value is an integer
     representable in binary64.  The memo cache is per-call, keyed on the
-    sorted exponent tuple.  ``_stats``, when given, collects the number of
-    distinct multiset expansions under key "expansions".
+    sorted exponent tuple.
     """
     for q in subset_sum_closure(ms.exponents):
         if q not in table:
@@ -116,8 +110,6 @@ def gamma_multi(ms: ExponentMultiset, table: GammaTable, _stats: dict = None) ->
     def rec(key: tuple):
         if key in memo:
             return memo[key]
-        if _stats is not None:
-            _stats["expansions"] = _stats.get("expansions", 0) + 1
         if len(key) == 1:
             value = lookup(key[0])
         else:
@@ -139,10 +131,4 @@ def sigma_from_power(s: int, p, table: GammaTable) -> float:
         raise ValueError("s must be a positive integer")
     if table.n < s:
         return 0.0
-    gm = gamma_multi(ExponentMultiset((p,) * s), table)
-    fact = math.factorial(s)
-    if float(gm).is_integer():
-        exact = Fraction(int(gm), fact)
-        if exact.denominator == 1:
-            return float(exact.numerator)
-    return gm / fact
+    return gamma_multi(ExponentMultiset((p,) * s), table) / math.factorial(s)

@@ -127,6 +127,18 @@ class TestEval:
         assert code == 0
         assert float(out) == values[(len(values) - 1) // 2]
 
+    def test_degree_above_the_recursion_limit(self, monkeypatch, capsys):
+        # witness: `seq 1 20 | meanstream eval --family hamy --r 13` printed a
+        # ValueError traceback and exited 1
+        values = "".join(f"{i}\n" for i in range(1, 21))
+        for argv in (["--family", "hamy", "--r", "13"],
+                     ["--family", "sympoly", "--r", "13"],
+                     ["--family", "biplanar", "--p", "2", "--q", "3",
+                      "--c", "13", "--d", "1"]):
+            code, out, err = run_cli(["eval", *argv], values, monkeypatch, capsys)
+            assert code == 2 and out == ""
+            assert "1..12" in err
+
     def test_family_json(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             ["eval", "--family-json", '{"family":"gini","p":2,"q":1}'],

@@ -206,6 +206,14 @@ class TestFinalize:
         with pytest.raises(NumericalFailure):
             ms.evaluate_stream(ms.sympoly(8), xs)
 
+    def test_overflow_is_numerical_failure(self):
+        # C(10**30, 12) does not fit a float; finalize must not leak the
+        # OverflowError of the division
+        d = ms.hamy(12)
+        s = ms.AccumulatorState(d, (1e30,) * 12, 10 ** 30)
+        with pytest.raises(NumericalFailure):
+            ms.finalize(s)
+
 
 class TestEvaluateStream:
     def test_examples(self):
@@ -341,6 +349,16 @@ class TestSerialization:
             err = e
         assert err is not None and err.offset > 0
         assert f"(at byte {err.offset})" in str(err)
+
+    def test_degree_above_the_recursion_limit_is_a_parse_error(self):
+        # witness: a hamy(13) state parsed, then finalize raised a bare
+        # ValueError
+        blob = json.loads(ms.serialize_state(ms.init(ms.hamy(12))))
+        blob["params"]["r"] = 13
+        blob["k"] = 13
+        blob["reals"] = [(0.0).hex()] * 13
+        with pytest.raises(ParseError, match="cannot rebuild descriptor"):
+            ms.parse_state(json.dumps(blob))
 
     def test_parse_error_without_offset_names_none(self):
         # witness: a missing field was reported "(at byte 0)"

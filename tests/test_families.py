@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,8 @@ import meanstream as ms
 from meanstream.core import DomainInterval
 from meanstream.errors import (DegenerateExponents, GeneratorInvalid,
                                InvalidDescriptor, PairInvalid)
-from meanstream.families import GeneratorFunction, binomial
+from meanstream.families import GeneratorFunction
+from meanstream.symfun import MAX_MULTI_EXPONENTS
 
 RNG_SEED = 20260823
 
@@ -137,6 +139,14 @@ class TestHamy:
         with pytest.raises(InvalidDescriptor):
             ms.hamy(0)
 
+    def test_rejects_r_above_the_recursion_limit(self):
+        # witness: hamy(13) built and absorbed, then finalize raised a bare
+        # ValueError
+        ms.hamy(MAX_MULTI_EXPONENTS)
+        for build in (ms.hamy, ms.sympoly):
+            with pytest.raises(InvalidDescriptor):
+                build(MAX_MULTI_EXPONENTS + 1)
+
 
 class TestSymPoly:
     def test_hand_value(self):
@@ -186,10 +196,28 @@ class TestBiplanar:
         with pytest.raises(DegenerateExponents):
             ms.biplanar(2, 3, 3, 2)
 
+    def test_rejects_c_or_d_above_the_recursion_limit(self):
+        ms.biplanar(2, 3, MAX_MULTI_EXPONENTS, 1)
+        for c, d in ((MAX_MULTI_EXPONENTS + 1, 1), (1, MAX_MULTI_EXPONENTS + 1)):
+            with pytest.raises(InvalidDescriptor):
+                ms.biplanar(2, 3, c, d)
+
     def test_zero_p_fallback_is_geometric(self):
         d = ms.biplanar(0.0, 1.0, 2, 1)
         assert ms.evaluate_stream(d, [1.0]) == pytest.approx(1.0)
         assert ms.evaluate_stream(d, [9.0]) == pytest.approx(9.0)
+
+
+class TestLargeCount:
+    def test_finalize_emits_no_runtime_warning(self):
+        # witness: C(2e6, 8) in a rounded multiplicative formula warned
+        # "may have lost precision" at every finalize
+        n = 2_000_000
+        for d in (ms.hamy(8), ms.sympoly(8)):
+            state = ms.AccumulatorState(d, (float(n),) * d.k, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert ms.finalize(state) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCounterexampleMeans:
@@ -246,18 +274,3 @@ class TestFamilyInvariants:
         for d in self.families_on_positives():
             report = ms.check_homogeneity(d, trials=60, seed=rng)
             assert report.holds, report.as_dict()
-
-
-class TestBinomial:
-    def test_small_values(self):
-        for n in range(0, 12):
-            for r in range(0, n + 1):
-                assert binomial(n, r) == float(math.comb(n, r))
-
-    def test_out_of_range(self):
-        assert binomial(4, 5) == 0.0
-        assert binomial(4, -1) == 0.0
-
-    def test_precision_warning(self):
-        with pytest.warns(RuntimeWarning):
-            binomial(2 * 10 ** 6, 8)

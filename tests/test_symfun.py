@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -44,6 +44,20 @@ class TestPowerSums:
             ms.power_sums([], [1])
 
 
+class TestSubsetSumClosure:
+    def test_matches_enumeration(self):
+        for exps in ((1, 1, 1, 1), (Fraction(1, 2), Fraction(1, 3), 2),
+                     (0.5, 0.25, 0.5, 3.0), (-1, 2, -1)):
+            want = {sum(c) for k in range(1, len(exps) + 1)
+                    for c in combinations(exps, k)}
+            assert subset_sum_closure(exps) == want
+
+    def test_limit(self):
+        assert subset_sum_closure((1,) * 12) == set(range(1, 13))
+        with pytest.raises(ValueError):
+            subset_sum_closure((1,) * 13)
+
+
 class TestGammaMulti:
     def test_pair_example(self):
         table = make_table([1, 2, 3], (1, 1))
@@ -70,13 +84,23 @@ class TestGammaMulti:
             assert value == pytest.approx(brute_gamma(xs, [1, 2, 3]), rel=1e-12)
 
     def test_expansion_budget(self):
-        # memoized expansions stay within the 3^s subset-sum closure bound
+        # each memoized expansion looks up one power sum; the expansions stay
+        # within the 3^s subset-sum closure bound
+        class CountingDict(dict):
+            lookups = 0
+
+            def __getitem__(self, q):
+                CountingDict.lookups += 1
+                return super().__getitem__(q)
+
         for s in (2, 3, 4):
             exps = tuple(range(1, s + 1))
             table = make_table([1, 2, 3, 4, 5], exps)
-            stats = {}
-            ms.gamma_multi(ms.ExponentMultiset(exps), table, _stats=stats)
-            assert stats["expansions"] <= 3 ** s
+            counted = ms.GammaTable(CountingDict(table.values), table.n)
+            CountingDict.lookups = 0
+            got = ms.gamma_multi(ms.ExponentMultiset(exps), counted)
+            assert got == ms.gamma_multi(ms.ExponentMultiset(exps), table)
+            assert 0 < CountingDict.lookups <= 3 ** s
 
 
 class TestSigma:
