@@ -9,8 +9,8 @@ blocks of BLOCK_LINES lines and absorbs each block at once, so its memory
 does not grow with the input (except for the median, whose state is the
 multiset itself).
 
-Exit codes: 0 ok, 2 parse error, 3 domain error, 4 empty input,
-5 family mismatch.
+Exit codes: 0 ok, 2 parse error (also a bad argument or an unreadable
+input file), 3 domain error, 4 empty input, 5 family mismatch.
 """
 
 from __future__ import annotations
@@ -52,9 +52,12 @@ def _family_params(args) -> tuple:
     if args.family_json:
         try:
             spec = json.loads(args.family_json)
-            return spec.pop("family"), spec
-        except (json.JSONDecodeError, KeyError) as e:
+        except json.JSONDecodeError as e:
             raise CliError(f"bad --family-json: {e}", EXIT_PARSE)
+        if not isinstance(spec, dict) or "family" not in spec:
+            raise CliError('bad --family-json: expected an object with a '
+                           '"family" key', EXIT_PARSE)
+        return spec.pop("family"), spec
     if not args.family:
         raise CliError("--family (or --family-json) is required", EXIT_PARSE)
     params = {}
@@ -63,6 +66,14 @@ def _family_params(args) -> tuple:
         if value is not None:
             params[key] = value
     return args.family, params
+
+
+def _open_input(path: str, *args, **kwargs):
+    """open(path, ...); a file that cannot be opened is a bad argument."""
+    try:
+        return open(path, *args, **kwargs)
+    except OSError as e:
+        raise CliError(f"{path}: {e.strerror}", EXIT_PARSE) from None
 
 
 def _build_descriptor(args):
@@ -137,7 +148,7 @@ def _blocks(chunks, fast, careful, lineno: int):
 
 def _value_blocks(args):
     """The input's values, BLOCK_LINES lines at a time."""
-    with (open(args.input, "r", encoding="utf-8")
+    with (_open_input(args.input, "r", encoding="utf-8")
           if args.input and args.input != "-"
           else contextlib.nullcontext(sys.stdin)) as fh:
         if args.column is None:
@@ -186,7 +197,7 @@ def cmd_eval(args) -> int:
 def cmd_merge(args) -> int:
     states = []
     for path in args.state_files:
-        with open(path, "rb") as fh:
+        with _open_input(path, "rb") as fh:
             data = fh.read()
         try:
             states.append(parse_state(data))

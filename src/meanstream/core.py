@@ -17,7 +17,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
 )
 
 STATE_FORMAT_VERSION = 1
+DESCRIPTOR_CACHE_SIZE = 64  # parse_state's descriptors, by family and params
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
 
 
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
-    if a.family_id != b.family_id:
+    if a.descriptor is not b.descriptor and a.family_id != b.family_id:
         raise FamilyMismatch(f"{a.family_id} vs {b.family_id}")
     d = a.descriptor
     return AccumulatorState(d, d.combine(a.reals, b.reals), a.count + b.count)
@@ -249,8 +250,9 @@ def finalize(state: AccumulatorState) -> float:
         raise NumericalFailure("state carries non-finite components")
     try:
         value = state.descriptor.finalizer(state.reals, state.count)
-    except OverflowError as e:  # e.g. a count whose C(n, r) exceeds binary64
-        raise NumericalFailure(f"finalizer overflowed: {e}") from e
+    except (OverflowError, ZeroDivisionError) as e:
+        # e.g. a count whose C(n, r) exceeds binary64, a sum that underflowed
+        raise NumericalFailure(f"finalizer failed: {e}") from e
     if not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise NumericalFailure(f"finalizer produced {value}")
     return value
@@ -279,11 +281,23 @@ def serialize_state(state: AccumulatorState) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
-def parse_state(data) -> AccumulatorState:
-    """Inverse of serialize_state; raises ParseError, with the byte offset
-    of a JSON syntax error."""
+@lru_cache(maxsize=DESCRIPTOR_CACHE_SIZE)
+def _descriptor(key: str) -> MeanDescriptor:
+    """The descriptor of key = the JSON text of [family, params]."""
     from . import families  # deferred: families depends on core
 
+    return families.descriptor_from_params(*json.loads(key))
+
+
+def parse_state(data) -> AccumulatorState:
+    """Inverse of serialize_state; raises ParseError, with the byte offset
+    of a JSON syntax error.
+
+    States parsed with the same family and params share one descriptor
+    (the last DESCRIPTOR_CACHE_SIZE of them are kept), so merging them
+    skips the family_id comparison.  A descriptor is a shared value: do
+    not mutate its ``params``.
+    """
     if isinstance(data, bytes):
         text = data.decode("utf-8", errors="replace")
     else:
@@ -301,7 +315,9 @@ def parse_state(data) -> AccumulatorState:
             or payload["version"] != STATE_FORMAT_VERSION):
         raise ParseError(f"unsupported version {payload['version']!r}")
     try:
-        descriptor = families.descriptor_from_params(payload["family"], payload["params"])
+        # the exact JSON text, as -0.0 == 0.0 and 1 == True would hash alike
+        descriptor = _descriptor(json.dumps(
+            [payload["family"], payload["params"]], sort_keys=True))
     except Exception as e:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
     if not isinstance(payload["reals"], list):

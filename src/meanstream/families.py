@@ -13,6 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -274,8 +275,26 @@ def _sigma(s: int, sums, n: int, sign: int = 1) -> float:
     return sigma_from_power(s, sign, table)
 
 
+def _exponent(family: str, name: str, value) -> float:
+    """value as a finite float; an infinite or NaN exponent has no mean."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidDescriptor(
+            f"{family}: {name} must be a number, got {value!r}") from None
+    if not math.isfinite(value):
+        raise InvalidDescriptor(f"{family} needs a finite {name}, got {value}")
+    return value
+
+
+def _no_underflow(*sums) -> None:
+    """On the positive domain a power sum is 0.0 only if it underflowed."""
+    if 0.0 in sums:
+        raise NumericalFailure("a power sum underflowed to 0")
+
+
 def power_mean(p: float) -> MeanDescriptor:
-    p = float(p)
+    p = _exponent("power", "p", p)
     if p == 0.0:
         encode = lambda x: (math.log(x),)
         encode_many = lambda xs: _sums(np.log(xs))
@@ -283,7 +302,10 @@ def power_mean(p: float) -> MeanDescriptor:
     else:
         encode = lambda x: (x ** p,)
         encode_many = lambda xs: _sums(xs ** p)
-        fin = lambda reals, n: (reals[0] / n) ** (1.0 / p)
+
+        def fin(reals, n):
+            _no_underflow(reals[0])
+            return (reals[0] / n) ** (1.0 / p)
     return MeanDescriptor(
         family="power", params={"p": p}, domain=DomainInterval.positive(),
         ctype=ComplexityType(1, True), encode=encode, finalizer=fin,
@@ -302,16 +324,22 @@ def quasi_arithmetic(f) -> MeanDescriptor:
 
 
 def gini(p: float, q: float) -> MeanDescriptor:
-    p, q = float(p), float(q)
+    p, q = _exponent("gini", "p", p), _exponent("gini", "q", q)
     if p == q:
         encode = lambda x: (x ** p * math.log(x), x ** p)
         encode_many = lambda xs: _sums(xs ** p * np.log(xs), xs ** p)
-        fin = lambda reals, n: math.exp(reals[0] / reals[1])
+
+        def fin(reals, n):
+            _no_underflow(reals[1])  # reals[0] sums x^p ln x, which may be 0
+            return math.exp(reals[0] / reals[1])
     else:
         diff = p - q
         encode = lambda x: (x ** p, x ** q)
         encode_many = lambda xs: _sums(xs ** p, xs ** q)
-        fin = lambda reals, n: (reals[0] / reals[1]) ** (1.0 / diff)
+
+        def fin(reals, n):
+            _no_underflow(*reals)
+            return (reals[0] / reals[1]) ** (1.0 / diff)
     return MeanDescriptor(
         family="gini", params={"p": p, "q": q}, domain=DomainInterval.positive(),
         ctype=ComplexityType(2, False), encode=encode, finalizer=fin,
@@ -412,7 +440,8 @@ class BiplanarParams:
 def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     """Ratio of scaled elementary symmetric polynomials in p-th and q-th
     powers, to the power 1/(cp-dq); the p-th power mean for n < max(c, d)."""
-    params = BiplanarParams(float(p), float(q), int(c), int(d))
+    params = BiplanarParams(_exponent("biplanar", "p", p),
+                            _exponent("biplanar", "q", q), int(c), int(d))
     p, q, c, d = params.p, params.q, params.c, params.d
     P, Q = Fraction(p), Fraction(q)
     exps = params.exponent_set
@@ -529,24 +558,42 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
 
 # ---------------------------------------------------------------------------
 
+_PARAM_KINDS = {str: ((str,), "a string"), float: ((int, float), "a number"),
+                int: ((int,), "an integer")}
+
+
+def _param(family: str, params: dict, key: str, kind: type):
+    """params[key], checked to be a kind: str, float (any number) or int."""
+    value = params[key]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)  # 4.0 names the integer 4
+    types, what = _PARAM_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise InvalidDescriptor(f"{family}: {key} must be {what}, got {value!r}")
+    return value
+
+
 def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
     """Rebuild a descriptor from the CLI/state-file parameter schema."""
+    if not isinstance(params, dict):
+        raise InvalidDescriptor(f"{family}: params must be an object")
+    get = partial(_param, family, params)
     try:
         if family == "power":
-            return power_mean(params["p"])
+            return power_mean(get("p", float))
         if family == "quasiarithmetic":
-            return quasi_arithmetic(params["f"])
+            return quasi_arithmetic(get("f", str))
         if family == "gini":
-            return gini(params["p"], params["q"])
+            return gini(get("p", float), get("q", float))
         if family == "bajraktarevic":
-            return bajraktarevic(pair_from_names(params["f"], params["g"]))
+            return bajraktarevic(pair_from_names(get("f", str), get("g", str)))
         if family == "hamy":
-            return hamy(int(params["r"]))
+            return hamy(get("r", int))
         if family == "sympoly":
-            return sympoly(int(params["r"]))
+            return sympoly(get("r", int))
         if family == "biplanar":
-            return biplanar(params["p"], params["q"],
-                            int(params["c"]), int(params["d"]))
+            return biplanar(get("p", float), get("q", float),
+                            get("c", int), get("d", int))
         if family == "median":
             return median_mean(params.get("kind", "lower"))
         if family == "piecewise_h":

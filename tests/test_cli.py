@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import meanstream as ms
+from meanstream import core, families
 from meanstream.cli import BLOCK_LINES, main
 
 
@@ -139,6 +140,44 @@ class TestEval:
             assert code == 2 and out == ""
             assert "1..12" in err
 
+    def test_non_finite_exponent(self, monkeypatch, capsys):
+        # witness: `--family power --p inf` on 0.5, 0.25 printed 1 and
+        # exited 0; biplanar died with a bare OverflowError
+        for argv in (["--family", "power", "--p", "inf"],
+                     ["--family", "power", "--p", "nan"],
+                     ["--family", "gini", "--p", "inf", "--q", "1"],
+                     ["--family", "biplanar", "--p", "inf", "--q", "1",
+                      "--c", "1", "--d", "1"]):
+            code, out, err = run_cli(["eval", *argv], "0.5\n0.25\n",
+                                     monkeypatch, capsys)
+            assert (code, out) == (2, "")
+            assert "finite" in err
+
+    @pytest.mark.parametrize("spec", [
+        '{"family":"power","p":"abc"}', '{"family":"power","p":[1]}',
+        '[1]', '"x"', '{"p":1}', '{"family":"hamy","r":4.7}',
+        '{"family":"quasiarithmetic","f":5}',
+    ])
+    def test_malformed_family_json(self, spec, monkeypatch, capsys):
+        # witnesses: the first four exited 1 with a traceback; r 4.7 built
+        # hamy(4)
+        code, out, err = run_cli(["eval", "--family-json", spec], "1\n2\n",
+                                 monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_integral_float_degree(self, monkeypatch, capsys):
+        code, out, _ = run_cli(["eval", "--family-json", '{"family":"hamy","r":2.0}'],
+                               "4\n9\n", monkeypatch, capsys)
+        assert code == 0 and float(out) == pytest.approx(6.0)
+
+    def test_missing_input_file(self, monkeypatch, capsys, tmp_path):
+        path = str(tmp_path / "absent.txt")
+        code, out, err = run_cli(["eval", "--family", "power", "--p", "1",
+                                  "--input", path], "", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: No such file or directory\n"
+
     def test_family_json(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             ["eval", "--family-json", '{"family":"gini","p":2,"q":1}'],
@@ -183,6 +222,36 @@ class TestMerge:
         assert main(["merge", str(s1), str(p2)]) == 5
         capsys.readouterr()
 
+    def test_missing_state_file(self, tmp_path, capsys):
+        # witness: `meanstream merge /nonexistent` exited 1 with a
+        # FileNotFoundError traceback
+        good = tmp_path / "good.state"
+        good.write_bytes(ms.serialize_state(ms.init(ms.power_mean(1.0))))
+        path = str(tmp_path / "absent.state")
+        assert main(["merge", str(good), path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: No such file or directory\n"
+
+    def test_merge_builds_one_descriptor(self, monkeypatch, capsys, tmp_path):
+        calls, build = [], families.descriptor_from_params
+        monkeypatch.setattr(families, "descriptor_from_params",
+                            lambda *a: calls.append(a) or build(*a))
+        core._descriptor.cache_clear()
+        d = ms.quasi_arithmetic("ln")
+        paths = []
+        for i in range(50):
+            paths.append(tmp_path / f"s{i}.state")
+            paths[-1].write_bytes(ms.serialize_state(ms.init(d).absorb(i + 1.0)))
+        out_path = tmp_path / "merged.state"
+        assert main(["merge", *map(str, paths), "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert calls == [("quasiarithmetic", {"f": "ln"})]
+        merged = ms.parse_state(out_path.read_bytes())
+        assert merged.count == 50
+        assert merged.finalize() == pytest.approx(
+            ms.evaluate_stream(d, range(1, 51)), rel=1e-14)
+
     def test_corrupt_file_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.state"
         bad.write_bytes(b"{not json")
@@ -212,6 +281,12 @@ class TestClassify:
         report = json.loads(capsys.readouterr().out)
         assert report["type"] == "T5+"
         assert report["exponent_set_size"] == 5
+
+    def test_non_finite_exponent(self, capsys):
+        # witness: `classify --family power --p inf` reported T1+
+        assert main(["classify", "--family", "power", "--p", "inf"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
 
     def test_quasiarithmetic(self, capsys):
         assert main(["classify", "--family", "quasiarithmetic",

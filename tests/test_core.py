@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meanstream as ms
+from meanstream import core, families
 from meanstream.errors import (DomainError, EmptyStateError, FamilyMismatch,
                                NumericalFailure, ParseError)
 
@@ -214,6 +215,14 @@ class TestFinalize:
         with pytest.raises(NumericalFailure):
             ms.finalize(s)
 
+    def test_zero_division_is_numerical_failure(self):
+        d = ms.MeanDescriptor(
+            family="reciprocal", params={}, domain=ms.DomainInterval.reals(),
+            ctype=ms.ComplexityType(1, True), encode=lambda x: (x,),
+            finalizer=lambda reals, n: n / reals[0])
+        with pytest.raises(NumericalFailure):
+            ms.evaluate_stream(d, [0.0])
+
 
 class TestEvaluateStream:
     def test_examples(self):
@@ -366,6 +375,95 @@ class TestSerialization:
             ms.parse_state(b'{"version": 1}')
         assert err.value.offset is None
         assert str(err.value) == "missing field 'family'"
+
+
+def count_builds(monkeypatch) -> list:
+    """Record each family and params parse_state builds a descriptor for,
+    starting from an empty descriptor cache."""
+    calls, build = [], families.descriptor_from_params
+
+    def counted(family, params):
+        calls.append((family, params))
+        return build(family, params)
+
+    core._descriptor.cache_clear()
+    monkeypatch.setattr(families, "descriptor_from_params", counted)
+    return calls
+
+
+def power_blob(p) -> bytes:
+    return ms.serialize_state(ms.init(ms.power_mean(p)).absorb(2.0))
+
+
+class TestDescriptorCache:
+    def test_parses_of_one_blob_share_a_descriptor(self):
+        blob = ms.serialize_state(ms.init(ms.quasi_arithmetic("ln")).absorb(2.0))
+        a, b = ms.parse_state(blob), ms.parse_state(blob)
+        assert a.descriptor is b.descriptor
+        assert a == b
+
+    def test_rebuilds_once_per_family_and_params(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        for _ in range(3):
+            ms.parse_state(power_blob(3.0))
+            ms.parse_state(power_blob(4.0))
+        assert calls == [("power", {"p": 3.0}), ("power", {"p": 4.0})]
+
+    def test_cache_is_bounded(self):
+        bound = core.DESCRIPTOR_CACHE_SIZE
+        for i in range(10 * bound):
+            ms.parse_state(power_blob(1.0 + i))
+            assert core._descriptor.cache_info().currsize <= bound
+        assert core._descriptor.cache_info().currsize == bound
+
+    def test_signed_zero_keeps_distinct_families(self):
+        # -0.0 == 0.0, so a key built from the values would conflate them
+        neg, pos = ms.parse_state(power_blob(-0.0)), ms.parse_state(power_blob(0.0))
+        assert neg.family_id != pos.family_id
+        assert neg.family_id == ms.power_mean(-0.0).family_id
+        with pytest.raises(FamilyMismatch):
+            ms.merge(neg, pos)
+        with pytest.raises(FamilyMismatch):
+            ms.merge(pos, neg)
+
+    def test_failed_build_is_not_cached(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        blob = json.loads(power_blob(1.0))
+        blob["params"]["p"] = "abc"
+        for _ in range(3):
+            with pytest.raises(ParseError, match="cannot rebuild descriptor"):
+                ms.parse_state(json.dumps(blob))
+        assert len(calls) == 3
+
+    def test_parsed_state_merges_with_a_local_one(self):
+        d = ms.gini(2.0, 1.0)
+        local = ms.init(d).absorb(4.0)
+        parsed = ms.parse_state(ms.serialize_state(ms.init(d).absorb(3.0)))
+        assert parsed.descriptor is not d
+        for merged in (ms.merge(parsed, local), ms.merge(local, parsed)):
+            assert merged.reals == (25.0, 7.0)
+            assert merged.finalize() == ms.evaluate_stream(d, [3.0, 4.0])
+
+    def test_family_ids_match_fresh_builds(self):
+        for d in all_families() + [ms.piecewise_counterexample(),
+                                   ms.cube_over_square()]:
+            parsed = ms.parse_state(ms.serialize_state(ms.init(d)))
+            fresh = ms.descriptor_from_params(d.family, d.params)
+            assert parsed.family_id == fresh.family_id == d.family_id
+
+    # witnesses: a power(inf) state finalized to a value outside its inputs;
+    # a hamy state with "r": 4.7 parsed as hamy(4)
+    @pytest.mark.parametrize("family, params", [
+        ("power", {"p": math.inf}), ("power", {"p": math.nan}),
+        ("gini", {"p": math.inf, "q": 1.0}),
+        ("biplanar", {"p": math.inf, "q": 1.0, "c": 1, "d": 1}),
+        ("power", {"p": "abc"}), ("hamy", {"r": 4.7}), ("power", [1.0]),
+    ])
+    def test_bad_params_are_a_parse_error(self, family, params):
+        blob = json.loads(power_blob(1.0))
+        blob["family"], blob["params"] = family, params
+        with pytest.raises(ParseError, match="cannot rebuild descriptor"):
+            ms.parse_state(json.dumps(blob))
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 import meanstream as ms
 from meanstream.core import DomainInterval
 from meanstream.errors import (DegenerateExponents, GeneratorInvalid,
-                               InvalidDescriptor, PairInvalid)
+                               InvalidDescriptor, NumericalFailure, PairInvalid)
 from meanstream.families import GeneratorFunction
 from meanstream.symfun import MAX_MULTI_EXPONENTS
 
@@ -206,6 +206,64 @@ class TestBiplanar:
         d = ms.biplanar(0.0, 1.0, 2, 1)
         assert ms.evaluate_stream(d, [1.0]) == pytest.approx(1.0)
         assert ms.evaluate_stream(d, [9.0]) == pytest.approx(9.0)
+
+
+class TestExponentsMustBeFinite:
+    # witness: `printf '0.5\n0.25\n' | meanstream eval --family power --p inf`
+    # printed 1, outside [0.25, 0.5]; biplanar raised a bare OverflowError
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_power_gini_biplanar_reject(self, bad):
+        for build in (lambda: ms.power_mean(bad), lambda: ms.gini(bad, 1),
+                      lambda: ms.gini(1, bad), lambda: ms.biplanar(bad, 1, 1, 1),
+                      lambda: ms.biplanar(2, bad, 1, 1)):
+            with pytest.raises(InvalidDescriptor, match="finite"):
+                build()
+
+    def test_an_int_too_large_for_a_float_is_rejected(self):
+        with pytest.raises(InvalidDescriptor):
+            ms.power_mean(10 ** 400)
+
+
+class TestUnderflowedPowerSum:
+    # witnesses: power(2000) on [0.5, 0.25] returned 0.0; power(-2000) on
+    # [4, 2] and gini(2000, 1999) on [0.5, 0.25] raised ZeroDivisionError
+    @pytest.mark.parametrize("d, xs", [
+        (ms.power_mean(2000), [0.5, 0.25]),
+        (ms.power_mean(-2000), [4.0, 2.0]),
+        (ms.gini(2000, 1999), [0.5, 0.25]),
+        (ms.gini(2000, 2000), [0.5, 0.25]),
+    ], ids=["power+", "power-", "gini", "gini-equal"])
+    def test_is_numerical_failure(self, d, xs):
+        with pytest.raises(NumericalFailure, match="underflow"):
+            ms.evaluate_stream(d, xs)
+
+    def test_a_zero_log_sum_is_not_underflow(self):
+        # gini(p, p) sums x^p ln x, which is 0 at x = 1
+        assert ms.evaluate_stream(ms.gini(2, 2), [1.0]) == 1.0
+        assert ms.evaluate_stream(ms.power_mean(0), [1.0]) == 1.0
+
+
+class TestDescriptorFromParams:
+    # witnesses: --family-json '{"family":"power","p":"abc"}' raised a bare
+    # ValueError, '"p":[1]' a TypeError, and '"r": 4.7' built hamy(4)
+    @pytest.mark.parametrize("family, params", [
+        ("power", {"p": "abc"}), ("power", {"p": [1]}), ("power", {"p": True}),
+        ("power", {"p": None}), ("gini", {"p": 2, "q": "1"}),
+        ("hamy", {"r": 4.7}), ("hamy", {"r": "4"}), ("sympoly", {"r": 2.5}),
+        ("biplanar", {"p": 2, "q": 3, "c": 1.5, "d": 1}),
+        ("biplanar", {"p": 2, "q": 3, "c": 1, "d": math.inf}),
+        ("quasiarithmetic", {"f": 5}), ("bajraktarevic", {"f": "identity", "g": 1}),
+        ("power", [1]), ("power", "x"),
+    ])
+    def test_malformed_params_are_invalid(self, family, params):
+        with pytest.raises(InvalidDescriptor):
+            ms.descriptor_from_params(family, params)
+
+    def test_integral_floats_are_integers(self):
+        assert ms.descriptor_from_params("hamy", {"r": 4.0}).params == {"r": 4}
+        d = ms.descriptor_from_params("biplanar",
+                                      {"p": 2, "q": 3, "c": 3.0, "d": 3.0})
+        assert d.family_id == ms.biplanar(2, 3, 3, 3).family_id
 
 
 class TestLargeCount:
