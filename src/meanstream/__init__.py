@@ -2,8 +2,9 @@
 
 A mean is computed online: each input is encoded into a fixed-length state
 vector living in a commutative semigroup, states from parallel shards merge
-by the descriptor's ``combine`` (componentwise addition for the finite-type
-families), and a finalizer maps the state back to the input interval.  Seven
+by the descriptor's ``combine`` (componentwise addition for the additive
+families, a truncated polynomial product for hamy, sympoly and biplanar),
+and a finalizer maps the state back to the input interval.  Seven
 classical families are provided, together with a generalized power-sum
 engine, a property-based verification harness, and an empirical Myhill-type
 state-complexity probe.

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
 )
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
 DESCRIPTOR_CACHE_SIZE = 64  # parse_state's descriptors, by family and params
 
 
@@ -111,18 +111,22 @@ def _vector_add(a: tuple, b: tuple) -> tuple:
 class MeanDescriptor:
     """Finite encoding of a generating pair: per-element encoder + finalizer.
 
-    ``encode`` maps one input to its state contribution; ``encode_many``, if
-    given, maps a 1-D float64 array of inputs to the whole batch's
-    contribution (without it, a batch is absorbed one element at a time);
-    ``combine`` is the semigroup operation on reals tuples; ``finalizer``
-    maps (reals, count) back to the interval.  ``combine`` must be
-    associative and commutative, and ``init``'s reals (k zeros) must be its
-    identity.  A non-finite component must stay non-finite under it, which
-    is what lets a state's ``overflow`` flag be read off its reals.
+    ``encode`` maps one input to its state contribution, which may be a
+    shorter one-element form that ``combine`` recognises by its length;
+    ``encode_many``, if given, maps a 1-D float64 array of inputs to the
+    whole batch's contribution, a full state (without it, a batch is
+    absorbed one element at a time); ``combine`` is the semigroup operation
+    on reals tuples; ``finalizer`` maps (reals, count) back to the interval.
+    ``combine`` must be associative and commutative, and ``init``'s reals
+    (k zeros) must be its identity.  A non-finite component must stay
+    non-finite under it, which is what lets a state's ``overflow`` flag be
+    read off its reals.
 
     ``ctype`` is None for means of no finite type (median); their state is
-    the whole sorted multiset.  ``params`` must round-trip through JSON for
-    the descriptor to be reconstructible from a state file.
+    the whole sorted multiset.  ``slots``, when set, is the state length,
+    which may differ from the paper's ``ctype.k``; without it the length is
+    ``ctype.k``.  ``params`` must round-trip through JSON for the descriptor
+    to be reconstructible from a state file.
     """
 
     family: str
@@ -135,11 +139,14 @@ class MeanDescriptor:
     encode_many: Optional[Callable[[np.ndarray], tuple]] = None
     ctype_is_upper_bound: bool = False
     paper_k: Optional[int] = None  # biplanar: exponent-set cardinality
+    slots: Optional[int] = None
 
     @property
     def k(self) -> int:
         """Number of reals in the fixed-length state; 0 for no finite type."""
-        return self.ctype.k if self.ctype is not None else 0
+        if self.slots is not None:
+            return self.slots
+        return 0 if self.ctype is None else self.ctype.k
 
     @property
     def has_counter(self) -> bool:
@@ -250,8 +257,9 @@ def finalize(state: AccumulatorState) -> float:
         raise NumericalFailure("state carries non-finite components")
     try:
         value = state.descriptor.finalizer(state.reals, state.count)
-    except (OverflowError, ZeroDivisionError) as e:
+    except (OverflowError, ZeroDivisionError, ValueError) as e:
         # e.g. a count whose C(n, r) exceeds binary64, a sum that underflowed
+        # (and then a division by it, or its log)
         raise NumericalFailure(f"finalizer failed: {e}") from e
     if not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise NumericalFailure(f"finalizer produced {value}")
@@ -293,6 +301,10 @@ def parse_state(data) -> AccumulatorState:
     """Inverse of serialize_state; raises ParseError, with the byte offset
     of a JSON syntax error.
 
+    Version 1 blobs are read where the layout did not change (vector sums
+    and the median's multiset); a version 1 state of another combine held
+    power sums and raises ParseError.
+
     States parsed with the same family and params share one descriptor
     (the last DESCRIPTOR_CACHE_SIZE of them are kept), so merging them
     skips the family_id comparison.  A descriptor is a shared value: do
@@ -311,15 +323,19 @@ def parse_state(data) -> AccumulatorState:
     for key in ("version", "family", "params", "k", "reals", "counter", "overflow"):
         if key not in payload:
             raise ParseError(f"missing field {key!r}")
-    if (type(payload["version"]) is not int
-            or payload["version"] != STATE_FORMAT_VERSION):
-        raise ParseError(f"unsupported version {payload['version']!r}")
+    version = payload["version"]
+    if type(version) is not int or version not in (1, STATE_FORMAT_VERSION):
+        raise ParseError(f"unsupported version {version!r}")
     try:
         # the exact JSON text, as -0.0 == 0.0 and 1 == True would hash alike
         descriptor = _descriptor(json.dumps(
             [payload["family"], payload["params"]], sort_keys=True))
     except Exception as e:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
+    if version == 1 and descriptor.ctype and descriptor.combine is not _vector_add:
+        # version 1 held power sums where version 2 holds another layout;
+        # only vector sums and the median's multiset are unchanged
+        raise ParseError(f"version 1 {descriptor.family} states hold power sums")
     if not isinstance(payload["reals"], list):
         raise ParseError("reals is not a list")
     try:

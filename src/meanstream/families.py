@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -27,7 +28,9 @@ from .errors import (
     NumericalFailure,
     PairInvalid,
 )
-from .symfun import MAX_MULTI_EXPONENTS, GammaTable, sigma_from_power
+# sigma_from_power is no longer called here; the name stays for callers
+# that look it up through this module (bench/job.py traces it)
+from .symfun import MAX_MULTI_EXPONENTS, sigma_from_power  # noqa: F401
 
 GRID_POINTS = 64
 ROUNDTRIP_RTOL = 1e-10
@@ -264,17 +267,6 @@ def _sums(*columns) -> tuple:
     return tuple(float(c.sum()) for c in columns)
 
 
-def _sigma(s: int, sums, n: int, sign: int = 1) -> float:
-    """sigma_s of the x^b, from sums[j - 1] = the power sum at j * b.
-
-    The table is keyed by j * sign, sign being that of b, so its keys sort
-    as the exponents j * b do: the recursion takes the same steps, and
-    rounds the same way, as it would on the exponents themselves.
-    """
-    table = GammaTable({j * sign: v for j, v in enumerate(sums, 1)}, n)
-    return sigma_from_power(s, sign, table)
-
-
 def _exponent(family: str, name: str, value) -> float:
     """value as a finite float; an infinite or NaN exponent has no mean."""
     try:
@@ -287,10 +279,12 @@ def _exponent(family: str, name: str, value) -> float:
     return value
 
 
-def _no_underflow(*sums) -> None:
-    """On the positive domain a power sum is 0.0 only if it underflowed."""
-    if 0.0 in sums:
-        raise NumericalFailure("a power sum underflowed to 0")
+def _nonzero(s: float) -> float:
+    """s, which on the positive domain (a power sum, or an e_j with j <= n)
+    is 0.0 only if it underflowed."""
+    if s == 0.0:
+        raise NumericalFailure("a state sum underflowed to 0")
+    return s
 
 
 def power_mean(p: float) -> MeanDescriptor:
@@ -302,10 +296,7 @@ def power_mean(p: float) -> MeanDescriptor:
     else:
         encode = lambda x: (x ** p,)
         encode_many = lambda xs: _sums(xs ** p)
-
-        def fin(reals, n):
-            _no_underflow(reals[0])
-            return (reals[0] / n) ** (1.0 / p)
+        fin = lambda reals, n: (_nonzero(reals[0]) / n) ** (1.0 / p)
     return MeanDescriptor(
         family="power", params={"p": p}, domain=DomainInterval.positive(),
         ctype=ComplexityType(1, True), encode=encode, finalizer=fin,
@@ -328,18 +319,13 @@ def gini(p: float, q: float) -> MeanDescriptor:
     if p == q:
         encode = lambda x: (x ** p * math.log(x), x ** p)
         encode_many = lambda xs: _sums(xs ** p * np.log(xs), xs ** p)
-
-        def fin(reals, n):
-            _no_underflow(reals[1])  # reals[0] sums x^p ln x, which may be 0
-            return math.exp(reals[0] / reals[1])
+        # reals[0] sums x^p ln x, which may be 0
+        fin = lambda reals, n: math.exp(reals[0] / _nonzero(reals[1]))
     else:
-        diff = p - q
+        inv = 1.0 / (p - q)
         encode = lambda x: (x ** p, x ** q)
         encode_many = lambda xs: _sums(xs ** p, xs ** q)
-
-        def fin(reals, n):
-            _no_underflow(*reals)
-            return (reals[0] / reals[1]) ** (1.0 / diff)
+        fin = lambda reals, n: (_nonzero(reals[0]) / _nonzero(reals[1])) ** inv
     return MeanDescriptor(
         family="gini", params={"p": p, "q": q}, domain=DomainInterval.positive(),
         ctype=ComplexityType(2, False), encode=encode, finalizer=fin,
@@ -356,58 +342,95 @@ def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
         finalizer=lambda reals, n: pair.ratio_inverse(reals[0] / reals[1]))
 
 
+def _esym_combine(sizes: tuple, a: tuple, b: tuple) -> tuple:
+    """The elementary-symmetric families' combine.
+
+    A state holds, for each block size m in ``sizes``, e_1..e_m of one
+    column of encoded values (e_0 = 1 is implicit, so zeros are the
+    identity), then plain sums.  Two states multiply their generating
+    polynomials prod(1 + y t), truncated at t^m.  A shorter ``b`` is one
+    element: a y per block, then its sums; it takes the O(m) recurrence
+    e_j += y e_{j-1}.  Entries may be floats or numpy columns.
+    """
+    out, i, one = [], 0, len(b) < len(a)
+    for block, m in enumerate(sizes):
+        ea = a[i:i + m]
+        if one:  # a plain loop: this is every absorb's cost
+            y, prev = b[block], 1.0
+            for e in ea:
+                out.append(e + y * prev)
+                prev = e
+        else:
+            eb = b[i:i + m]
+            for j in range(m):
+                v = ea[j] + eb[j]
+                for h in range(j):
+                    v = v + ea[h] * eb[j - 1 - h]
+                out.append(v)
+        i += m
+    out += map(operator.add, a[i:], b[len(sizes):] if one else b[i:])
+    return tuple(out)
+
+
+def _esym_mean(family: str, params: dict, ctype: ComplexityType,
+               sizes: tuple, sums: int, encode, encode_columns, fin,
+               **extra) -> MeanDescriptor:
+    """A descriptor on the e-state of ``_esym_combine``.
+
+    ``encode`` gives one element's y per block, then its ``sums`` summands;
+    ``encode_columns`` does the same for a numpy batch, which is folded by a
+    pairwise tree of the same combine.
+    """
+    combine, slots = partial(_esym_combine, sizes), sum(sizes) + sums
+
+    def encode_many(xs) -> tuple:
+        # each element's state: the identity combined with its compact form
+        cols = combine((np.zeros_like(xs),) * slots, tuple(encode_columns(xs)))
+        while len(cols[0]) > 1:
+            if len(cols[0]) % 2:  # pad with the identity
+                cols = [np.append(c, 0.0) for c in cols]
+            cols = combine(tuple(c[0::2] for c in cols),
+                           tuple(c[1::2] for c in cols))
+        return tuple(float(c.sum()) for c in cols)  # 0 or 1 entries left
+
+    return MeanDescriptor(
+        family=family, params=params, domain=DomainInterval.positive(),
+        ctype=ctype, encode=encode, finalizer=fin, combine=combine,
+        encode_many=encode_many, slots=slots, **extra)
+
+
 def hamy(r: int) -> MeanDescriptor:
     """Mean of r-th roots of r-element products; arithmetic mean for n < r.
 
-    State holds power sums at exponents j/r, j = 1..r, the multiples of the
-    base exponent 1/r; the exponent-1 slot doubles as the small-n fallback's
-    plain sum.
+    State holds e_1..e_r of the x^(1/r), then the plain sum of x for the
+    small-n fallback.
     """
     if not isinstance(r, int) or not 1 <= r <= MAX_MULTI_EXPONENTS:
         raise InvalidDescriptor(
             f"hamy needs an integer r in 1..{MAX_MULTI_EXPONENTS}")
-    exps = [j / r for j in range(1, r + 1)]
-
-    def encode(x: float) -> tuple:
-        return tuple(x ** e for e in exps)
-
-    def encode_many(xs) -> tuple:
-        return _sums(*(xs ** e for e in exps))
-
-    def fin(reals, n):
-        if n < r:
-            return reals[-1] / n
-        return _sigma(r, reals, n) / math.comb(n, r)
-
-    return MeanDescriptor(
-        family="hamy", params={"r": r}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(r, True), encode=encode, finalizer=fin,
-        encode_many=encode_many, ctype_is_upper_bound=True)
+    inv_r = 1.0 / r
+    fin = lambda reals, n: (reals[-1] / n if n < r else
+                            _nonzero(reals[r - 1]) / math.comb(n, r))
+    return _esym_mean(
+        "hamy", {"r": r}, ComplexityType(r, True), (r,), 1,
+        lambda x: (x ** inv_r, x), lambda xs: [xs ** inv_r, xs], fin,
+        ctype_is_upper_bound=True)
 
 
 def sympoly(r: int) -> MeanDescriptor:
-    """r-th root of the normalized elementary symmetric polynomial."""
+    """r-th root of the normalized elementary symmetric polynomial.
+
+    State holds e_1..e_r of the x; e_1 is the small-n fallback's sum.
+    """
     if not isinstance(r, int) or not 1 <= r <= MAX_MULTI_EXPONENTS:
         raise InvalidDescriptor(
             f"sympoly needs an integer r in 1..{MAX_MULTI_EXPONENTS}")
-    exps = list(range(1, r + 1))
     inv_r = 1.0 / r
-
-    def encode(x: float) -> tuple:
-        return tuple(x ** e for e in exps)
-
-    def encode_many(xs) -> tuple:
-        return _sums(*(xs ** e for e in exps))
-
-    def fin(reals, n):
-        if n < r:
-            return reals[0] / n
-        return (_sigma(r, reals, n) / math.comb(n, r)) ** inv_r
-
-    return MeanDescriptor(
-        family="sympoly", params={"r": r}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(r, True), encode=encode, finalizer=fin,
-        encode_many=encode_many, ctype_is_upper_bound=True)
+    fin = lambda reals, n: (reals[0] / n if n < r else
+                            (_nonzero(reals[r - 1]) / math.comb(n, r)) ** inv_r)
+    return _esym_mean(
+        "sympoly", {"r": r}, ComplexityType(r, True), (r,), 0,
+        lambda x: (x,), lambda xs: [xs], fin, ctype_is_upper_bound=True)
 
 
 @dataclass(frozen=True)
@@ -439,56 +462,37 @@ class BiplanarParams:
 
 def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     """Ratio of scaled elementary symmetric polynomials in p-th and q-th
-    powers, to the power 1/(cp-dq); the p-th power mean for n < max(c, d)."""
+    powers, to the power 1/(cp-dq); the p-th power mean for n < max(c, d).
+
+    State holds e_1..e_c of the x^p and e_1..e_d of the x^q, then, when
+    p = 0, the sum of ln x for the fallback's geometric mean.  The type is
+    the paper's: one real per nonzero exponent j*p, j*q, and the log sum.
+    """
     params = BiplanarParams(_exponent("biplanar", "p", p),
                             _exponent("biplanar", "q", q), int(c), int(d))
     p, q, c, d = params.p, params.q, params.c, params.d
-    P, Q = Fraction(p), Fraction(q)
-    exps = params.exponent_set
-    # gamma_0 is the counter; a zero exponent never needs a real slot.  The
-    # p = 0 fallback (geometric mean) needs a sum-of-logs slot instead.
-    slots = [e for e in exps if e != 0]
-    fslots = [float(e) for e in slots]
-    ln_slot = (P == 0)
-    k_impl = len(slots) + (1 if ln_slot else 0)
+    ln = p == 0  # the fallback is then the geometric mean
+    ctype = ComplexityType(sum(e != 0 for e in params.exponent_set) + ln, True)
     n_min = max(c, d)
     exponent = 1.0 / (c * p - d * q)
-    # where the power sum at each multiple j*P (j*Q) sits in reals + (n,):
-    # an exponent of 0 sums to the count
-    at = {e: i for i, e in enumerate(slots)} | {0: k_impl}
-    p_at = [at[j * P] for j in range(1, c + 1)]
-    q_at = [at[j * Q] for j in range(1, d + 1)]
-    p_sign, q_sign = (P > 0) - (P < 0), (Q > 0) - (Q < 0)
-
-    def encode(x: float) -> tuple:
-        out = tuple(x ** e for e in fslots)
-        if ln_slot:
-            out = out + (math.log(x),)
-        return out
-
-    def encode_many(xs) -> tuple:
-        columns = [xs ** e for e in fslots]
-        if ln_slot:
-            columns.append(np.log(xs))
-        return _sums(*columns)
+    encode = lambda x: (x ** p, x ** q, math.log(x)) if ln else (x ** p, x ** q)
+    encode_columns = lambda xs: [xs ** p, xs ** q] + ([np.log(xs)] if ln else [])
 
     def fin(reals, n):
-        if n >= n_min:
-            sums = reals + (float(n),)
-            num = math.comb(n, d) * _sigma(c, [sums[i] for i in p_at], n, p_sign)
-            den = math.comb(n, c) * _sigma(d, [sums[i] for i in q_at], n, q_sign)
-            if den == 0:
-                raise NumericalFailure("biplanar denominator vanished")
-            return (num / den) ** exponent
-        if ln_slot:
-            return math.exp(reals[-1] / n)
-        return (reals[p_at[0]] / n) ** (1.0 / p)
+        if n < n_min:
+            if ln:
+                return math.exp(reals[-1] / n)
+            return (_nonzero(reals[0]) / n) ** (1.0 / p)
+        # E_c(x^p) / E_d(x^q), E_j = e_j / C(n, j)
+        ratio = (reals[c - 1] / reals[c + d - 1]
+                 * (math.comb(n, d) / math.comb(n, c)))
+        if not 0.0 < ratio < math.inf:
+            raise NumericalFailure(f"biplanar ratio {ratio} left the float range")
+        return ratio ** exponent
 
-    return MeanDescriptor(
-        family="biplanar", params={"p": p, "q": q, "c": c, "d": d},
-        domain=DomainInterval.positive(), ctype=ComplexityType(k_impl, True),
-        encode=encode, finalizer=fin, encode_many=encode_many,
-        paper_k=params.k)
+    return _esym_mean(
+        "biplanar", {"p": p, "q": q, "c": c, "d": d}, ctype, (c, d),
+        int(ln), encode, encode_columns, fin, paper_k=params.k)
 
 
 # ---------------------------------------------------------------------------

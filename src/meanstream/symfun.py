@@ -12,9 +12,10 @@ the p-th powers.
 
 Exponents may be ints, floats, or Fractions.  Subset sums computed here
 must hit the table keys exactly, so float exponents are only safe when their
-sums are exact (integers, dyadic rationals); pass Fractions otherwise.  The
-families' finalizers index sigma's power sums by multiple of a base exponent
-and call ``sigma_from_power(s, 1, table)`` with int keys 1..s.
+sums are exact (integers, dyadic rationals); pass Fractions otherwise.  No
+finalizer calls this module: hamy, sympoly and biplanar hold e_1..e_r
+themselves.  It is the tested reference for the paper's identities, and
+MAX_MULTI_EXPONENTS bounds those families' degree.
 """
 
 from __future__ import annotations

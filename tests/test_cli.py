@@ -34,6 +34,14 @@ class TestEval:
                              "", monkeypatch, capsys)
         assert code == 4
 
+    def test_finalizer_value_error_is_an_error_line(self, monkeypatch, capsys):
+        # witness: exp underflows to 0, the finalizer's log(0) raised a bare
+        # ValueError and eval printed a traceback
+        code, out, err = run_cli(["eval", "--family", "quasiarithmetic",
+                                  "--f", "exp"], "-800\n-801\n", monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_parse_error_reports_line(self, monkeypatch, capsys):
         code, _, err = run_cli(["eval", "--family", "power", "--p", "1"],
                                "1\nbogus\n", monkeypatch, capsys)

@@ -43,18 +43,27 @@ class TestInit:
         assert s.counter is None
 
     def test_hamy_layout(self):
-        # state is (gamma_{1/2}, gamma_1) plus the counter
+        # state is (e_1, e_2) of the square roots, then the plain sum for
+        # the n < 2 fallback, plus the counter
         s = ms.init(ms.hamy(2))
-        assert s.reals == (0.0, 0.0)
+        assert s.reals == (0.0, 0.0, 0.0)
         assert s.counter == 0
+        s = s.absorb(4.0).absorb(9.0)
+        assert s.reals == (5.0, 6.0, 13.0)
 
     def test_layout_follows_ctype(self):
+        # the state length is the slot count where that differs from the
+        # paper's type: hamy(r) has r + 1 reals, biplanar(2,3,3,3) c + d = 6
         layouts = [(d.k, d.has_counter, len(ms.init(d).reals))
                    for d in all_families()]
         assert layouts == ([(1, True, 1)] * 4 + [(2, False, 2)] * 3
-                           + [(2, True, 2), (3, True, 3)] * 2
-                           + [(5, True, 5), (2, True, 2)]
+                           + [(3, True, 3), (4, True, 4)]
+                           + [(2, True, 2), (3, True, 3)]
+                           + [(6, True, 6), (2, True, 2)]
                            + [(0, True, 0)] * 2)
+        labels = [d.type_label for d in all_families()]
+        assert labels == (["T1+"] * 4 + ["T2"] * 3 + ["T2+", "T3+"] * 2
+                          + ["T5+", "T2+"] + ["no finite type"] * 2)
 
 
 class TestAbsorb:
@@ -133,14 +142,17 @@ def _in_domain(d, u: float) -> float:
        st.lists(st.integers(0, 48), max_size=4))
 def test_absorb_many_matches_absorb(us, cuts):
     """Batches split anywhere give per-element absorb's reals, to within
-    1e-12 of the sum of the contributions' magnitudes (exactly: median)."""
+    1e-12 of the largest magnitude each component takes in the per-element
+    run (exactly: median).  A sum's rounding error is bounded by its
+    summands, and each summand is at most twice that magnitude."""
     bounds = [0, *sorted(min(c, len(us)) for c in cuts), len(us)]
     for d in all_families() + [ms.piecewise_counterexample(),
                                ms.cube_over_square()]:
         xs = [_in_domain(d, u) for u in us]
-        one = ms.init(d)
+        one, prefixes = ms.init(d), []
         for x in xs:
             one = ms.absorb(one, x)
+            prefixes.append(one.reals)
         many = ms.init(d)
         for lo, hi in zip(bounds, bounds[1:]):
             many = ms.absorb_many(many, xs[lo:hi])
@@ -148,7 +160,7 @@ def test_absorb_many_matches_absorb(us, cuts):
         if d.ctype is None:
             assert many.reals == one.reals
             continue
-        scale = [sum(abs(c[j]) for c in map(d.encode, xs)) for j in range(d.k)]
+        scale = [max(map(abs, col), default=0.0) for col in zip(*prefixes)]
         for got, want, mag in zip(many.reals, one.reals, scale):
             assert abs(got - want) <= 1e-12 * mag
 
@@ -199,13 +211,22 @@ class TestFinalize:
                 ms.finalize(ms.init(d))
 
     def test_complex_value_is_numerical_failure(self):
-        # witness: Newton's identities cancel to a negative sigma, whose
-        # 8th root is complex; finalize leaked a bare TypeError
+        # witness: Newton's identities from power sums cancelled to a
+        # negative sigma, whose 8th root is complex, and finalize leaked a
+        # bare TypeError; the e-state finalizes it to the direct value
         xs = [0.0068512217300177106, 0.02346348958286343, 95.60183817494051,
               0.002482934692833788, 0.11043935883065963, 0.003467932778097728,
               0.03740424522616018, 0.002198437006228983, 0.4645995283393699]
+        want = 0.055115213264166775
+        assert ms.oracle_direct(ms.sympoly(8), xs) == want
+        assert ms.evaluate_stream(ms.sympoly(8), xs) == want
+        # a finalizer that returns a complex number
+        d = ms.MeanDescriptor(
+            family="complex_root", params={}, domain=ms.DomainInterval.reals(),
+            ctype=ms.ComplexityType(1, True), encode=lambda x: (x,),
+            finalizer=lambda reals, n: (reals[0] / n) ** 0.5)
         with pytest.raises(NumericalFailure):
-            ms.evaluate_stream(ms.sympoly(8), xs)
+            ms.evaluate_stream(d, [-4.0])
 
     def test_overflow_is_numerical_failure(self):
         # C(10**30, 12) does not fit a float; finalize must not leak the
@@ -214,6 +235,12 @@ class TestFinalize:
         s = ms.AccumulatorState(d, (1e30,) * 12, 10 ** 30)
         with pytest.raises(NumericalFailure):
             ms.finalize(s)
+
+    def test_value_error_is_numerical_failure(self):
+        # witness: exp underflows to 0 on both values, and the finalizer's
+        # log(0) leaked a bare ValueError ("math domain error")
+        with pytest.raises(NumericalFailure):
+            ms.evaluate_stream(ms.quasi_arithmetic("exp"), [-800.0, -801.0])
 
     def test_zero_division_is_numerical_failure(self):
         d = ms.MeanDescriptor(
@@ -263,6 +290,29 @@ class TestSerialization:
         assert back.count == 1 and back.finalize() == 3.0
         blob["reals"] = [(0.0).hex()] * 2
         assert ms.parse_state(json.dumps(blob)).is_empty()
+
+    def test_v1_additive_state_still_parses(self):
+        blob = {"version": 1, "family": "gini", "params": {"p": 2.0, "q": 1.0},
+                "k": 2, "reals": [(25.0).hex(), (7.0).hex()], "counter": 2,
+                "overflow": False}
+        back = ms.parse_state(json.dumps(blob))
+        assert back.count == 2 and back.finalize() == 25 / 7
+        assert json.loads(ms.serialize_state(back))["version"] == 2
+
+    @pytest.mark.parametrize("family, params, reals", [
+        # sympoly(2) has 2 reals in both versions: (sum x, sum x^2) in
+        # version 1 would be read silently as (e_1, e_2)
+        ("sympoly", {"r": 2}, [5.0, 13.0]),
+        ("hamy", {"r": 2}, [5.0, 13.0]),
+        ("biplanar", {"p": 2.0, "q": 1.0, "c": 1, "d": 1}, [13.0, 5.0]),
+    ])
+    def test_v1_elementary_symmetric_state_is_a_parse_error(
+            self, family, params, reals):
+        blob = {"version": 1, "family": family, "params": params,
+                "k": len(reals), "reals": [v.hex() for v in reals],
+                "counter": 2, "overflow": False}
+        with pytest.raises(ParseError, match="version 1"):
+            ms.parse_state(json.dumps(blob))
 
     @staticmethod
     def median_blob(reals, counter):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meanstream as ms
 from meanstream.core import DomainInterval
@@ -243,6 +244,76 @@ class TestUnderflowedPowerSum:
         assert ms.evaluate_stream(ms.power_mean(0), [1.0]) == 1.0
 
 
+def _both_ways(d, xs):
+    """Finalized per-element absorb, and finalized absorb_many."""
+    return (ms.evaluate_stream(d, xs),
+            ms.finalize(ms.absorb_many(ms.init(d), xs)))
+
+
+class TestElementarySymmetricState:
+    # witnesses: recovering sigma from power sums by Newton's identities
+    # cancelled; hamy(8) returned -1.5e12, hamy(2) -3.0e133, sympoly(2) 0.0
+    @pytest.mark.parametrize("d, xs, want", [
+        (ms.hamy(8), [1e-30, 1e30] + [1.0] * 7, 625.6014921923813),
+        (ms.hamy(2), [1e-200, 1e150, 1.0], None),
+        (ms.sympoly(2), [1e-90, 1e90, 1.0], None),
+    ], ids=["hamy8", "hamy2", "sympoly2"])
+    def test_wide_range_matches_the_direct_value(self, d, xs, want):
+        direct = ms.oracle_direct(d, xs)
+        assert want is None or direct == want
+        for got in _both_ways(d, xs):
+            assert abs(got - direct) <= 4 * math.ulp(direct)
+
+    # witnesses: each returned 0.0, outside [min, max]
+    @pytest.mark.parametrize("d, xs", [
+        (ms.sympoly(2), [1e-200, 2e-200]),
+        (ms.biplanar(2, 1, 1, 1), [1e-200, 2e-200]),
+        (ms.biplanar(2, 3, 3, 3), [1e-200]),  # the n < max(c, d) fallback
+    ], ids=["sympoly2", "biplanar2111", "biplanar2333"])
+    def test_underflow_is_numerical_failure(self, d, xs):
+        with pytest.raises(NumericalFailure):
+            ms.evaluate_stream(d, xs)
+        with pytest.raises(NumericalFailure):
+            ms.finalize(ms.absorb_many(ms.init(d), xs))
+
+
+ESYM_FAMILIES = [
+    ms.hamy(1), ms.hamy(3), ms.hamy(8), ms.sympoly(2), ms.sympoly(5),
+    ms.biplanar(2, 3, 3, 3), ms.biplanar(0, 1, 2, 1),  # p = 0
+    ms.biplanar(2, 0, 2, 3), ms.biplanar(-0.5, 1, 4, 3),  # q = 0, p < 0
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64), st.data())
+def test_esym_any_split_tree_and_batching(us, data):
+    """Any shard split, per-shard choice of absorb or absorb_many, and merge
+    tree finalizes within 4e-15 relative of one per-element pass."""
+    xs = [10.0 ** (6.0 * u - 3.0) for u in us]  # log-uniform on [1e-3, 1e3]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(xs)), max_size=6)))
+    bounds = [0, *cuts, len(xs)]
+    batched = data.draw(st.lists(st.booleans(), min_size=len(bounds) - 1,
+                                 max_size=len(bounds) - 1))
+    joins = [data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2),
+                                 st.booleans()))
+             for n in range(len(bounds) - 1, 1, -1)]
+    for d in ESYM_FAMILIES:
+        states = []
+        for lo, hi, many in zip(bounds, bounds[1:], batched):
+            s = ms.init(d)
+            if many:
+                s = ms.absorb_many(s, xs[lo:hi])
+            else:
+                for x in xs[lo:hi]:
+                    s = ms.absorb(s, x)
+            states.append(s)
+        for i, j, first in joins:  # merge states[i] into one of the others
+            a = states.pop(i)
+            states[j] = ms.merge(a, states[j]) if first else ms.merge(states[j], a)
+        single = ms.evaluate_stream(d, xs)
+        assert abs(ms.finalize(states[0]) - single) <= 4e-15 * single
+
+
 class TestDescriptorFromParams:
     # witnesses: --family-json '{"family":"power","p":"abc"}' raised a bare
     # ValueError, '"p":[1]' a TypeError, and '"r": 4.7' built hamy(4)
@@ -272,7 +343,9 @@ class TestLargeCount:
         # "may have lost precision" at every finalize
         n = 2_000_000
         for d in (ms.hamy(8), ms.sympoly(8)):
-            state = ms.AccumulatorState(d, (float(n),) * d.k, n)
+            # n ones: e_j = C(n, j), then hamy's plain sum n
+            e = tuple(float(math.comb(n, j)) for j in range(1, 9))
+            state = ms.AccumulatorState(d, e + (float(n),) * (d.k - 8), n)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 assert ms.finalize(state) == pytest.approx(1.0, rel=1e-12)
