@@ -5,9 +5,9 @@ where the state lives in a commutative semigroup: the descriptor's
 ``combine`` is its one operation, used by absorb (with the encoded element)
 and by merge alike.  ``absorb_many`` takes a whole batch at once: the
 descriptor's ``encode_many`` turns it into one state contribution, which is
-combined once.  States are plain immutable values; absorb and merge return
-new states, so shard-parallel accumulation followed by a merge tree needs no
-locking.
+combined once.  A state is an immutable ``NamedTuple`` (descriptor, reals,
+count); absorb and merge return new states, so shard-parallel accumulation
+followed by a merge tree needs no locking.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Callable, Iterable, Optional
+from functools import cached_property, lru_cache, reduce
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -156,6 +156,14 @@ class MeanDescriptor:
     def family_id(self) -> str:
         return f"{self.family}:{json.dumps(self.params, sort_keys=True)}"
 
+    @cached_property
+    def _blob_head(self) -> str:
+        """serialize_state's JSON text up to ``"k": ``, built once, so
+        ``params`` must not change afterwards."""
+        return (f'{{"version": {STATE_FORMAT_VERSION}, '
+                f'"family": {json.dumps(self.family)}, '
+                f'"params": {json.dumps(self.params)}, "k": ')
+
     @property
     def name(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -166,10 +174,10 @@ class MeanDescriptor:
         return self.ctype.label if self.ctype is not None else "no finite type"
 
 
-@dataclass(frozen=True)
-class AccumulatorState:
-    """A semigroup element: reals tuple and element count.
+class AccumulatorState(NamedTuple):
+    """A semigroup element: descriptor, reals tuple and element count.
 
+    An immutable ``NamedTuple``, so ``d, reals, count = state`` unpacks it.
     ``count`` is always tracked for emptiness detection; ``counter`` exposes
     it only for counter-bearing (T_k^+) families.
     """
@@ -211,7 +219,7 @@ def init(descriptor: MeanDescriptor) -> AccumulatorState:
 
 
 def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
-    d = state.descriptor
+    d, reals, count = state
     x = float(x)
     if not d.domain.contains(x):
         raise DomainError(f"{x} outside domain of {d.name}")
@@ -219,8 +227,7 @@ def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
         contribution = d.encode(x)
     except OverflowError:
         contribution = (math.inf,) * d.k  # overflow, surfaced at finalize
-    return AccumulatorState(d, d.combine(state.reals, contribution),
-                            state.count + 1)
+    return AccumulatorState(d, d.combine(reals, contribution), count + 1)
 
 
 def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
@@ -230,7 +237,7 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
     out-of-domain element raises the DomainError ``absorb`` would.  A
     descriptor without ``encode_many`` absorbs the elements in turn.
     """
-    d = state.descriptor
+    d, reals, count = state
     xs = np.asarray(xs, dtype=np.float64).reshape(-1)
     if d.encode_many is None:  # encode through combine, one element at a time
         return reduce(absorb, xs.tolist(), state)
@@ -239,15 +246,15 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
         raise DomainError(f"{float(xs[inside.argmin()])} outside domain of {d.name}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf surfaces at finalize
         batch = d.encode_many(xs)
-    return AccumulatorState(d, d.combine(state.reals, batch),
-                            state.count + len(xs))
+    return AccumulatorState(d, d.combine(reals, batch), count + len(xs))
 
 
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
-    if a.descriptor is not b.descriptor and a.family_id != b.family_id:
-        raise FamilyMismatch(f"{a.family_id} vs {b.family_id}")
-    d = a.descriptor
-    return AccumulatorState(d, d.combine(a.reals, b.reals), a.count + b.count)
+    d, reals_a, count_a = a
+    db, reals_b, count_b = b
+    if d is not db and d.family_id != db.family_id:
+        raise FamilyMismatch(f"{d.family_id} vs {db.family_id}")
+    return AccumulatorState(d, d.combine(reals_a, reals_b), count_a + count_b)
 
 
 def finalize(state: AccumulatorState) -> float:
@@ -275,18 +282,19 @@ def evaluate_stream(descriptor: MeanDescriptor, xs: Iterable[float]) -> float:
 
 
 def serialize_state(state: AccumulatorState) -> bytes:
-    """UTF-8 JSON with hex-float reals; round-trips bit-exactly."""
-    d = state.descriptor
-    payload = {
-        "version": STATE_FORMAT_VERSION,
-        "family": d.family,
-        "params": d.params,
-        "k": len(state.reals),
-        "reals": [float(v).hex() for v in state.reals],
-        "counter": state.count,
-        "overflow": state.overflow,
-    }
-    return json.dumps(payload).encode("utf-8")
+    """UTF-8 JSON with hex-float reals; round-trips bit-exactly.
+
+    The text is ``json.dumps`` of {version, family, params, k, reals,
+    counter, overflow}, in that order; the descriptor caches it up to "k".
+    """
+    d, reals, count = state
+    hexes = ", ".join([f'"{float(v).hex()}"' for v in reals])
+    overflow = "true" if state.overflow else "false"
+    return (f'{d._blob_head}{len(reals)}, "reals": [{hexes}], '
+            f'"counter": {count}, "overflow": {overflow}}}').encode()
+
+
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 @lru_cache(maxsize=DESCRIPTOR_CACHE_SIZE)
@@ -307,8 +315,9 @@ def parse_state(data) -> AccumulatorState:
 
     States parsed with the same family and params share one descriptor
     (the last DESCRIPTOR_CACHE_SIZE of them are kept), so merging them
-    skips the family_id comparison.  A descriptor is a shared value: do
-    not mutate its ``params``.
+    skips the family_id comparison.  A descriptor is a shared value, and
+    serialize_state also caches its params' JSON text: do not mutate its
+    ``params``.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8", errors="replace")
@@ -328,8 +337,7 @@ def parse_state(data) -> AccumulatorState:
         raise ParseError(f"unsupported version {version!r}")
     try:
         # the exact JSON text, as -0.0 == 0.0 and 1 == True would hash alike
-        descriptor = _descriptor(json.dumps(
-            [payload["family"], payload["params"]], sort_keys=True))
+        descriptor = _descriptor(_sorted_json([payload["family"], payload["params"]]))
     except Exception as e:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
     if version == 1 and descriptor.ctype and descriptor.combine is not _vector_add:
@@ -339,7 +347,7 @@ def parse_state(data) -> AccumulatorState:
     if not isinstance(payload["reals"], list):
         raise ParseError("reals is not a list")
     try:
-        reals = tuple(float.fromhex(s) for s in payload["reals"])
+        reals = tuple(map(float.fromhex, payload["reals"]))
     except (ValueError, TypeError) as e:
         raise ParseError(f"bad hex float: {e}") from e
     if type(payload["k"]) is not int or payload["k"] != len(reals):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -281,9 +282,9 @@ def _exponent(family: str, name: str, value) -> float:
 
 def _nonzero(s: float) -> float:
     """s, which on the positive domain (a power sum, or an e_j with j <= n)
-    is 0.0 only if it underflowed."""
-    if s == 0.0:
-        raise NumericalFailure("a state sum underflowed to 0")
+    is 0.0 only if it underflowed; a subnormal s has lost digits."""
+    if abs(s) < sys.float_info.min:
+        raise NumericalFailure("a state sum underflowed below the normal range")
     return s
 
 
@@ -484,9 +485,9 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
                 return math.exp(reals[-1] / n)
             return (_nonzero(reals[0]) / n) ** (1.0 / p)
         # E_c(x^p) / E_d(x^q), E_j = e_j / C(n, j)
-        ratio = (reals[c - 1] / reals[c + d - 1]
+        ratio = (_nonzero(reals[c - 1]) / _nonzero(reals[c + d - 1])
                  * (math.comb(n, d) / math.comb(n, c)))
-        if not 0.0 < ratio < math.inf:
+        if not sys.float_info.min <= ratio < math.inf:  # subnormal: lost digits
             raise NumericalFailure(f"biplanar ratio {ratio} left the float range")
         return ratio ** exponent
 

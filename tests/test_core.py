@@ -66,6 +66,37 @@ class TestInit:
                           + ["T5+", "T2+"] + ["no finite type"] * 2)
 
 
+class TestAccumulatorState:
+    def test_positional_and_keyword_construction(self):
+        d = ms.power_mean(1.0)
+        s = ms.AccumulatorState(d, (2.0,), 1)
+        assert s == ms.AccumulatorState(descriptor=d, reals=(2.0,), count=1)
+        assert (s.descriptor, s.reals, s.count) == (d, (2.0,), 1)
+        # a NamedTuple: equal to the plain tuple of its fields
+        assert s == (d, (2.0,), 1) and len(s) == 3
+
+    @pytest.mark.parametrize("field", ["count", "reals", "descriptor"])
+    def test_fields_are_read_only(self, field):
+        s = ms.init(ms.power_mean(1.0)).absorb(2.0)
+        with pytest.raises(AttributeError):
+            setattr(s, field, getattr(s, field))
+
+    def test_derived_values(self):
+        cases = [  # descriptor, its family_id, whether it exposes counter
+            (ms.power_mean(2.0), 'power:{"p": 2.0}', True),
+            (ms.gini(2.0, 1.0), 'gini:{"p": 2.0, "q": 1.0}', False),
+            (ms.median_mean("lower"), 'median:{"kind": "lower"}', True),
+        ]
+        for d, family_id, counted in cases:
+            empty, two = ms.init(d), ms.init(d).absorb(3.0).absorb(4.0)
+            assert empty.is_empty() and not two.is_empty()
+            assert (empty.counter, two.counter) == ((0, 2) if counted else (None, None))
+            assert empty.family_id == two.family_id == family_id
+            assert not empty.overflow and not two.overflow
+            big = ms.init(d).absorb(1e200).absorb(1e200)
+            assert big.overflow is (d.family != "median")
+
+
 class TestAbsorb:
     def test_power_running_sum(self):
         d = ms.power_mean(1.0)
@@ -273,6 +304,37 @@ class TestSerialization:
             assert back.count == s.count
             assert back.counter == s.counter
             assert back.finalize() == s.finalize()
+
+    def test_bytes_match_the_json_dumps_formulation(self):
+        def reference(state):
+            payload = {
+                "version": core.STATE_FORMAT_VERSION,
+                "family": state.descriptor.family,
+                "params": state.descriptor.params,
+                "k": len(state.reals),
+                "reals": [float(v).hex() for v in state.reals],
+                "counter": state.count,
+                "overflow": state.overflow,
+            }
+            return json.dumps(payload).encode("utf-8")
+
+        # a family and params that JSON must quote and escape
+        quoted = ms.MeanDescriptor(
+            family='naïve "mean"', params={"f": "é\\\n", "p": -0.0},
+            domain=ms.DomainInterval.reals(), ctype=ms.ComplexityType(1, True),
+            encode=lambda x: (x,), finalizer=lambda reals, n: reals[0] / n)
+        overflowed = 0
+        for d in all_families() + [quoted]:
+            for xs in ([], [2.0], [0.5, 3.0, 7.25, 11.0], [1e300, 1e300]):
+                s = ms.init(d)
+                for x in xs:
+                    s = s.absorb(x)
+                if xs == [1e300, 1e300]:
+                    if not s.overflow:
+                        continue
+                    overflowed += 1
+                assert ms.serialize_state(s) == reference(s)
+        assert overflowed
 
     def test_overflowed_state_round_trips(self):
         s = ms.init(ms.power_mean(2.0)).absorb(1e200).absorb(1e200)

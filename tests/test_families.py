@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -275,6 +276,54 @@ class TestElementarySymmetricState:
             ms.evaluate_stream(d, xs)
         with pytest.raises(NumericalFailure):
             ms.finalize(ms.absorb_many(ms.init(d), xs))
+
+
+def _gini21_squared(a, b):
+    return ((a * a + b * b) / (a + b)) ** 2
+
+
+# (descriptor, a, b, the exact square of the mean of [a, b] from Fractions)
+SUBNORMAL_WITNESSES = [
+    (ms.sympoly(2), 1e-160, 3e-160, lambda a, b: a * b),
+    (ms.power_mean(2), 1e-160, 3e-160, lambda a, b: (a * a + b * b) / 2),
+    (ms.gini(2, 1), 1e-160, 3e-160, _gini21_squared),
+    (ms.biplanar(2, 1, 1, 1), 1e-160, 3e-160, _gini21_squared),
+    (ms.power_mean(-2), 1e160, 3e160, lambda a, b: 2 / (1 / (a * a) + 1 / (b * b))),
+]
+WITNESS_IDS = ["sympoly2", "power2", "gini21", "biplanar2111", "power-2"]
+
+
+class TestSubnormalStateSum:
+    # witnesses: the guarded sum (e_2, the sum of x^2 or of x^-2) is
+    # subnormal, and each finalized 5.6e-6 to 2.0e-4 relative off the exact
+    # value; sympoly(2) gave 1.7320411662394313e-160 for sqrt(3)*1e-160.
+    # oracle_direct loses the same digits, so only Fractions can judge.
+    @pytest.mark.parametrize("d, a, b", [w[:3] for w in SUBNORMAL_WITNESSES],
+                             ids=WITNESS_IDS)
+    def test_is_numerical_failure(self, d, a, b):
+        with pytest.raises(NumericalFailure, match="underflow"):
+            ms.evaluate_stream(d, [a, b])
+        with pytest.raises(NumericalFailure, match="underflow"):
+            ms.finalize(ms.absorb_many(ms.init(d), [a, b]))
+
+    def test_subnormal_biplanar_ratio_is_numerical_failure(self):
+        # witness: e_1(x^-2) and e_1(x^2) are normal, their ratio 1.3e-312
+        # is not, and the value was 4.1e-12 relative off sqrt(3)*1e78
+        d = ms.biplanar(-2, 2, 1, 1)
+        for run in (lambda: ms.evaluate_stream(d, [1e78, 3e78]),
+                    lambda: ms.finalize(ms.absorb_many(ms.init(d), [1e78, 3e78]))):
+            with pytest.raises(NumericalFailure, match="float range"):
+                run()
+
+    @pytest.mark.parametrize("d, a, b, exact_square", SUBNORMAL_WITNESSES,
+                             ids=WITNESS_IDS)
+    def test_normal_sums_keep_their_digits(self, d, a, b, exact_square):
+        # the same witnesses scaled by 1e10 (or 1e-10) keep every sum normal
+        scale = 1e10 if a < 1.0 else 1e-10
+        a, b = a * scale, b * scale
+        want = exact_square(Fraction(a), Fraction(b))
+        for got in _both_ways(d, [a, b]):
+            assert abs(Fraction(got) ** 2 / want - 1) <= 1e-15
 
 
 ESYM_FAMILIES = [
