@@ -1,9 +1,10 @@
 """Streaming evaluation of symmetric means in constant memory.
 
-Every mean here is computed the same way: encode each element into a short
-real vector, add the vectors, and apply a finalizer at the end of the
-stream.  The state never grows with the stream length, so a million-element
-stream costs the same memory as a ten-element one.
+Every mean here is computed the same way: a step pushes each element into a
+short real vector (for the additive families, it adds the element's
+contribution), combine merges two such vectors, and a finalizer is applied
+at the end of the stream.  The state never grows with the stream length,
+so a million-element stream costs the same memory as a ten-element one.
 """
 
 import numpy as np

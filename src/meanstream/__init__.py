@@ -1,10 +1,10 @@
 """Constant-memory streaming evaluation of symmetric means.
 
-A mean is computed online: each input is encoded into a fixed-length state
-vector living in a commutative semigroup, states from parallel shards merge
-by the descriptor's ``combine`` (componentwise addition for the additive
-families, a truncated polynomial product for hamy, sympoly and biplanar),
-and a finalizer maps the state back to the input interval.  Seven
+A mean is computed online in a fixed-length state vector living in a
+commutative semigroup: the descriptor's ``step`` pushes one element into a
+state, its ``combine`` merges two states (componentwise addition for the
+additive families, a truncated polynomial product for hamy, sympoly and
+biplanar), and a finalizer maps the state back to the input interval.  Seven
 classical families are provided, together with a generalized power-sum
 engine, a property-based verification harness, and an empirical Myhill-type
 state-complexity probe.

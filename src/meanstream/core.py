@@ -2,10 +2,10 @@
 
 Every mean in this package is evaluated as ``finalize(fold(absorb, init, xs))``
 where the state lives in a commutative semigroup: the descriptor's
-``combine`` is its one operation, used by absorb (with the encoded element)
-and by merge alike.  ``absorb_many`` takes a whole batch at once: the
-descriptor's ``encode_many`` turns it into one state contribution, which is
-combined once.  A state is an immutable ``NamedTuple`` (descriptor, reals,
+``step`` pushes one element into a state's reals, and its ``combine`` merges
+two states.  ``absorb_many`` takes a whole batch at once: the descriptor's
+``encode_many`` turns it into one state contribution, which is combined
+once.  A state is an immutable ``NamedTuple`` (descriptor, reals,
 count); absorb and merge return new states, so shard-parallel accumulation
 followed by a merge tree needs no locking.
 """
@@ -109,18 +109,19 @@ def _vector_add(a: tuple, b: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class MeanDescriptor:
-    """Finite encoding of a generating pair: per-element encoder + finalizer.
+    """Finite encoding of a generating pair: per-element step + finalizer.
 
-    ``encode`` maps one input to its state contribution, which may be a
-    shorter one-element form that ``combine`` recognises by its length;
+    ``step`` pushes one element: it maps (reals, x) to the reals of the
+    state with x absorbed.  ``combine`` merges two states: it is the
+    semigroup operation on reals tuples, and must be associative and
+    commutative, with ``init``'s reals (k zeros) as its identity.  The two
+    describe one semigroup: ``step(r, x) == combine(r, step(identity, x))``.
     ``encode_many``, if given, maps a 1-D float64 array of inputs to the
     whole batch's contribution, a full state (without it, a batch is
-    absorbed one element at a time); ``combine`` is the semigroup operation
-    on reals tuples; ``finalizer`` maps (reals, count) back to the interval.
-    ``combine`` must be associative and commutative, and ``init``'s reals
-    (k zeros) must be its identity.  A non-finite component must stay
-    non-finite under it, which is what lets a state's ``overflow`` flag be
-    read off its reals.
+    absorbed one element at a time); ``finalizer`` maps (reals, count) back
+    to the interval.  A non-finite component must stay non-finite under
+    ``combine``, which is what lets a state's ``overflow`` flag be read off
+    its reals.
 
     ``ctype`` is None for means of no finite type (median); their state is
     the whole sorted multiset.  ``slots``, when set, is the state length,
@@ -133,7 +134,7 @@ class MeanDescriptor:
     params: dict
     domain: DomainInterval
     ctype: Optional[ComplexityType]
-    encode: Callable[[float], tuple]
+    step: Callable[[tuple, float], tuple]
     finalizer: Callable[[tuple, int], float]
     combine: Callable[[tuple, tuple], tuple] = _vector_add
     encode_many: Optional[Callable[[np.ndarray], tuple]] = None
@@ -152,8 +153,10 @@ class MeanDescriptor:
     def has_counter(self) -> bool:
         return self.ctype.plus_counter if self.ctype is not None else True
 
-    @property
+    @cached_property
     def family_id(self) -> str:
+        """Family and sorted params as text, built once, like ``_blob_head``,
+        so merge compares two equal descriptors without ``json.dumps``."""
         return f"{self.family}:{json.dumps(self.params, sort_keys=True)}"
 
     @cached_property
@@ -224,10 +227,11 @@ def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
     if not d.domain.contains(x):
         raise DomainError(f"{x} outside domain of {d.name}")
     try:
-        contribution = d.encode(x)
-    except OverflowError:
-        contribution = (math.inf,) * d.k  # overflow, surfaced at finalize
-    return AccumulatorState(d, d.combine(reals, contribution), count + 1)
+        reals = d.step(reals, x)
+    except OverflowError:  # overflow, surfaced at finalize
+        reals = d.combine(reals, (math.inf,) * d.k)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(AccumulatorState, (d, reals, count + 1))
 
 
 def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
@@ -239,7 +243,7 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
     """
     d, reals, count = state
     xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-    if d.encode_many is None:  # encode through combine, one element at a time
+    if d.encode_many is None:  # step one element at a time
         return reduce(absorb, xs.tolist(), state)
     inside = d.domain.contains(xs)
     if not inside.all():
@@ -316,8 +320,8 @@ def parse_state(data) -> AccumulatorState:
     States parsed with the same family and params share one descriptor
     (the last DESCRIPTOR_CACHE_SIZE of them are kept), so merging them
     skips the family_id comparison.  A descriptor is a shared value, and
-    serialize_state also caches its params' JSON text: do not mutate its
-    ``params``.
+    its family_id and serialize_state's head cache its params' JSON text:
+    do not mutate its ``params``.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8", errors="replace")

@@ -1,9 +1,9 @@
 """Concrete generating pairs for each mean family.
 
 Each constructor returns a MeanDescriptor: a state layout (the per-element
-encoder, and a numpy batch encoder where the encoder needs no user
-callable) plus a finalization formula.  Parameters are validated at build
-time; branch selection (p = 0, p = q) uses exact parameter comparison, never
+step, and a numpy batch encoder where the step needs no user callable)
+plus a finalization formula.  Parameters are validated at build time;
+branch selection (p = 0, p = q) uses exact parameter comparison, never
 runtime tolerance.
 """
 
@@ -291,16 +291,16 @@ def _nonzero(s: float) -> float:
 def power_mean(p: float) -> MeanDescriptor:
     p = _exponent("power", "p", p)
     if p == 0.0:
-        encode = lambda x: (math.log(x),)
+        step = lambda r, x: (r[0] + math.log(x),)
         encode_many = lambda xs: _sums(np.log(xs))
         fin = lambda reals, n: math.exp(reals[0] / n)
     else:
-        encode = lambda x: (x ** p,)
+        step = lambda r, x: (r[0] + x ** p,)
         encode_many = lambda xs: _sums(xs ** p)
         fin = lambda reals, n: (_nonzero(reals[0]) / n) ** (1.0 / p)
     return MeanDescriptor(
         family="power", params={"p": p}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(1, True), encode=encode, finalizer=fin,
+        ctype=ComplexityType(1, True), step=step, finalizer=fin,
         encode_many=encode_many)
 
 
@@ -311,25 +311,25 @@ def quasi_arithmetic(f) -> MeanDescriptor:
     f.validate()
     return MeanDescriptor(
         family="quasiarithmetic", params={"f": f.name}, domain=f.domain,
-        ctype=ComplexityType(1, True), encode=lambda x: (f.forward(x),),
+        ctype=ComplexityType(1, True), step=lambda r, x: (r[0] + f.forward(x),),
         finalizer=lambda reals, n: f.inverse(reals[0] / n))
 
 
 def gini(p: float, q: float) -> MeanDescriptor:
     p, q = _exponent("gini", "p", p), _exponent("gini", "q", q)
     if p == q:
-        encode = lambda x: (x ** p * math.log(x), x ** p)
+        step = lambda r, x: (r[0] + x ** p * math.log(x), r[1] + x ** p)
         encode_many = lambda xs: _sums(xs ** p * np.log(xs), xs ** p)
         # reals[0] sums x^p ln x, which may be 0
         fin = lambda reals, n: math.exp(reals[0] / _nonzero(reals[1]))
     else:
         inv = 1.0 / (p - q)
-        encode = lambda x: (x ** p, x ** q)
+        step = lambda r, x: (r[0] + x ** p, r[1] + x ** q)
         encode_many = lambda xs: _sums(xs ** p, xs ** q)
         fin = lambda reals, n: (_nonzero(reals[0]) / _nonzero(reals[1])) ** inv
     return MeanDescriptor(
         family="gini", params={"p": p, "q": q}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(2, False), encode=encode, finalizer=fin,
+        ctype=ComplexityType(2, False), step=step, finalizer=fin,
         encode_many=encode_many)
 
 
@@ -339,8 +339,18 @@ def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
         family="bajraktarevic",
         params={"f": pair.f_name, "g": pair.g_name},
         domain=pair.domain, ctype=ComplexityType(2, False),
-        encode=lambda x: (pair.f(x), pair.g(x)),
+        step=lambda r, x: (r[0] + pair.f(x), r[1] + pair.g(x)),
         finalizer=lambda reals, n: pair.ratio_inverse(reals[0] / reals[1]))
+
+
+def _push(out: list, e, y) -> list:
+    """Append e_1..e_m of a block with y pushed: the O(m) recurrence
+    e_j += y e_{j-1} (e_0 = 1), one element's step on an e-state."""
+    prev = 1.0
+    for v in e:
+        out.append(v + y * prev)
+        prev = v
+    return out
 
 
 def _esym_combine(sizes: tuple, a: tuple, b: tuple) -> tuple:
@@ -349,44 +359,43 @@ def _esym_combine(sizes: tuple, a: tuple, b: tuple) -> tuple:
     A state holds, for each block size m in ``sizes``, e_1..e_m of one
     column of encoded values (e_0 = 1 is implicit, so zeros are the
     identity), then plain sums.  Two states multiply their generating
-    polynomials prod(1 + y t), truncated at t^m.  A shorter ``b`` is one
-    element: a y per block, then its sums; it takes the O(m) recurrence
-    e_j += y e_{j-1}.  Entries may be floats or numpy columns.
+    polynomials prod(1 + y t), truncated at t^m, and add their sums.
+    Entries may be floats or numpy columns.
     """
-    out, i, one = [], 0, len(b) < len(a)
-    for block, m in enumerate(sizes):
-        ea = a[i:i + m]
-        if one:  # a plain loop: this is every absorb's cost
-            y, prev = b[block], 1.0
-            for e in ea:
-                out.append(e + y * prev)
-                prev = e
-        else:
-            eb = b[i:i + m]
-            for j in range(m):
-                v = ea[j] + eb[j]
-                for h in range(j):
-                    v = v + ea[h] * eb[j - 1 - h]
-                out.append(v)
+    out, i = [], 0
+    for m in sizes:
+        ea, eb = a[i:i + m], b[i:i + m]
+        for j in range(m):
+            v = ea[j] + eb[j]
+            for h in range(j):
+                v = v + ea[h] * eb[j - 1 - h]
+            out.append(v)
         i += m
-    out += map(operator.add, a[i:], b[len(sizes):] if one else b[i:])
+    out += map(operator.add, a[i:], b[i:])
     return tuple(out)
 
 
 def _esym_mean(family: str, params: dict, ctype: ComplexityType,
-               sizes: tuple, sums: int, encode, encode_columns, fin,
+               sizes: tuple, sums: int, step, encode_columns, fin,
                **extra) -> MeanDescriptor:
     """A descriptor on the e-state of ``_esym_combine``.
 
-    ``encode`` gives one element's y per block, then its ``sums`` summands;
-    ``encode_columns`` does the same for a numpy batch, which is folded by a
-    pairwise tree of the same combine.
+    ``step`` pushes one element (through ``_push``, per block);
+    ``encode_columns`` gives a numpy batch's y column per block, then its
+    ``sums`` summand columns, which are folded by a pairwise tree of the
+    combine.
     """
     combine, slots = partial(_esym_combine, sizes), sum(sizes) + sums
 
     def encode_many(xs) -> tuple:
-        # each element's state: the identity combined with its compact form
-        cols = combine((np.zeros_like(xs),) * slots, tuple(encode_columns(xs)))
+        # each element's state: per block y, then 0 * y for e_2..e_m (NaN
+        # where y overflowed, as combining the identity with it gives),
+        # then its summands
+        columns = encode_columns(xs)
+        cols = []
+        for y, m in zip(columns, sizes):
+            cols += [y] + [0.0 * y] * (m - 1)
+        cols += columns[len(sizes):]
         while len(cols[0]) > 1:
             if len(cols[0]) % 2:  # pad with the identity
                 cols = [np.append(c, 0.0) for c in cols]
@@ -396,7 +405,7 @@ def _esym_mean(family: str, params: dict, ctype: ComplexityType,
 
     return MeanDescriptor(
         family=family, params=params, domain=DomainInterval.positive(),
-        ctype=ctype, encode=encode, finalizer=fin, combine=combine,
+        ctype=ctype, step=step, finalizer=fin, combine=combine,
         encode_many=encode_many, slots=slots, **extra)
 
 
@@ -412,10 +421,15 @@ def hamy(r: int) -> MeanDescriptor:
     inv_r = 1.0 / r
     fin = lambda reals, n: (reals[-1] / n if n < r else
                             _nonzero(reals[r - 1]) / math.comb(n, r))
+
+    def step(reals, x):
+        out = _push([], reals[:r], x ** inv_r)
+        out.append(reals[r] + x)
+        return tuple(out)
+
     return _esym_mean(
         "hamy", {"r": r}, ComplexityType(r, True), (r,), 1,
-        lambda x: (x ** inv_r, x), lambda xs: [xs ** inv_r, xs], fin,
-        ctype_is_upper_bound=True)
+        step, lambda xs: [xs ** inv_r, xs], fin, ctype_is_upper_bound=True)
 
 
 def sympoly(r: int) -> MeanDescriptor:
@@ -431,7 +445,8 @@ def sympoly(r: int) -> MeanDescriptor:
                             (_nonzero(reals[r - 1]) / math.comb(n, r)) ** inv_r)
     return _esym_mean(
         "sympoly", {"r": r}, ComplexityType(r, True), (r,), 0,
-        lambda x: (x,), lambda xs: [xs], fin, ctype_is_upper_bound=True)
+        lambda reals, x: tuple(_push([], reals, x)), lambda xs: [xs], fin,
+        ctype_is_upper_bound=True)
 
 
 @dataclass(frozen=True)
@@ -476,7 +491,6 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     ctype = ComplexityType(sum(e != 0 for e in params.exponent_set) + ln, True)
     n_min = max(c, d)
     exponent = 1.0 / (c * p - d * q)
-    encode = lambda x: (x ** p, x ** q, math.log(x)) if ln else (x ** p, x ** q)
     encode_columns = lambda xs: [xs ** p, xs ** q] + ([np.log(xs)] if ln else [])
 
     def fin(reals, n):
@@ -491,9 +505,16 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
             raise NumericalFailure(f"biplanar ratio {ratio} left the float range")
         return ratio ** exponent
 
+    def step(reals, x):
+        out = _push([], reals[:c], x ** p)
+        _push(out, reals[c:c + d], x ** q)
+        if ln:
+            out.append(reals[-1] + math.log(x))
+        return tuple(out)
+
     return _esym_mean(
         "biplanar", {"p": p, "q": q, "c": c, "d": d}, ctype, (c, d),
-        int(ln), encode, encode_columns, fin, paper_k=params.k)
+        int(ln), step, encode_columns, fin, paper_k=params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +542,7 @@ def piecewise_counterexample() -> MeanDescriptor:
     return MeanDescriptor(
         family="piecewise_h", params={}, domain=domain,
         ctype=ComplexityType(2, False),
-        encode=lambda x: (x * x, x), finalizer=fin)
+        step=lambda r, x: (r[0] + x * x, r[1] + x), finalizer=fin)
 
 
 def cube_over_square() -> MeanDescriptor:
@@ -534,15 +555,18 @@ def cube_over_square() -> MeanDescriptor:
     return MeanDescriptor(
         family="cube_over_square", params={}, domain=DomainInterval.reals(),
         ctype=ComplexityType(2, False),
-        encode=lambda x: (x ** 3, x * x), finalizer=fin)
+        step=lambda r, x: (r[0] + x ** 3, r[1] + x * x), finalizer=fin)
+
+
+def _insort(a: tuple, x: float) -> tuple:
+    """The median's step: an O(n) insert into the sorted tuple."""
+    values = list(a)
+    bisect.insort(values, x)
+    return tuple(values)
 
 
 def _sorted_merge(a: tuple, b: tuple) -> tuple:
     """The median's combine: multiset union of two sorted tuples."""
-    if len(b) == 1:  # absorb: an O(n) insert beats re-sorting
-        values = list(a)
-        bisect.insort(values, b[0])
-        return tuple(values)
     return tuple(sorted(a + b))
 
 
@@ -557,7 +581,7 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
 
     return MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
-        ctype=None, encode=lambda x: (x,), combine=_sorted_merge,
+        ctype=None, step=_insort, combine=_sorted_merge,
         encode_many=lambda xs: tuple(np.sort(xs).tolist()), finalizer=fin)
 
 

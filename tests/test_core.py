@@ -157,6 +157,44 @@ class TestAbsorbMany:
         s = ms.absorb_many(ms.init(ms.quasi_arithmetic("exp")), [1000.0])
         assert s.overflow and s.reals == ms.init(s.descriptor).absorb(1000.0).reals
 
+    def test_overflowed_e_states_keep_their_bytes(self):
+        # pinned state text: an OverflowError in step (x ** 2 of 1e200)
+        # becomes a combine with infs, and absorb_many's tree leaves NaN
+        head = ('{"version": 2, "family": "biplanar", "params": {"p": 2.0, '
+                '"q": 3.0, "c": 3, "d": 3}, "k": 6, "reals": ')
+        biplanar = {
+            "one": '["inf", "nan", "nan", "inf", "nan", "nan"], "counter": 1',
+            "absorb": '["inf", "inf", "inf", "inf", "inf", "inf"], "counter": 3',
+            "many": '["inf", "nan", "nan", "inf", "nan", "nan"], "counter": 3',
+        }
+        d = ms.biplanar(2.0, 3.0, 3, 3)
+        seeded = ms.init(d).absorb(2.0).absorb(5.0)
+        for key, s in (("one", ms.init(d).absorb(1e200)),
+                       ("one", ms.absorb_many(ms.init(d), [1e200])),
+                       ("absorb", seeded.absorb(1e200)),
+                       ("many", ms.absorb_many(seeded, [1e200]))):
+            want = f'{head}{biplanar[key]}, "overflow": true}}'
+            assert ms.serialize_state(s).decode() == want
+            with pytest.raises(NumericalFailure):
+                ms.finalize(s)
+        # hamy(4) stores 1e200 ** 0.25, which does not overflow, so its n < r
+        # fallback returns the input; two 1e308 overflow its plain sum
+        d = ms.hamy(4)
+        head = '{"version": 2, "family": "hamy", "params": {"r": 4}, "k": 5, "reals": '
+        for s in (ms.init(d).absorb(1e200), ms.absorb_many(ms.init(d), [1e200])):
+            assert ms.serialize_state(s).decode() == (
+                f'{head}["0x1.11b0ec57e649ap+166", "0x0.0p+0", "0x0.0p+0", '
+                '"0x0.0p+0", "0x1.4e718d7d7625ap+664"], "counter": 1, '
+                '"overflow": false}')
+            assert ms.finalize(s) == 1e200
+        for s in (ms.init(d).absorb(1e308).absorb(1e308),
+                  ms.absorb_many(ms.init(d), [1e308, 1e308])):
+            assert ms.serialize_state(s).decode() == (
+                f'{head}["0x1.ba2bfd0d5ff5bp+256", "0x1.7dddf6b095ff1p+511", '
+                '"0x0.0p+0", "0x0.0p+0", "inf"], "counter": 2, "overflow": true}')
+            with pytest.raises(NumericalFailure):
+                ms.finalize(s)
+
 
 def _in_domain(d, u: float) -> float:
     """Map u in [0, 1] into d's domain: log-uniform over [1e-3, 1e3] on the
@@ -194,6 +232,22 @@ def test_absorb_many_matches_absorb(us, cuts):
         scale = [max(map(abs, col), default=0.0) for col in zip(*prefixes)]
         for got, want, mag in zip(many.reals, one.reals, scale):
             assert abs(got - want) <= 1e-12 * mag
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=24), st.floats(0.0, 1.0))
+def test_step_matches_combine(us, u):
+    """``step`` and ``combine`` describe one semigroup: absorbing x gives,
+    bit for bit, the reals of merging with the one-element state of x."""
+    for d in all_families() + [ms.piecewise_counterexample(),
+                               ms.cube_over_square()]:
+        s = ms.init(d)
+        for v in us:
+            s = ms.absorb(s, _in_domain(d, v))
+        x = _in_domain(d, u)
+        stepped = ms.absorb(s, x).reals
+        merged = ms.merge(s, ms.absorb(ms.init(d), x)).reals
+        assert [v.hex() for v in stepped] == [v.hex() for v in merged], d.name
 
 
 class TestMerge:
@@ -254,7 +308,7 @@ class TestFinalize:
         # a finalizer that returns a complex number
         d = ms.MeanDescriptor(
             family="complex_root", params={}, domain=ms.DomainInterval.reals(),
-            ctype=ms.ComplexityType(1, True), encode=lambda x: (x,),
+            ctype=ms.ComplexityType(1, True), step=lambda r, x: (r[0] + x,),
             finalizer=lambda reals, n: (reals[0] / n) ** 0.5)
         with pytest.raises(NumericalFailure):
             ms.evaluate_stream(d, [-4.0])
@@ -276,7 +330,7 @@ class TestFinalize:
     def test_zero_division_is_numerical_failure(self):
         d = ms.MeanDescriptor(
             family="reciprocal", params={}, domain=ms.DomainInterval.reals(),
-            ctype=ms.ComplexityType(1, True), encode=lambda x: (x,),
+            ctype=ms.ComplexityType(1, True), step=lambda r, x: (r[0] + x,),
             finalizer=lambda reals, n: n / reals[0])
         with pytest.raises(NumericalFailure):
             ms.evaluate_stream(d, [0.0])
@@ -322,7 +376,7 @@ class TestSerialization:
         quoted = ms.MeanDescriptor(
             family='naïve "mean"', params={"f": "é\\\n", "p": -0.0},
             domain=ms.DomainInterval.reals(), ctype=ms.ComplexityType(1, True),
-            encode=lambda x: (x,), finalizer=lambda reals, n: reals[0] / n)
+            step=lambda r, x: (r[0] + x,), finalizer=lambda reals, n: reals[0] / n)
         overflowed = 0
         for d in all_families() + [quoted]:
             for xs in ([], [2.0], [0.5, 3.0, 7.25, 11.0], [1e300, 1e300]):
@@ -546,6 +600,22 @@ class TestDescriptorCache:
             with pytest.raises(ParseError, match="cannot rebuild descriptor"):
                 ms.parse_state(json.dumps(blob))
         assert len(calls) == 3
+
+    def test_family_id_is_computed_once_per_descriptor(self, monkeypatch):
+        d, twin = ms.gini(2.0, 1.0), ms.gini(2.0, 1.0)
+        a, b = ms.init(d).absorb(3.0), ms.init(twin).absorb(4.0)
+        dumps, calls = json.dumps, []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return dumps(*args, **kw)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        for _ in range(3):
+            assert ms.merge(a, b).reals == (25.0, 7.0)
+            assert ms.merge(b, a).count == 2
+        assert d.family_id == twin.family_id == "gini:" + dumps({"p": 2.0, "q": 1.0})
+        assert calls == [({"p": 2.0, "q": 1.0},)] * 2
 
     def test_parsed_state_merges_with_a_local_one(self):
         d = ms.gini(2.0, 1.0)
