@@ -195,20 +195,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    states = []
+    merged = mismatch = None
     for path in args.state_files:
         with _open_input(path, "rb") as fh:
             data = fh.read()
         try:
-            states.append(parse_state(data))
+            state = parse_state(data)
         except ParseError as e:
             raise CliError(f"{path}: {e}", EXIT_PARSE)
-    merged = states[0]
-    try:
-        for s in states[1:]:
-            merged = merge(merged, s)
-    except FamilyMismatch as e:
-        raise CliError(str(e), EXIT_MISMATCH)
+        if mismatch is None:
+            try:
+                merged = state if merged is None else merge(merged, state)
+            except FamilyMismatch as e:
+                mismatch = e  # read on: a later parse error takes precedence
+    if mismatch is not None:
+        raise CliError(str(mismatch), EXIT_MISMATCH)
     payload = serialize_state(merged)
     if args.out:
         with open(args.out, "wb") as fh:

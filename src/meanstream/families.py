@@ -42,6 +42,33 @@ BISECT_MAX_ITER = 200
 # ---------------------------------------------------------------------------
 # generator functions (the f of quasi-arithmetic means)
 
+def _check_invertible(label: str, domain: DomainInterval, h, inverse,
+                      increasing, error: type) -> None:
+    """Raise ``error`` unless h is finite and strictly monotone (either way
+    if ``increasing`` is None) on the domain's grid, and inverse(h(x)) gives
+    x back there within ROUNDTRIP_RTOL."""
+    grid = domain.sample_grid(GRID_POINTS)
+    values = [h(x) for x in grid]
+    for x, y in zip(grid, values):
+        if not math.isfinite(y):
+            raise error(f"{label}: non-finite value at {x}")
+    if increasing is None:
+        increasing = values[-1] > values[0]
+    for a, b in zip(values, values[1:]):
+        if (b <= a) if increasing else (b >= a):
+            raise error(f"{label}: not strictly "
+                        + ("increasing" if increasing else "decreasing"))
+    for x, y in zip(grid, values):
+        back = inverse(y)
+        if abs(back - x) > ROUNDTRIP_RTOL * max(1.0, abs(x)):
+            raise error(f"{label}: inverse round-trip fails at {x} (got {back})")
+
+
+def _exact(v: float) -> str:
+    """v as %g if that reads back as v, else in full, so names are exact."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
+
+
 @dataclass(frozen=True)
 class GeneratorFunction:
     """A strictly monotone continuous bijection with explicit inverse."""
@@ -53,29 +80,15 @@ class GeneratorFunction:
     increasing: bool
 
     def validate(self) -> None:
-        grid = self.domain.sample_grid(GRID_POINTS)
-        prev = None
-        for x in grid:
-            y = self.forward(x)
-            if not math.isfinite(y):
-                raise GeneratorInvalid(f"{self.name}: non-finite value at {x}")
-            back = self.inverse(y)
-            if abs(back - x) > ROUNDTRIP_RTOL * max(1.0, abs(x)):
-                raise GeneratorInvalid(
-                    f"{self.name}: inverse round-trip fails at {x} (got {back})")
-            if prev is not None:
-                if self.increasing and y <= prev:
-                    raise GeneratorInvalid(f"{self.name}: not strictly increasing")
-                if not self.increasing and y >= prev:
-                    raise GeneratorInvalid(f"{self.name}: not strictly decreasing")
-            prev = y
+        _check_invertible(self.name, self.domain, self.forward, self.inverse,
+                          self.increasing, GeneratorInvalid)
 
 
 def _affine(a: float, b: float) -> GeneratorFunction:
     if a == 0:
         raise GeneratorInvalid("affine generator needs a != 0")
     return GeneratorFunction(
-        f"affine:{a:g},{b:g}",
+        f"affine:{_exact(a)},{_exact(b)}",
         lambda x: a * x + b,
         lambda y: (y - b) / a,
         DomainInterval.reals(),
@@ -87,7 +100,7 @@ def _power(p: float) -> GeneratorFunction:
     if p == 0:
         raise GeneratorInvalid("power generator needs p != 0")
     return GeneratorFunction(
-        f"power:{p:g}",
+        f"power:{_exact(p)}",
         lambda x: x ** p,
         lambda y: y ** (1.0 / p),
         DomainInterval.positive(),
@@ -170,7 +183,9 @@ def _bisect_inverse(h: Callable[[float], float], domain: DomainInterval,
 
 @dataclass(frozen=True)
 class BajraktarevicPair:
-    """(f, g) with g positive and f/g strictly monotone, plus (f/g)^-1."""
+    """(f, g) with g positive and f/g strictly monotone, plus (f/g)^-1.  The
+    names are the mean's identity: name different functions differently, or
+    leave "<custom>", which becomes "<custom 0x...>" after the function's id."""
 
     f: Callable[[float], float]
     g: Callable[[float], float]
@@ -179,30 +194,25 @@ class BajraktarevicPair:
     f_name: str = "<custom>"
     g_name: str = "<custom>"
 
+    def __post_init__(self):
+        for field, fn in (("f_name", self.f), ("g_name", self.g)):
+            if getattr(self, field) == "<custom>":
+                object.__setattr__(self, field, f"<custom {id(fn):#x}>")
+
     def validate(self) -> None:
-        grid = self.domain.sample_grid(GRID_POINTS)
-        ratios = []
-        for x in grid:
-            gx = self.g(x)
-            if not gx > 0:
-                raise PairInvalid(f"g({x}) = {gx} is not positive")
-            ratios.append(self.f(x) / gx)
-        increasing = ratios[-1] > ratios[0]
-        for a, b in zip(ratios, ratios[1:]):
-            if (b <= a) if increasing else (b >= a):
-                raise PairInvalid("f/g is not strictly monotone on the grid")
-        for x, r in zip(grid, ratios):
-            back = self.ratio_inverse(r)
-            if abs(back - x) > ROUNDTRIP_RTOL * max(1.0, abs(x)):
-                raise PairInvalid(
-                    f"ratio_inverse round-trip fails at {x} (got {back})")
+        for x in self.domain.sample_grid(GRID_POINTS):
+            if not self.g(x) > 0:
+                raise PairInvalid(f"g({x}) = {self.g(x)} is not positive")
+        _check_invertible("f/g", self.domain, lambda x: self.f(x) / self.g(x),
+                          self.ratio_inverse, None, PairInvalid)
 
 
 def pair_from_functions(f, g, domain: DomainInterval,
                         ratio_inverse=None,
                         f_name: str = "<custom>",
                         g_name: str = "<custom>") -> BajraktarevicPair:
-    """Build a pair from raw callables; bisection inverse if none given."""
+    """Build a pair from raw callables; bisection inverse if none given.
+    Different functions need different names (see BajraktarevicPair)."""
     if ratio_inverse is None:
         grid = domain.sample_grid(GRID_POINTS)
         increasing = f(grid[-1]) / g(grid[-1]) > f(grid[0]) / g(grid[0])
@@ -213,48 +223,36 @@ def pair_from_functions(f, g, domain: DomainInterval,
 
 
 def pair_power(pf: float, pg: float) -> BajraktarevicPair:
-    """(x^pf, x^pg) on (0, inf); f/g = x^(pf-pg) has a closed-form inverse."""
+    """``pair_from_names`` of "power:<p>" ("one" for p = 0): (x^pf, x^pg)."""
     if pf == pg:
         raise PairInvalid("pair_power needs pf != pg")
-    diff = pf - pg
-    pair = BajraktarevicPair(
-        lambda x: x ** pf,
-        lambda x: x ** pg,
-        lambda t: t ** (1.0 / diff),
-        DomainInterval.positive(),
-        f_name=f"power:{pf:g}",
-        g_name=f"power:{pg:g}",
-    )
-    pair.validate()
-    return pair
+    return pair_from_names(*(f"power:{_exact(p)}" if p else "one"
+                             for p in (pf, pg)))
 
 
 def _pair_component(name: str):
-    """A pair component by name: registry generators plus the constant 'one'."""
+    """A pair component by name (registry generators plus the constant
+    'one'): its function, its domain, and p if it is x^p, else None."""
     if name == "one":
-        return (lambda x: 1.0), DomainInterval.reals()
+        return (lambda x: 1.0), DomainInterval.reals(), 0.0
     gen = generator_by_name(name)
-    return gen.forward, gen.domain
+    p = (float(name[6:]) if name.startswith("power:")
+         else 1.0 if name == "identity" else None)
+    return gen.forward, gen.domain, p
 
 
 def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
-    f, f_dom = _pair_component(f_name)
-    g, g_dom = _pair_component(g_name)
+    f, f_dom, pf = _pair_component(f_name)
+    g, g_dom, pg = _pair_component(g_name)
     lo = max(f_dom.lo, g_dom.lo)
     hi = min(f_dom.hi, g_dom.hi)
     domain = DomainInterval(lo, hi,
                             f_dom.lo_closed and g_dom.lo_closed,
                             f_dom.hi_closed and g_dom.hi_closed)
     ratio_inverse = None
-    if (f_name.startswith("power:") or f_name == "identity") and \
-            (g_name.startswith("power:") or g_name in ("identity", "one")):
-        pf = 1.0 if f_name == "identity" else float(f_name.split(":")[1])
-        pg = (1.0 if g_name == "identity"
-              else 0.0 if g_name == "one"
-              else float(g_name.split(":")[1]))
-        if pf != pg:
-            diff = pf - pg
-            ratio_inverse = lambda t: t ** (1.0 / diff)
+    if pf is not None and pg is not None and pf != pg:
+        diff = pf - pg
+        ratio_inverse = lambda t: t ** (1.0 / diff)
     elif f_name == "ln" and g_name == "one":
         ratio_inverse = math.exp
     return pair_from_functions(f, g, domain, ratio_inverse, f_name, g_name)

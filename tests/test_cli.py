@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import meanstream as ms
-from meanstream import core, families
+from meanstream import cli, core, families
 from meanstream.cli import BLOCK_LINES, main
 
 
@@ -229,6 +229,34 @@ class TestMerge:
                  "--state-out", str(p2)], "3\n", monkeypatch, capsys)
         assert main(["merge", str(s1), str(p2)]) == 5
         capsys.readouterr()
+
+    @pytest.mark.parametrize("third", ["corrupt", "absent"])
+    def test_unreadable_file_wins_over_an_earlier_mismatch(
+            self, monkeypatch, capsys, tmp_path, third):
+        s1 = self._state_file(tmp_path, "a.state", [3], monkeypatch, capsys)
+        p2 = tmp_path / "p.state"
+        p2.write_bytes(ms.serialize_state(ms.init(ms.power_mean(1.0)).absorb(3.0)))
+        bad = tmp_path / "bad.state"
+        if third == "corrupt":
+            bad.write_bytes(b"{not json")
+        assert main(["merge", str(s1), str(p2), str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: ")
+
+    def test_states_are_merged_as_they_are_parsed(self, monkeypatch, capsys,
+                                                  tmp_path):
+        d, paths, events = ms.quasi_arithmetic("ln"), [], []
+        for i in range(3):
+            paths.append(tmp_path / f"s{i}.state")
+            paths[-1].write_bytes(ms.serialize_state(ms.init(d).absorb(i + 1.0)))
+        for name in ("parse_state", "merge"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _n=name, _f=real:
+                                events.append(_n) or _f(*a))
+        assert main(["merge", *map(str, paths)]) == 0
+        capsys.readouterr()
+        assert events == ["parse_state", "parse_state", "merge",
+                          "parse_state", "merge"]
 
     def test_missing_state_file(self, tmp_path, capsys):
         # witness: `meanstream merge /nonexistent` exited 1 with a

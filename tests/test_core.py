@@ -627,11 +627,34 @@ class TestDescriptorCache:
             assert merged.finalize() == ms.evaluate_stream(d, [3.0, 4.0])
 
     def test_family_ids_match_fresh_builds(self):
-        for d in all_families() + [ms.piecewise_counterexample(),
-                                   ms.cube_over_square()]:
+        # witnesses: a rounded name ("power:0.123457") rebuilt another mean;
+        # pair_power(1, 0) wrote "power:0", which no parse could rebuild
+        for d in all_families() + [
+                ms.piecewise_counterexample(), ms.cube_over_square(),
+                ms.bajraktarevic(ms.pair_power(1, 0)),
+                ms.bajraktarevic(ms.pair_power(0, 2)),
+                ms.bajraktarevic(ms.pair_power(2.0000001, 1)),
+                ms.quasi_arithmetic("power:0.1234567"),
+                ms.quasi_arithmetic("affine:2.0000001,3")]:
             parsed = ms.parse_state(ms.serialize_state(ms.init(d)))
             fresh = ms.descriptor_from_params(d.family, d.params)
             assert parsed.family_id == fresh.family_id == d.family_id
+            state = ms.init(d)
+            for x in (2.0, 30.0, 500.0, 3.5):
+                if d.domain.contains(x):
+                    state = state.absorb(x)
+            again = ms.parse_state(ms.serialize_state(state))
+            assert again.finalize() == state.finalize()
+
+    def test_pairs_of_near_exponents_do_not_merge(self):
+        # witness: both were named ("power:2", "power:1") and merged to
+        # 2.599999807018827
+        a = ms.init(ms.bajraktarevic(ms.pair_power(2.0000001, 1))).absorb(2.0)
+        b = ms.init(ms.bajraktarevic(ms.pair_power(2, 1))).absorb(3.0)
+        with pytest.raises(FamilyMismatch):
+            ms.merge(a, b)
+        with pytest.raises(FamilyMismatch):
+            ms.merge(b, a)
 
     # witnesses: a power(inf) state finalized to a value outside its inputs;
     # a hamy state with "r": 4.7 parsed as hamy(4)

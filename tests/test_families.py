@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import meanstream as ms
 from meanstream.core import DomainInterval
-from meanstream.errors import (DegenerateExponents, GeneratorInvalid,
-                               InvalidDescriptor, NumericalFailure, PairInvalid)
+from meanstream.errors import (DegenerateExponents, FamilyMismatch,
+                               GeneratorInvalid, InvalidDescriptor,
+                               NumericalFailure, PairInvalid, ParseError)
 from meanstream.families import GeneratorFunction
 from meanstream.symfun import MAX_MULTI_EXPONENTS
 
@@ -58,6 +59,19 @@ class TestQuasiArithmetic:
         bad = GeneratorFunction("bad", lambda x: x * x, lambda y: math.sqrt(y),
                                 DomainInterval.reals(), True)
         with pytest.raises(GeneratorInvalid):
+            ms.quasi_arithmetic(bad)
+
+    @pytest.mark.parametrize("forward, inverse, increasing, match", [
+        (lambda x: x if x < 10.0 else math.inf, lambda y: y, True, "non-finite"),
+        (lambda x: -x, lambda y: -y, True, "not strictly increasing"),
+        (lambda x: x, lambda y: y, False, "not strictly decreasing"),
+        (lambda x: x, lambda y: 2.0 * y, True, "round-trip"),
+    ], ids=["non-finite", "not-increasing", "not-decreasing", "round-trip"])
+    def test_each_generator_check_is_enforced(self, forward, inverse,
+                                              increasing, match):
+        bad = GeneratorFunction("bad", forward, inverse, DomainInterval.reals(),
+                                increasing)
+        with pytest.raises(GeneratorInvalid, match=match):
             ms.quasi_arithmetic(bad)
 
 
@@ -116,6 +130,38 @@ class TestBajraktarevic:
         with pytest.raises(PairInvalid):
             ms.pair_from_functions(lambda x: x, lambda x: x - 100.0,
                                    DomainInterval.positive())
+
+    @pytest.mark.parametrize("f, g, ratio_inverse, match", [
+        (lambda x: x, lambda x: x - 100.0, lambda t: t, "not positive"),
+        (lambda x: (x - 5.0) ** 2, lambda x: 1.0, lambda t: t, "not strictly"),
+        (lambda x: x, lambda x: 1.0, lambda t: 2.0 * t, "round-trip"),
+    ], ids=["g-not-positive", "not-monotone", "round-trip"])
+    def test_each_pair_check_is_enforced(self, f, g, ratio_inverse, match):
+        with pytest.raises(PairInvalid, match=match):
+            ms.pair_from_functions(f, g, DomainInterval.positive(),
+                                   ratio_inverse)
+
+    def test_unnamed_custom_pairs_do_not_merge(self):
+        # witness: both pairs were named "<custom>", and [2.0] under
+        # x^2 / x merged with [8.0] under 1 / x finalized to 0.5
+        square = ms.pair_from_functions(lambda x: x * x, lambda x: x,
+                                        DomainInterval.positive(), lambda t: t)
+        recip = ms.pair_from_functions(lambda x: 1.0, lambda x: x,
+                                       DomainInterval.positive(),
+                                       lambda t: 1.0 / t)
+        a = ms.init(ms.bajraktarevic(square)).absorb(2.0)
+        b = ms.init(ms.bajraktarevic(recip)).absorb(8.0)
+        assert a.family_id != b.family_id
+        with pytest.raises(FamilyMismatch):
+            ms.merge(a, b)
+        with pytest.raises(FamilyMismatch):
+            ms.merge(b, a)
+        with pytest.raises(ParseError, match="cannot rebuild descriptor"):
+            ms.parse_state(ms.serialize_state(a))
+        # a second descriptor of the same pair is the same mean
+        twin = ms.init(ms.bajraktarevic(square)).absorb(4.0)
+        assert twin.descriptor is not a.descriptor
+        assert ms.merge(a, twin).finalize() == pytest.approx(20.0 / 6.0)
 
 
 class TestHamy:
