@@ -5,9 +5,11 @@ where the state lives in a commutative semigroup: the descriptor's
 ``step`` pushes one element into a state's reals, and its ``combine`` merges
 two states.  ``absorb_many`` takes a whole batch at once: the descriptor's
 ``encode_many`` turns it into one state contribution, which is combined
-once.  A state is an immutable ``NamedTuple`` (descriptor, reals,
-count); absorb and merge return new states, so shard-parallel accumulation
-followed by a merge tree needs no locking.
+once.  Here numpy is imported by ``absorb_many`` alone, at its first call,
+so init, absorb, merge, finalize and the state I/O run without it.  A state
+is an immutable ``NamedTuple`` (descriptor, reals, count); absorb and
+merge return new states, so shard-parallel accumulation followed by a
+merge tree needs no locking.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Iterable, NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
     DomainError,
@@ -29,6 +29,9 @@ from .errors import (
     NumericalFailure,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATE_FORMAT_VERSION = 2
 DESCRIPTOR_CACHE_SIZE = 64  # parse_state's descriptors, by family and params
@@ -239,8 +242,11 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
 
     Same state as absorbing each element in turn, up to rounding; the first
     out-of-domain element raises the DomainError ``absorb`` would.  A
-    descriptor without ``encode_many`` absorbs the elements in turn.
+    descriptor without ``encode_many``, or a batch whose result overflows,
+    absorbs the elements in turn, so an overflowed state has absorb's bytes.
     """
+    import numpy as np
+
     d, reals, count = state
     xs = np.asarray(xs, dtype=np.float64).reshape(-1)
     if d.encode_many is None:  # step one element at a time
@@ -249,8 +255,10 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
     if not inside.all():
         raise DomainError(f"{float(xs[inside.argmin()])} outside domain of {d.name}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf surfaces at finalize
-        batch = d.encode_many(xs)
-    return AccumulatorState(d, d.combine(reals, batch), count + len(xs))
+        reals = d.combine(reals, d.encode_many(xs))
+    if not all(map(math.isfinite, reals)):
+        return reduce(absorb, xs.tolist(), state)
+    return AccumulatorState(d, reals, count + len(xs))
 
 
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:

@@ -4,7 +4,8 @@ Each constructor returns a MeanDescriptor: a state layout (the per-element
 step, and a numpy batch encoder where the step needs no user callable)
 plus a finalization formula.  Parameters are validated at build time;
 branch selection (p = 0, p = q) uses exact parameter comparison, never
-runtime tolerance.
+runtime tolerance.  The batch encoders import numpy when they first run;
+building a descriptor does not load it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
-
-import numpy as np
 
 from .core import ComplexityType, DomainInterval, MeanDescriptor
 from .errors import (
@@ -46,9 +45,17 @@ def _check_invertible(label: str, domain: DomainInterval, h, inverse,
                       increasing, error: type) -> None:
     """Raise ``error`` unless h is finite and strictly monotone (either way
     if ``increasing`` is None) on the domain's grid, and inverse(h(x)) gives
-    x back there within ROUNDTRIP_RTOL."""
+    x back there within ROUNDTRIP_RTOL; an OverflowError there is ``error``
+    too."""
+
+    def call(fn, v):
+        try:
+            return fn(v)
+        except OverflowError as e:
+            raise error(f"{label}: overflow on the domain grid ({e})") from None
+
     grid = domain.sample_grid(GRID_POINTS)
-    values = [h(x) for x in grid]
+    values = [call(h, x) for x in grid]
     for x, y in zip(grid, values):
         if not math.isfinite(y):
             raise error(f"{label}: non-finite value at {x}")
@@ -59,7 +66,7 @@ def _check_invertible(label: str, domain: DomainInterval, h, inverse,
             raise error(f"{label}: not strictly "
                         + ("increasing" if increasing else "decreasing"))
     for x, y in zip(grid, values):
-        back = inverse(y)
+        back = call(inverse, y)
         if abs(back - x) > ROUNDTRIP_RTOL * max(1.0, abs(x)):
             raise error(f"{label}: inverse round-trip fails at {x} (got {back})")
 
@@ -200,11 +207,16 @@ class BajraktarevicPair:
                 object.__setattr__(self, field, f"<custom {id(fn):#x}>")
 
     def validate(self) -> None:
-        for x in self.domain.sample_grid(GRID_POINTS):
-            if not self.g(x) > 0:
-                raise PairInvalid(f"g({x}) = {self.g(x)} is not positive")
+        _check_positive(self.g, self.domain)
         _check_invertible("f/g", self.domain, lambda x: self.f(x) / self.g(x),
                           self.ratio_inverse, None, PairInvalid)
+
+
+def _check_positive(g, domain: DomainInterval) -> None:
+    """Raise PairInvalid unless g > 0 on the domain's grid."""
+    for x in domain.sample_grid(GRID_POINTS):
+        if not g(x) > 0:
+            raise PairInvalid(f"g({x}) = {g(x)} is not positive")
 
 
 def pair_from_functions(f, g, domain: DomainInterval,
@@ -214,8 +226,12 @@ def pair_from_functions(f, g, domain: DomainInterval,
     """Build a pair from raw callables; bisection inverse if none given.
     Different functions need different names (see BajraktarevicPair)."""
     if ratio_inverse is None:
+        _check_positive(g, domain)  # before f/g picks the bisection direction
         grid = domain.sample_grid(GRID_POINTS)
-        increasing = f(grid[-1]) / g(grid[-1]) > f(grid[0]) / g(grid[0])
+        try:
+            increasing = f(grid[-1]) / g(grid[-1]) > f(grid[0]) / g(grid[0])
+        except OverflowError as e:
+            raise PairInvalid(f"f/g: overflow on the domain grid ({e})") from None
         ratio_inverse = _bisect_inverse(lambda x: f(x) / g(x), domain, increasing)
     pair = BajraktarevicPair(f, g, ratio_inverse, domain, f_name, g_name)
     pair.validate()
@@ -266,6 +282,13 @@ def _sums(*columns) -> tuple:
     return tuple(float(c.sum()) for c in columns)
 
 
+def _log(xs):
+    """np.log of a batch column."""
+    import numpy as np
+
+    return np.log(xs)
+
+
 def _exponent(family: str, name: str, value) -> float:
     """value as a finite float; an infinite or NaN exponent has no mean."""
     try:
@@ -290,7 +313,7 @@ def power_mean(p: float) -> MeanDescriptor:
     p = _exponent("power", "p", p)
     if p == 0.0:
         step = lambda r, x: (r[0] + math.log(x),)
-        encode_many = lambda xs: _sums(np.log(xs))
+        encode_many = lambda xs: _sums(_log(xs))
         fin = lambda reals, n: math.exp(reals[0] / n)
     else:
         step = lambda r, x: (r[0] + x ** p,)
@@ -317,7 +340,7 @@ def gini(p: float, q: float) -> MeanDescriptor:
     p, q = _exponent("gini", "p", p), _exponent("gini", "q", q)
     if p == q:
         step = lambda r, x: (r[0] + x ** p * math.log(x), r[1] + x ** p)
-        encode_many = lambda xs: _sums(xs ** p * np.log(xs), xs ** p)
+        encode_many = lambda xs: _sums(xs ** p * _log(xs), xs ** p)
         # reals[0] sums x^p ln x, which may be 0
         fin = lambda reals, n: math.exp(reals[0] / _nonzero(reals[1]))
     else:
@@ -386,6 +409,8 @@ def _esym_mean(family: str, params: dict, ctype: ComplexityType,
     combine, slots = partial(_esym_combine, sizes), sum(sizes) + sums
 
     def encode_many(xs) -> tuple:
+        import numpy as np
+
         # each element's state: per block y, then 0 * y for e_2..e_m (NaN
         # where y overflowed, as combining the identity with it gives),
         # then its summands
@@ -489,7 +514,7 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     ctype = ComplexityType(sum(e != 0 for e in params.exponent_set) + ln, True)
     n_min = max(c, d)
     exponent = 1.0 / (c * p - d * q)
-    encode_columns = lambda xs: [xs ** p, xs ** q] + ([np.log(xs)] if ln else [])
+    encode_columns = lambda xs: [xs ** p, xs ** q] + ([_log(xs)] if ln else [])
 
     def fin(reals, n):
         if n < n_min:
@@ -568,6 +593,13 @@ def _sorted_merge(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
+def _sorted_batch(xs) -> tuple:
+    """The median's batch encoder: the batch as a sorted tuple."""
+    import numpy as np
+
+    return tuple(np.sort(xs).tolist())
+
+
 def median_mean(kind: str = "lower") -> MeanDescriptor:
     """Lower or upper median; the state is the full sorted multiset."""
     if kind not in ("lower", "upper"):
@@ -580,7 +612,7 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
     return MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
         ctype=None, step=_insort, combine=_sorted_merge,
-        encode_many=lambda xs: tuple(np.sort(xs).tolist()), finalizer=fin)
+        encode_many=_sorted_batch, finalizer=fin)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import MeanDescriptor, init, absorb
 from .errors import BudgetExceeded, InsufficientData
 from .verify import _subject
@@ -155,6 +153,8 @@ def growth_report(profile: ClassProfile, ratio_threshold: float = 1.2) -> dict:
     max_len exceeding the prediction by the threshold ratio is labeled
     superlinear.
     """
+    import numpy as np
+
     if profile.max_len < 4:
         raise InsufficientData("growth classification needs max_len >= 4")
     counts = profile.counts

@@ -13,13 +13,14 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core import DomainInterval, MeanDescriptor, evaluate_stream
 from .errors import InvalidDescriptor, TooLarge
 from . import families
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 20260823
 BRUTE_FORCE_MAX_N = 12
@@ -74,6 +75,8 @@ def _subject(m):
 
 
 def _rng(seed) -> np.random.Generator:
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
@@ -239,6 +242,8 @@ def check_g23_inequality(trials: int = 1000, n_max: int = 32,
                          interval=(-10.0, 10.0), slack: float = 1e-12,
                          seed=None) -> PropertyReport:
     """|sum x^3| <= (sum x^2)^(3/2) on arbitrary real vectors."""
+    import numpy as np
+
     rng = _rng(seed)
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))

@@ -161,6 +161,14 @@ class TestEval:
             assert (code, out) == (2, "")
             assert "finite" in err
 
+    def test_generator_overflow_is_an_error(self, monkeypatch, capsys):
+        # witness: exit 1 with an OverflowError traceback from 50.0 ** 300
+        code, out, err = run_cli(
+            ["eval", "--family", "quasiarithmetic", "--f", "power:300"],
+            "1\n", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "overflow" in err
+
     @pytest.mark.parametrize("spec", [
         '{"family":"power","p":"abc"}', '{"family":"power","p":[1]}',
         '[1]', '"x"', '{"p":1}', '{"family":"hamy","r":4.7}',

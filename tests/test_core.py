@@ -157,22 +157,39 @@ class TestAbsorbMany:
         s = ms.absorb_many(ms.init(ms.quasi_arithmetic("exp")), [1000.0])
         assert s.overflow and s.reals == ms.init(s.descriptor).absorb(1000.0).reals
 
+    def test_overflowed_batches_have_absorbs_bytes(self):
+        # a batch whose result overflows, in the batch or in the state it
+        # joins, has the bytes of absorbing it one element at a time
+        overflowed = 0
+        for d in all_families() + [ms.cube_over_square()]:
+            seeded = ms.init(d).absorb(2.0).absorb(5.0)
+            for s in (ms.init(d), seeded, seeded.absorb(1e200)):
+                for xs in ([1e200], [2.0, 1e200, 3.0], [2.0]):
+                    one = s
+                    for x in xs:
+                        one = one.absorb(x)
+                    if one.overflow:
+                        overflowed += 1
+                        assert (ms.serialize_state(ms.absorb_many(s, xs))
+                                == ms.serialize_state(one))
+        assert overflowed == 46  # of 144 cases
+
     def test_overflowed_e_states_keep_their_bytes(self):
         # pinned state text: an OverflowError in step (x ** 2 of 1e200)
-        # becomes a combine with infs, and absorb_many's tree leaves NaN
+        # becomes a combine with infs; an overflowed batch is absorbed per
+        # element, so absorb_many gives absorb's bytes
         head = ('{"version": 2, "family": "biplanar", "params": {"p": 2.0, '
                 '"q": 3.0, "c": 3, "d": 3}, "k": 6, "reals": ')
         biplanar = {
             "one": '["inf", "nan", "nan", "inf", "nan", "nan"], "counter": 1',
             "absorb": '["inf", "inf", "inf", "inf", "inf", "inf"], "counter": 3',
-            "many": '["inf", "nan", "nan", "inf", "nan", "nan"], "counter": 3',
         }
         d = ms.biplanar(2.0, 3.0, 3, 3)
         seeded = ms.init(d).absorb(2.0).absorb(5.0)
         for key, s in (("one", ms.init(d).absorb(1e200)),
                        ("one", ms.absorb_many(ms.init(d), [1e200])),
                        ("absorb", seeded.absorb(1e200)),
-                       ("many", ms.absorb_many(seeded, [1e200]))):
+                       ("absorb", ms.absorb_many(seeded, [1e200]))):
             want = f'{head}{biplanar[key]}, "overflow": true}}'
             assert ms.serialize_state(s).decode() == want
             with pytest.raises(NumericalFailure):

@@ -74,6 +74,11 @@ class TestQuasiArithmetic:
         with pytest.raises(GeneratorInvalid, match=match):
             ms.quasi_arithmetic(bad)
 
+    def test_grid_overflow_is_generator_invalid(self):
+        # witness: 50.0 ** 300 on the grid raised a bare OverflowError
+        with pytest.raises(GeneratorInvalid, match="overflow"):
+            ms.quasi_arithmetic("power:300")
+
 
 class TestGini:
     def test_paper_value(self):
@@ -140,6 +145,21 @@ class TestBajraktarevic:
         with pytest.raises(PairInvalid, match=match):
             ms.pair_from_functions(f, g, DomainInterval.positive(),
                                    ratio_inverse)
+
+    def test_grid_overflow_is_pair_invalid(self):
+        # witness: f = x^300 overflowed on the grid as a bare OverflowError
+        with pytest.raises(PairInvalid, match="overflow"):
+            ms.bajraktarevic(ms.pair_power(300, 1))
+        with pytest.raises(PairInvalid, match="overflow"):
+            ms.pair_from_functions(lambda x: x ** 300, lambda x: 1.0,
+                                   DomainInterval.positive())
+
+    def test_zero_g_without_inverse_is_pair_invalid(self):
+        # witness: f/g at a grid end, for the bisection direction, raised a
+        # bare ZeroDivisionError before g > 0 was checked
+        with pytest.raises(PairInvalid, match="not positive"):
+            ms.pair_from_functions(lambda x: x, lambda x: 0.0,
+                                   DomainInterval.positive())
 
     def test_unnamed_custom_pairs_do_not_merge(self):
         # witness: both pairs were named "<custom>", and [2.0] under
