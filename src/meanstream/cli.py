@@ -5,9 +5,9 @@ Subcommands: eval (stream -> value), merge (partial state files), classify
 profile).  Input streams are newline- or comma-separated decimals on stdin
 or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
 first cell is "#") terminates the stream early.  eval reads its input in
-blocks of BLOCK_LINES lines and absorbs each block at once, so its memory
-does not grow with the input (except for the median, whose state is the
-multiset itself).
+blocks of BLOCK_LINES lines and absorbs each with ``absorb_many``, in pure
+Python, so its memory does not grow with the input (except for the median,
+whose state is the multiset itself) and it never loads numpy.
 
 Exit codes: 0 ok, 2 parse error (also a bad argument or an unreadable
 input file), 3 domain error, 4 empty input, 5 family mismatch.

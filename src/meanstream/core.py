@@ -3,13 +3,12 @@
 Every mean in this package is evaluated as ``finalize(fold(absorb, init, xs))``
 where the state lives in a commutative semigroup: the descriptor's
 ``step`` pushes one element into a state's reals, and its ``combine`` merges
-two states.  ``absorb_many`` takes a whole batch at once: the descriptor's
-``encode_many`` turns it into one state contribution, which is combined
-once.  Here numpy is imported by ``absorb_many`` alone, at its first call,
-so init, absorb, merge, finalize and the state I/O run without it.  A state
-is an immutable ``NamedTuple`` (descriptor, reals, count); absorb and
-merge return new states, so shard-parallel accumulation followed by a
-merge tree needs no locking.
+two states.  ``absorb_many`` takes a whole batch at once: ``step`` folds
+it into leaves of LEAF elements, which a pairwise tree of ``combine``
+joins, so no family needs a batch encoder of its own.  A state is an
+immutable ``NamedTuple`` (descriptor, reals, count); absorb and merge
+return new states, so shard-parallel accumulation followed by a merge tree
+needs no locking.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
     DomainError,
@@ -30,11 +29,12 @@ from .errors import (
     ParseError,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 STATE_FORMAT_VERSION = 2
 DESCRIPTOR_CACHE_SIZE = 64  # parse_state's descriptors, by family and params
+# absorb_many's elements per leaf: step folds them, so one combine per leaf
+# costs little next to the steps, and the tree above the leaves keeps the
+# rounding at the level of a pairwise sum
+LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class DomainInterval:
             raise ValueError(f"empty interval: lo={self.lo} hi={self.hi}")
 
     def contains(self, x):
-        """Membership of a float, or elementwise of an array; NaN is outside."""
+        """Membership of a float; NaN is outside."""
         lo_ok = x >= self.lo if self.lo_closed else x > self.lo
         hi_ok = x <= self.hi if self.hi_closed else x < self.hi
         return lo_ok & hi_ok
@@ -118,13 +118,11 @@ class MeanDescriptor:
     state with x absorbed.  ``combine`` merges two states: it is the
     semigroup operation on reals tuples, and must be associative and
     commutative, with ``init``'s reals (k zeros) as its identity.  The two
-    describe one semigroup: ``step(r, x) == combine(r, step(identity, x))``.
-    ``encode_many``, if given, maps a 1-D float64 array of inputs to the
-    whole batch's contribution, a full state (without it, a batch is
-    absorbed one element at a time); ``finalizer`` maps (reals, count) back
-    to the interval.  A non-finite component must stay non-finite under
-    ``combine``, which is what lets a state's ``overflow`` flag be read off
-    its reals.
+    describe one semigroup: ``step(r, x) == combine(r, step(identity, x))``,
+    which is what lets ``absorb_many`` fold a batch by either.
+    ``finalizer`` maps (reals, count) back to the interval.  A non-finite
+    component must stay non-finite under ``combine``, which is what lets a
+    state's ``overflow`` flag be read off its reals.
 
     ``ctype`` is None for means of no finite type (median); their state is
     the whole sorted multiset.  ``slots``, when set, is the state length,
@@ -140,7 +138,6 @@ class MeanDescriptor:
     step: Callable[[tuple, float], tuple]
     finalizer: Callable[[tuple, int], float]
     combine: Callable[[tuple, tuple], tuple] = _vector_add
-    encode_many: Optional[Callable[[np.ndarray], tuple]] = None
     ctype_is_upper_bound: bool = False
     paper_k: Optional[int] = None  # biplanar: exponent-set cardinality
     slots: Optional[int] = None
@@ -238,26 +235,41 @@ def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
 
 
 def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
-    """Absorb a batch: one domain check, one ``encode_many``, one combine.
+    """Absorb a batch: ``step`` folds each run of LEAF elements into a leaf,
+    a binary-counter tree of ``combine`` joins the leaves, and the tree's
+    result is combined into the state once.
 
-    Same state as absorbing each element in turn, up to rounding; the first
-    out-of-domain element raises the DomainError ``absorb`` would.  A
-    descriptor without ``encode_many``, or a batch whose result overflows,
-    absorbs the elements in turn, so an overflowed state has absorb's bytes.
+    Same state as absorbing each element in turn, up to rounding (exactly,
+    for one element); the first out-of-domain element raises the
+    DomainError ``absorb`` would.  A batch whose result overflows is
+    absorbed one element at a time, so an overflowed state has absorb's
+    bytes.
     """
-    import numpy as np
-
     d, reals, count = state
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-    if d.encode_many is None:  # step one element at a time
-        return reduce(absorb, xs.tolist(), state)
-    inside = d.domain.contains(xs)
-    if not inside.all():
-        raise DomainError(f"{float(xs[inside.argmin()])} outside domain of {d.name}")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf surfaces at finalize
-        reals = d.combine(reals, d.encode_many(xs))
+    xs = list(map(float, xs))
+    contains = d.domain.contains
+    if not all(map(contains, xs)):
+        bad = next(x for x in xs if not contains(x))
+        raise DomainError(f"{bad} outside domain of {d.name}")
+    if not xs:
+        return state
+    step, combine, identity = d.step, d.combine, (0.0,) * d.k
+    stack = []  # (height, reals) of 2**height leaves, heights decreasing
+    try:
+        for i in range(0, len(xs), LEAF):
+            height, node = 0, reduce(step, xs[i:i + LEAF], identity)
+            while stack and stack[-1][0] == height:
+                node = combine(stack.pop()[1], node)
+                height += 1
+            stack.append((height, node))
+    except OverflowError:  # absorb turns it into inf components
+        return reduce(absorb, xs, state)
+    node = stack.pop()[1]
+    while stack:
+        node = combine(stack.pop()[1], node)
+    reals = combine(reals, node)
     if not all(map(math.isfinite, reals)):
-        return reduce(absorb, xs.tolist(), state)
+        return reduce(absorb, xs, state)
     return AccumulatorState(d, reals, count + len(xs))
 
 

@@ -1,11 +1,9 @@
 """Concrete generating pairs for each mean family.
 
 Each constructor returns a MeanDescriptor: a state layout (the per-element
-step, and a numpy batch encoder where the step needs no user callable)
-plus a finalization formula.  Parameters are validated at build time;
-branch selection (p = 0, p = q) uses exact parameter comparison, never
-runtime tolerance.  The batch encoders import numpy when they first run;
-building a descriptor does not load it.
+step, and the combine when it is not vector addition) plus a finalization
+formula.  Parameters are validated at build time; branch selection (p = 0,
+p = q) uses exact parameter comparison, never runtime tolerance.
 """
 
 from __future__ import annotations
@@ -277,18 +275,6 @@ def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
 # ---------------------------------------------------------------------------
 # the seven families
 
-def _sums(*columns) -> tuple:
-    """A batch's contribution to an additive state: each column's sum."""
-    return tuple(float(c.sum()) for c in columns)
-
-
-def _log(xs):
-    """np.log of a batch column."""
-    import numpy as np
-
-    return np.log(xs)
-
-
 def _exponent(family: str, name: str, value) -> float:
     """value as a finite float; an infinite or NaN exponent has no mean."""
     try:
@@ -313,16 +299,13 @@ def power_mean(p: float) -> MeanDescriptor:
     p = _exponent("power", "p", p)
     if p == 0.0:
         step = lambda r, x: (r[0] + math.log(x),)
-        encode_many = lambda xs: _sums(_log(xs))
         fin = lambda reals, n: math.exp(reals[0] / n)
     else:
         step = lambda r, x: (r[0] + x ** p,)
-        encode_many = lambda xs: _sums(xs ** p)
         fin = lambda reals, n: (_nonzero(reals[0]) / n) ** (1.0 / p)
     return MeanDescriptor(
         family="power", params={"p": p}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(1, True), step=step, finalizer=fin,
-        encode_many=encode_many)
+        ctype=ComplexityType(1, True), step=step, finalizer=fin)
 
 
 def quasi_arithmetic(f) -> MeanDescriptor:
@@ -340,18 +323,15 @@ def gini(p: float, q: float) -> MeanDescriptor:
     p, q = _exponent("gini", "p", p), _exponent("gini", "q", q)
     if p == q:
         step = lambda r, x: (r[0] + x ** p * math.log(x), r[1] + x ** p)
-        encode_many = lambda xs: _sums(xs ** p * _log(xs), xs ** p)
         # reals[0] sums x^p ln x, which may be 0
         fin = lambda reals, n: math.exp(reals[0] / _nonzero(reals[1]))
     else:
         inv = 1.0 / (p - q)
         step = lambda r, x: (r[0] + x ** p, r[1] + x ** q)
-        encode_many = lambda xs: _sums(xs ** p, xs ** q)
         fin = lambda reals, n: (_nonzero(reals[0]) / _nonzero(reals[1])) ** inv
     return MeanDescriptor(
         family="gini", params={"p": p, "q": q}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(2, False), step=step, finalizer=fin,
-        encode_many=encode_many)
+        ctype=ComplexityType(2, False), step=step, finalizer=fin)
 
 
 def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
@@ -381,7 +361,6 @@ def _esym_combine(sizes: tuple, a: tuple, b: tuple) -> tuple:
     column of encoded values (e_0 = 1 is implicit, so zeros are the
     identity), then plain sums.  Two states multiply their generating
     polynomials prod(1 + y t), truncated at t^m, and add their sums.
-    Entries may be floats or numpy columns.
     """
     out, i = [], 0
     for m in sizes:
@@ -397,39 +376,15 @@ def _esym_combine(sizes: tuple, a: tuple, b: tuple) -> tuple:
 
 
 def _esym_mean(family: str, params: dict, ctype: ComplexityType,
-               sizes: tuple, sums: int, step, encode_columns, fin,
-               **extra) -> MeanDescriptor:
-    """A descriptor on the e-state of ``_esym_combine``.
-
-    ``step`` pushes one element (through ``_push``, per block);
-    ``encode_columns`` gives a numpy batch's y column per block, then its
-    ``sums`` summand columns, which are folded by a pairwise tree of the
-    combine.
-    """
-    combine, slots = partial(_esym_combine, sizes), sum(sizes) + sums
-
-    def encode_many(xs) -> tuple:
-        import numpy as np
-
-        # each element's state: per block y, then 0 * y for e_2..e_m (NaN
-        # where y overflowed, as combining the identity with it gives),
-        # then its summands
-        columns = encode_columns(xs)
-        cols = []
-        for y, m in zip(columns, sizes):
-            cols += [y] + [0.0 * y] * (m - 1)
-        cols += columns[len(sizes):]
-        while len(cols[0]) > 1:
-            if len(cols[0]) % 2:  # pad with the identity
-                cols = [np.append(c, 0.0) for c in cols]
-            cols = combine(tuple(c[0::2] for c in cols),
-                           tuple(c[1::2] for c in cols))
-        return tuple(float(c.sum()) for c in cols)  # 0 or 1 entries left
-
+               sizes: tuple, sums: int, step, fin, **extra) -> MeanDescriptor:
+    """A descriptor on the e-state of ``_esym_combine``, with ``sums``
+    plain sums after the blocks; ``step`` pushes one element (through
+    ``_push``, per block)."""
     return MeanDescriptor(
         family=family, params=params, domain=DomainInterval.positive(),
-        ctype=ctype, step=step, finalizer=fin, combine=combine,
-        encode_many=encode_many, slots=slots, **extra)
+        ctype=ctype, step=step, finalizer=fin,
+        combine=partial(_esym_combine, sizes), slots=sum(sizes) + sums,
+        **extra)
 
 
 def hamy(r: int) -> MeanDescriptor:
@@ -452,7 +407,7 @@ def hamy(r: int) -> MeanDescriptor:
 
     return _esym_mean(
         "hamy", {"r": r}, ComplexityType(r, True), (r,), 1,
-        step, lambda xs: [xs ** inv_r, xs], fin, ctype_is_upper_bound=True)
+        step, fin, ctype_is_upper_bound=True)
 
 
 def sympoly(r: int) -> MeanDescriptor:
@@ -468,7 +423,7 @@ def sympoly(r: int) -> MeanDescriptor:
                             (_nonzero(reals[r - 1]) / math.comb(n, r)) ** inv_r)
     return _esym_mean(
         "sympoly", {"r": r}, ComplexityType(r, True), (r,), 0,
-        lambda reals, x: tuple(_push([], reals, x)), lambda xs: [xs], fin,
+        lambda reals, x: tuple(_push([], reals, x)), fin,
         ctype_is_upper_bound=True)
 
 
@@ -514,7 +469,6 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     ctype = ComplexityType(sum(e != 0 for e in params.exponent_set) + ln, True)
     n_min = max(c, d)
     exponent = 1.0 / (c * p - d * q)
-    encode_columns = lambda xs: [xs ** p, xs ** q] + ([_log(xs)] if ln else [])
 
     def fin(reals, n):
         if n < n_min:
@@ -537,7 +491,7 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
 
     return _esym_mean(
         "biplanar", {"p": p, "q": q, "c": c, "d": d}, ctype, (c, d),
-        int(ln), step, encode_columns, fin, paper_k=params.k)
+        int(ln), step, fin, paper_k=params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +547,6 @@ def _sorted_merge(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-def _sorted_batch(xs) -> tuple:
-    """The median's batch encoder: the batch as a sorted tuple."""
-    import numpy as np
-
-    return tuple(np.sort(xs).tolist())
-
-
 def median_mean(kind: str = "lower") -> MeanDescriptor:
     """Lower or upper median; the state is the full sorted multiset."""
     if kind not in ("lower", "upper"):
@@ -611,8 +558,7 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
 
     return MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
-        ctype=None, step=_insort, combine=_sorted_merge,
-        encode_many=_sorted_batch, finalizer=fin)
+        ctype=None, step=_insort, combine=_sorted_merge, finalizer=fin)
 
 
 # ---------------------------------------------------------------------------

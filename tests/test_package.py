@@ -1,7 +1,9 @@
-"""The package surface: every exported name resolves, every demo runs, and
-numpy loads only for batches."""
+"""The package surface: every exported name resolves, every demo runs,
+numpy never loads on a streaming path, and eval's memory does not grow with
+its input."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,28 +29,35 @@ BUILT_IN = [
 
 NUMPY_PROBE = """
 import sys
+sys.modules["numpy"] = None  # from here on, importing numpy raises
 import meanstream as ms
 from meanstream import cli
 
-def loaded(step):
-    if "numpy" in sys.modules:
-        raise SystemExit(f"numpy loaded by {step}")
-
-loaded("import meanstream")
 for i, (family, params) in enumerate(SPECS):
     d = ms.descriptor_from_params(family, params)
     a = ms.absorb(ms.init(d), 3.25)
-    b = ms.parse_state(ms.serialize_state(ms.absorb(ms.init(d), 3.5)))
+    b = ms.parse_state(ms.serialize_state(ms.absorb_many(ms.init(d), [3.5, 3.75])))
     ms.finalize(ms.merge(a, b))
-    loaded(f"the {family} {params} pass")
     with open(f"{i}.json", "wb") as fh:
         fh.write(ms.serialize_state(a))
 assert cli.main(["classify", "--family", "hamy", "--r", "3"]) == 0
-loaded("cli classify")
 assert cli.main(["merge", "--out", "merged.json", "0.json", "0.json"]) == 0
-loaded("cli merge")
-ms.absorb_many(ms.init(ms.power_mean(1.0)), [1.0, 2.0])
-print("numpy" in sys.modules)
+with open("values.txt", "w") as fh:
+    fh.writelines(f"{1 + i % 97}\\n" for i in range(2 * cli.BLOCK_LINES + 3))
+for family in (["power", "--p", "1"], ["hamy", "--r", "4"], ["median"],
+               ["quasiarithmetic", "--f", "ln"]):
+    assert cli.main(["eval", "--family", *family, "--input", "values.txt"]) == 0
+assert sys.modules["numpy"] is None
+print("no numpy")
+"""
+
+# runs argv as a grandchild and prints its exit code and peak RSS (KiB): a
+# child's ru_maxrss starts at its parent's peak, so the parent is kept small
+PEAK_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
@@ -75,10 +84,35 @@ def test_demo_exits_zero(demo):
     assert done.returncode == 0, done.stderr
 
 
-def test_numpy_loads_only_for_batches(tmp_path):
+def test_numpy_never_loads_on_a_streaming_path(tmp_path):
+    # witness: absorb_many imported numpy, so eval peaked near 32 MB, where
+    # a process without numpy peaks near 20 MB
     probe = f"SPECS = {BUILT_IN!r}\n{NUMPY_PROBE}"
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "True"  # absorb_many loads it
+    assert done.stdout.splitlines()[-1] == "no numpy"
+
+
+@pytest.mark.parametrize("family", [["power", "--p", "1"], ["hamy", "--r", "4"]],
+                         ids=["power", "hamy"])
+def test_eval_memory_does_not_grow_with_the_input(tmp_path, family):
+    rng = random.Random(5)
+    small, large = tmp_path / "small.txt", tmp_path / "large.txt"
+    with open(small, "w") as fh_small, open(large, "w") as fh_large:
+        for i in range(500_000):
+            line = f"{rng.uniform(0.5, 20.0)!r}\n"
+            fh_large.write(line)
+            if i < 50_000:
+                fh_small.write(line)
+    peaks = []
+    for path in (small, large):
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m",
+             "meanstream.cli", "eval", "--family", *family, "--input", str(path)],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        code, peak_kib = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+        peaks.append(peak_kib / 1024)
+    assert peaks[1] - peaks[0] <= 2.0, peaks  # MiB
