@@ -8,7 +8,13 @@ biplanar), and a finalizer maps the state back to the input interval.  Seven
 classical families are provided, together with a generalized power-sum
 engine, a property-based verification harness, and an empirical Myhill-type
 state-complexity probe.
+
+``import meanstream`` loads the streaming core and the families; the
+verification harness (``verify``) and the probe (``myhill``) load on first
+use of one of their names.
 """
+
+import importlib
 
 from .core import (
     AccumulatorState,
@@ -52,21 +58,6 @@ from .symfun import (
     sigma_from_power,
     subset_sum_closure,
 )
-from .verify import (
-    FunctionMean,
-    PropertyReport,
-    check_concatenation_betweenness,
-    check_g23_inequality,
-    check_homogeneity,
-    check_mean_property,
-    check_reflexivity,
-    check_repetition_invariance,
-    check_symmetry,
-    detect_negligible_element,
-    oracle_direct,
-    run_suite,
-)
-from .myhill import ClassProfile, default_probes, enumerate_classes, growth_report, state_counts
 from . import errors
 from .errors import (
     DomainError,
@@ -79,6 +70,18 @@ from .errors import (
 
 __version__ = "0.1.0"
 
+# the names of the modules loaded on first use, and the names they export
+_LAZY = {
+    "verify": ("FunctionMean", "PropertyReport",
+               "check_concatenation_betweenness", "check_g23_inequality",
+               "check_homogeneity", "check_mean_property",
+               "check_reflexivity", "check_repetition_invariance",
+               "check_symmetry", "detect_negligible_element",
+               "oracle_direct", "run_suite"),
+    "myhill": ("ClassProfile", "default_probes", "enumerate_classes",
+               "growth_report", "state_counts"),
+}
+
 __all__ = [
     "AccumulatorState", "ComplexityType", "DomainInterval", "MeanDescriptor",
     "absorb", "absorb_many", "evaluate_stream", "finalize", "init", "merge",
@@ -90,12 +93,19 @@ __all__ = [
     "piecewise_counterexample", "power_mean", "quasi_arithmetic", "sympoly",
     "ExponentMultiset", "GammaTable", "gamma_multi", "power_sums",
     "sigma_from_power", "subset_sum_closure",
-    "FunctionMean", "PropertyReport", "check_concatenation_betweenness",
-    "check_g23_inequality", "check_homogeneity", "check_mean_property",
-    "check_reflexivity", "check_repetition_invariance", "check_symmetry",
-    "detect_negligible_element", "oracle_direct", "run_suite",
-    "ClassProfile", "default_probes", "enumerate_classes", "growth_report",
-    "state_counts",
+    *_LAZY["verify"], *_LAZY["myhill"],
     "errors", "DomainError", "EmptyStateError", "FamilyMismatch",
     "MeanStreamError", "NumericalFailure", "ParseError",
 ]
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f".{module}", __name__)
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_LAZY))

@@ -25,7 +25,7 @@ from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 
-from . import families, myhill, verify
+from . import families
 # absorb is not called here; it stays importable as cli.absorb beside the
 # other core operations, which bench/job.py wraps by attribute
 from .core import (absorb, absorb_many, finalize, init, merge,  # noqa: F401
@@ -247,6 +247,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # loaded on use, so eval never compiles it
     reports = verify.run_suite(seed=args.seed, trials=args.trials)
     if args.format == "json":
         for report in reports:
@@ -263,6 +264,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_myhill(args) -> int:
+    from . import myhill  # loaded on use, like verify
     descriptor = _build_descriptor(args)
     alphabet = [float(t) for t in args.alphabet.split(",")]
     probes = myhill.default_probes(alphabet, args.probe_len)

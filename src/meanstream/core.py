@@ -247,12 +247,14 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
     """
     d, reals, count = state
     xs = list(map(float, xs))
-    contains = d.domain.contains
-    if not all(map(contains, xs)):
-        bad = next(x for x in xs if not contains(x))
-        raise DomainError(f"{bad} outside domain of {d.name}")
     if not xs:
         return state
+    contains = d.domain.contains
+    # an interval holds all of xs iff it holds min and max, NaN aside
+    if any(map(math.isnan, xs)) or not (contains(min(xs))
+                                        and contains(max(xs))):
+        bad = next(x for x in xs if not contains(x))
+        raise DomainError(f"{bad} outside domain of {d.name}")
     step, combine, identity = d.step, d.combine, (0.0,) * d.k
     stack = []  # (height, reals) of 2**height leaves, heights decreasing
     try:

@@ -3,14 +3,15 @@
 Each constructor returns a MeanDescriptor: a state layout (the per-element
 step, and the combine when it is not vector addition) plus a finalization
 formula.  Parameters are validated at build time; branch selection (p = 0,
-p = q) uses exact parameter comparison, never runtime tolerance.
+p = q) uses exact parameter comparison, never runtime tolerance.  hamy,
+sympoly and biplanar compile their step and combine to straight-line code
+(``_esym_mean``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,47 +345,39 @@ def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
         finalizer=lambda reals, n: pair.ratio_inverse(reals[0] / reals[1]))
 
 
-def _push(out: list, e, y) -> list:
-    """Append e_1..e_m of a block with y pushed: the O(m) recurrence
-    e_j += y e_{j-1} (e_0 = 1), one element's step on an e-state."""
-    prev = 1.0
-    for v in e:
-        out.append(v + y * prev)
-        prev = v
-    return out
-
-
-def _esym_combine(sizes: tuple, a: tuple, b: tuple) -> tuple:
-    """The elementary-symmetric families' combine.
-
-    A state holds, for each block size m in ``sizes``, e_1..e_m of one
-    column of encoded values (e_0 = 1 is implicit, so zeros are the
-    identity), then plain sums.  Two states multiply their generating
-    polynomials prod(1 + y t), truncated at t^m, and add their sums.
-    """
-    out, i = [], 0
-    for m in sizes:
-        ea, eb = a[i:i + m], b[i:i + m]
-        for j in range(m):
-            v = ea[j] + eb[j]
-            for h in range(j):
-                v = v + ea[h] * eb[j - 1 - h]
-            out.append(v)
-        i += m
-    out += map(operator.add, a[i:], b[i:])
-    return tuple(out)
-
-
 def _esym_mean(family: str, params: dict, ctype: ComplexityType,
-               sizes: tuple, sums: int, step, fin, **extra) -> MeanDescriptor:
-    """A descriptor on the e-state of ``_esym_combine``, with ``sums``
-    plain sums after the blocks; ``step`` pushes one element (through
-    ``_push``, per block)."""
+               blocks: tuple, fin, env: dict, **extra) -> MeanDescriptor:
+    """A descriptor on the elementary-symmetric state (e-state): for each
+    block (m, expression), e_1..e_m of the y = expression(x), with e_0 = 1
+    implicit, so zeros are the identity (a block of size 1 is a plain sum).
+    ``step`` pushes y by e_j += y e_{j-1}; ``combine`` multiplies two
+    states' polynomials prod(1 + y t), truncated at t^m, left to right.
+
+    Both are straight-line code generated from the sizes (validated ints)
+    and compiled once.  Parameter values reach the constant expressions
+    through ``env`` (an exponent, ``log``), never through the source text.
+    """
+    # hamy(2): a0_1, a0_2, a1_1 = reals; y0 = x ** inv_r; y1 = x
+    # return (a0_1 + y0, a0_2 + y0 * a0_1, a1_1 + y1)
+    slots, pushed, merged = [], [], []
+    for i, (m, _) in enumerate(blocks):
+        for j in range(1, m + 1):
+            slots.append("%d_%d" % (i, j))
+            pushed.append("a%d_%d + y%d" % (i, j, i)
+                          + (" * a%d_%d" % (i, j - 1) if j > 1 else ""))
+            merged.append(" + ".join(
+                ["a%d_%d + b%d_%d" % (i, j, i, j)]
+                + ["a%d_%d * b%d_%d" % (i, h, i, j - h) for h in range(1, j)]))
+    a, b = (", ".join(side + slot for slot in slots) for side in "ab")
+    exec("def step(reals, x):\n    %s, = reals\n%s    return (%s,)\n"
+         "def combine(a, b):\n    %s, = a\n    %s, = b\n    return (%s,)\n"
+         % (a, "".join("    y%d = %s\n" % (i, expression)
+                       for i, (_, expression) in enumerate(blocks)),
+            ", ".join(pushed), a, b, ", ".join(merged)), env)
     return MeanDescriptor(
         family=family, params=params, domain=DomainInterval.positive(),
-        ctype=ctype, step=step, finalizer=fin,
-        combine=partial(_esym_combine, sizes), slots=sum(sizes) + sums,
-        **extra)
+        ctype=ctype, step=env["step"], finalizer=fin, combine=env["combine"],
+        slots=len(slots), **extra)
 
 
 def hamy(r: int) -> MeanDescriptor:
@@ -396,18 +389,12 @@ def hamy(r: int) -> MeanDescriptor:
     if not isinstance(r, int) or not 1 <= r <= MAX_MULTI_EXPONENTS:
         raise InvalidDescriptor(
             f"hamy needs an integer r in 1..{MAX_MULTI_EXPONENTS}")
-    inv_r = 1.0 / r
     fin = lambda reals, n: (reals[-1] / n if n < r else
                             _nonzero(reals[r - 1]) / math.comb(n, r))
-
-    def step(reals, x):
-        out = _push([], reals[:r], x ** inv_r)
-        out.append(reals[r] + x)
-        return tuple(out)
-
     return _esym_mean(
-        "hamy", {"r": r}, ComplexityType(r, True), (r,), 1,
-        step, fin, ctype_is_upper_bound=True)
+        "hamy", {"r": r}, ComplexityType(r, True),
+        ((r, "x ** inv_r"), (1, "x")), fin, {"inv_r": 1.0 / r},
+        ctype_is_upper_bound=True)
 
 
 def sympoly(r: int) -> MeanDescriptor:
@@ -422,8 +409,7 @@ def sympoly(r: int) -> MeanDescriptor:
     fin = lambda reals, n: (reals[0] / n if n < r else
                             (_nonzero(reals[r - 1]) / math.comb(n, r)) ** inv_r)
     return _esym_mean(
-        "sympoly", {"r": r}, ComplexityType(r, True), (r,), 0,
-        lambda reals, x: tuple(_push([], reals, x)), fin,
+        "sympoly", {"r": r}, ComplexityType(r, True), ((r, "x"),), fin, {},
         ctype_is_upper_bound=True)
 
 
@@ -482,16 +468,10 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
             raise NumericalFailure(f"biplanar ratio {ratio} left the float range")
         return ratio ** exponent
 
-    def step(reals, x):
-        out = _push([], reals[:c], x ** p)
-        _push(out, reals[c:c + d], x ** q)
-        if ln:
-            out.append(reals[-1] + math.log(x))
-        return tuple(out)
-
+    blocks = ((c, "x ** p"), (d, "x ** q")) + (((1, "log(x)"),) if ln else ())
     return _esym_mean(
-        "biplanar", {"p": p, "q": q, "c": c, "d": d}, ctype, (c, d),
-        int(ln), step, fin, paper_k=params.k)
+        "biplanar", {"p": p, "q": q, "c": c, "d": d}, ctype, blocks, fin,
+        {"p": p, "q": q, "log": math.log}, paper_k=params.k)
 
 
 # ---------------------------------------------------------------------------

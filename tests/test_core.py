@@ -140,8 +140,13 @@ class TestAbsorbMany:
             assert same.reals == s.reals and same.count == s.count
 
     def test_domain_error_names_the_first_bad_value(self):
+        # the batch is checked through its NaNs, min and max, so the bad
+        # value's position and kind must not change which one is named
         d = ms.power_mean(1.0)
-        for batch, bad in (([1.0, -3.0, -4.0], -3.0), ([2.0, math.nan, -1.0], math.nan)):
+        for batch, bad in (([1.0, -3.0, -4.0], -3.0), ([2.0, math.nan, -1.0], math.nan),
+                           ([2.0, -1.0, math.nan], -1.0), ([1.0, -0.0, 0.0], -0.0),
+                           ([1.0, 0.0, -0.0], 0.0), ([1.0, math.inf], math.inf),
+                           ([math.inf, 1e-300, math.nan], math.inf)):
             with pytest.raises(DomainError) as one:
                 ms.absorb(ms.init(d), bad)
             with pytest.raises(DomainError) as many:

@@ -1,4 +1,7 @@
 import math
+import operator
+import random
+import struct
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -427,6 +430,130 @@ def test_esym_any_split_tree_and_batching(us, data):
             states[j] = ms.merge(a, states[j]) if first else ms.merge(states[j], a)
         single = ms.evaluate_stream(d, xs)
         assert abs(ms.finalize(states[0]) - single) <= 4e-15 * single
+
+
+def _push(out: list, e, y) -> list:
+    """Append e_1..e_m of a block with y pushed: the O(m) recurrence
+    e_j += y e_{j-1} (e_0 = 1)."""
+    prev = 1.0
+    for v in e:
+        out.append(v + y * prev)
+        prev = v
+    return out
+
+
+def _reference_step(layout, reals, x):
+    """The e-state step as loops over a layout (blocks of (m, encoder),
+    sum encoders): ``_push`` per block, then the plain sums."""
+    blocks, sums = layout
+    out, i = [], 0
+    for m, encode in blocks:
+        _push(out, reals[i:i + m], encode(x))
+        i += m
+    out += [v + encode(x) for v, encode in zip(reals[i:], sums)]
+    return tuple(out)
+
+
+def _reference_combine(layout, a, b):
+    """The e-state combine as loops: per block, the truncated product
+    a_j + b_j + a_1 b_{j-1} + ... + a_{j-1} b_1, left to right; then the
+    sums added."""
+    blocks, _ = layout
+    out, i = [], 0
+    for m, _ in blocks:
+        ea, eb = a[i:i + m], b[i:i + m]
+        for j in range(m):
+            v = ea[j] + eb[j]
+            for h in range(j):
+                v = v + ea[h] * eb[j - 1 - h]
+            out.append(v)
+        i += m
+    out += map(operator.add, a[i:], b[i:])
+    return tuple(out)
+
+
+def _esym_layouts():
+    """(descriptor, its layout for the reference loops)."""
+    for r in range(1, MAX_MULTI_EXPONENTS + 1):
+        inv_r = 1.0 / r
+        yield (ms.hamy(r), (((r, lambda x, inv_r=inv_r: x ** inv_r),),
+                            (lambda x: x,)))
+        yield ms.sympoly(r), (((r, lambda x: x),), ())
+    for p, q in ((0.0, 1.0), (-0.5, 1.0), (2.0, 3.0)):
+        for c in (1, 3, 12):
+            for d in (1, 3, 12):
+                yield (ms.biplanar(p, q, c, d),
+                       (((c, lambda x, p=p: x ** p), (d, lambda x, q=q: x ** q)),
+                        (math.log,) if p == 0 else ()))
+
+
+ESYM_LAYOUTS = list(_esym_layouts())
+
+
+def _bits(reals: tuple) -> bytes:
+    return struct.pack(f"{len(reals)}d", *reals)
+
+
+class TestEStateKernels:
+    """The generated straight-line ``step`` and ``combine`` have the bits
+    of the reference loops, overflowed states (inf and NaN) included."""
+
+    @pytest.mark.parametrize("d, layout", ESYM_LAYOUTS,
+                             ids=[d.name for d, _ in ESYM_LAYOUTS])
+    def test_step_and_combine_match_the_loops(self, d, layout):
+        rng = random.Random(d.name)
+        identity = ms.init(d).reals
+        infs = (math.inf,) * d.k
+        states = [identity]
+        for n in (1, 2, 5, 13, 30):
+            xs = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(n)]
+            if n >= 5:  # 1e200 ** 2 raises OverflowError
+                xs[rng.randrange(n)] = 1e200
+            if n >= 13:  # the sum of two overflows in every layout
+                xs[0] = xs[-1] = 1e308
+            ours = ref = identity
+            for x in xs:  # as absorb does
+                try:
+                    want = _reference_step(layout, ref, x)
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        d.step(ours, x)
+                    ours = d.combine(ours, infs)
+                    ref = _reference_combine(layout, ref, infs)
+                else:
+                    ours = d.step(ours, x)
+                    ref = want
+                assert _bits(ours) == _bits(ref)
+                states.append(ours)
+        assert any(not all(map(math.isfinite, s)) for s in states)
+        for a in states[::3]:
+            for b in states[1::4] + [infs]:
+                assert (_bits(d.combine(a, b))
+                        == _bits(_reference_combine(layout, a, b)))
+            if all(map(math.isfinite, a)):
+                assert _bits(d.combine(identity, a)) == _bits(a)
+                assert _bits(d.combine(a, identity)) == _bits(a)
+
+    def test_merged_overflow_keeps_its_nans(self):
+        # pinned until a non-finite rule for combine changes it on purpose:
+        # absorbing gives six inf, but the half xs[19:] meets 1e200 second,
+        # while its e_2 is 0, so its e_3 = 0 + inf + y inf + 0 inf is NaN
+        d = ms.biplanar(2.0, 3.0, 3, 3)
+        xs = [1.0 + i / 8 for i in range(38)]
+        xs[20] = 1e200
+        one = ms.init(d)
+        for x in xs:
+            one = ms.absorb(one, x)
+        for s in (one, ms.absorb_many(ms.init(d), xs)):
+            assert [v.hex() for v in s.reals] == ["inf"] * 6
+        halves = [ms.parse_state(ms.serialize_state(ms.absorb_many(ms.init(d), h)))
+                  for h in (xs[:19], xs[19:])]
+        layout = (((3, lambda x: x ** 2.0), (3, lambda x: x ** 3.0)), ())
+        for a, b in (halves, halves[::-1]):
+            merged = ms.merge(a, b).reals
+            assert [v.hex() for v in merged] == ["inf", "inf", "nan"] * 2
+            assert _bits(merged) == _bits(
+                _reference_combine(layout, a.reals, b.reals))
 
 
 class TestDescriptorFromParams:

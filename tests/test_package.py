@@ -1,6 +1,6 @@
 """The package surface: every exported name resolves, every demo runs,
-numpy never loads on a streaming path, and eval's memory does not grow with
-its input."""
+numpy never loads on a streaming path, verify and myhill load only on
+first use, and eval's memory does not grow with its input."""
 
 import os
 import random
@@ -51,6 +51,24 @@ assert sys.modules["numpy"] is None
 print("no numpy")
 """
 
+LAZY_PROBE = """
+import sys
+import meanstream as ms
+from meanstream import cli
+
+with open("values.txt", "w") as fh:
+    fh.write("1\\n2\\n4\\n")
+assert cli.main(["eval", "--family", "hamy", "--r", "2", "--input", "values.txt"]) == 0
+loaded = sorted(m for m in ("meanstream.verify", "meanstream.myhill")
+                if m in sys.modules)
+assert loaded == [], loaded
+assert set(ms.__all__) <= set(dir(ms))
+for name in ms.__all__:
+    getattr(ms, name)
+assert ms.verify.run_suite is ms.run_suite and ms.myhill.ClassProfile is ms.ClassProfile
+print("lazy")
+"""
+
 # runs argv as a grandchild and prints its exit code and peak RSS (KiB): a
 # child's ru_maxrss starts at its parent's peak, so the parent is kept small
 PEAK_RSS_PROBE = """
@@ -93,6 +111,14 @@ def test_numpy_never_loads_on_a_streaming_path(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "no numpy"
+
+
+def test_verify_and_myhill_load_on_first_use(tmp_path):
+    done = subprocess.run([sys.executable, "-c", LAZY_PROBE], env=src_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "lazy"
 
 
 @pytest.mark.parametrize("family", [["power", "--p", "1"], ["hamy", "--r", "4"]],
