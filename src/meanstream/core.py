@@ -228,8 +228,8 @@ def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
         raise DomainError(f"{x} outside domain of {d.name}")
     try:
         reals = d.step(reals, x)
-    except OverflowError:  # overflow, surfaced at finalize
-        reals = d.combine(reals, (math.inf,) * d.k)
+    except OverflowError:  # every component inf, surfaced at finalize
+        reals = (math.inf,) * d.k
     # tuple.__new__ skips the NamedTuple's Python-level __new__
     return tuple.__new__(AccumulatorState, (d, reals, count + 1))
 
@@ -241,9 +241,11 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
 
     Same state as absorbing each element in turn, up to rounding (exactly,
     for one element); the first out-of-domain element raises the
-    DomainError ``absorb`` would.  A batch whose result overflows is
-    absorbed one element at a time, so an overflowed state has absorb's
-    bytes.
+    DomainError ``absorb`` would.  An OverflowError in ``step`` makes every
+    component inf, as in ``absorb``.  A result with a non-finite component
+    is re-run one element at a time, since a sum in another order can
+    overflow where the running totals do not: an overflowed batch overflows
+    in ``absorb`` too, and ``serialize_state`` writes both as k infs.
     """
     d, reals, count = state
     xs = list(map(float, xs))
@@ -264,13 +266,15 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
                 node = combine(stack.pop()[1], node)
                 height += 1
             stack.append((height, node))
-    except OverflowError:  # absorb turns it into inf components
-        return reduce(absorb, xs, state)
+    except OverflowError:  # every component inf, as in absorb
+        return AccumulatorState(d, (math.inf,) * d.k, count + len(xs))
     node = stack.pop()[1]
     while stack:
         node = combine(stack.pop()[1], node)
     reals = combine(reals, node)
     if not all(map(math.isfinite, reals)):
+        # a leaf or node overflowed, which the running totals may not do
+        # (encodings of both signs): absorb decides
         return reduce(absorb, xs, state)
     return AccumulatorState(d, reals, count + len(xs))
 
@@ -312,10 +316,15 @@ def serialize_state(state: AccumulatorState) -> bytes:
 
     The text is ``json.dumps`` of {version, family, params, k, reals,
     counter, overflow}, in that order; the descriptor caches it up to "k".
+    An overflowed state is written as k ``"inf"`` reals, whatever mix of
+    inf, NaN and finite components it holds, so its bytes do not depend on
+    the order, batching or merge tree that built it.
     """
     d, reals, count = state
+    overflow = "false"
+    if state.overflow:
+        reals, overflow = (math.inf,) * len(reals), "true"
     hexes = ", ".join([f'"{float(v).hex()}"' for v in reals])
-    overflow = "true" if state.overflow else "false"
     return (f'{d._blob_head}{len(reals)}, "reals": [{hexes}], '
             f'"counter": {count}, "overflow": {overflow}}}').encode()
 

@@ -245,11 +245,16 @@ def pair_power(pf: float, pg: float) -> BajraktarevicPair:
                              for p in (pf, pg)))
 
 
+def _one(x: float) -> float:
+    """The constant pair component "one"."""
+    return 1.0
+
+
 def _pair_component(name: str):
     """A pair component by name (registry generators plus the constant
     'one'): its function, its domain, and p if it is x^p, else None."""
     if name == "one":
-        return (lambda x: 1.0), DomainInterval.reals(), 0.0
+        return _one, DomainInterval.reals(), 0.0
     gen = generator_by_name(name)
     p = (float(name[6:]) if name.startswith("power:")
          else 1.0 if name == "identity" else None)
@@ -288,6 +293,16 @@ def _exponent(family: str, name: str, value) -> float:
     return value
 
 
+def _degree(family: str, name: str, value) -> int:
+    """value, an int in 1..MAX_MULTI_EXPONENTS; a bool or a float is not a
+    degree (``parse_state`` would reject ``true`` as one)."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 1 <= value <= MAX_MULTI_EXPONENTS):
+        raise InvalidDescriptor(f"{family} needs an integer {name} in "
+                                f"1..{MAX_MULTI_EXPONENTS}, got {value!r}")
+    return value
+
+
 def _nonzero(s: float) -> float:
     """s, which on the positive domain (a power sum, or an e_j with j <= n)
     is 0.0 only if it underflowed; a subnormal s has lost digits."""
@@ -320,6 +335,13 @@ def quasi_arithmetic(f) -> MeanDescriptor:
         finalizer=lambda reals, n: f.inverse(reals[0] / n))
 
 
+def _ctype_of_two_sums(constant: bool) -> ComplexityType:
+    """T2 for a ratio of two sums, or T1+ when one summand is constant: that
+    sum is the count, and the mean is quasi-arithmetic (the state keeps both
+    slots, so its layout does not depend on the parameters)."""
+    return ComplexityType(1, True) if constant else ComplexityType(2, False)
+
+
 def gini(p: float, q: float) -> MeanDescriptor:
     p, q = _exponent("gini", "p", p), _exponent("gini", "q", q)
     if p == q:
@@ -332,7 +354,8 @@ def gini(p: float, q: float) -> MeanDescriptor:
         fin = lambda reals, n: (_nonzero(reals[0]) / _nonzero(reals[1])) ** inv
     return MeanDescriptor(
         family="gini", params={"p": p, "q": q}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(2, False), step=step, finalizer=fin)
+        ctype=_ctype_of_two_sums(0.0 in (p, q)), step=step, finalizer=fin,
+        slots=2)
 
 
 def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
@@ -340,9 +363,11 @@ def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
     return MeanDescriptor(
         family="bajraktarevic",
         params={"f": pair.f_name, "g": pair.g_name},
-        domain=pair.domain, ctype=ComplexityType(2, False),
+        domain=pair.domain,
+        ctype=_ctype_of_two_sums(_one in (pair.f, pair.g)),
         step=lambda r, x: (r[0] + pair.f(x), r[1] + pair.g(x)),
-        finalizer=lambda reals, n: pair.ratio_inverse(reals[0] / reals[1]))
+        finalizer=lambda reals, n: pair.ratio_inverse(reals[0] / reals[1]),
+        slots=2)
 
 
 def _esym_mean(family: str, params: dict, ctype: ComplexityType,
@@ -386,9 +411,7 @@ def hamy(r: int) -> MeanDescriptor:
     State holds e_1..e_r of the x^(1/r), then the plain sum of x for the
     small-n fallback.
     """
-    if not isinstance(r, int) or not 1 <= r <= MAX_MULTI_EXPONENTS:
-        raise InvalidDescriptor(
-            f"hamy needs an integer r in 1..{MAX_MULTI_EXPONENTS}")
+    r = _degree("hamy", "r", r)
     fin = lambda reals, n: (reals[-1] / n if n < r else
                             _nonzero(reals[r - 1]) / math.comb(n, r))
     return _esym_mean(
@@ -402,9 +425,7 @@ def sympoly(r: int) -> MeanDescriptor:
 
     State holds e_1..e_r of the x; e_1 is the small-n fallback's sum.
     """
-    if not isinstance(r, int) or not 1 <= r <= MAX_MULTI_EXPONENTS:
-        raise InvalidDescriptor(
-            f"sympoly needs an integer r in 1..{MAX_MULTI_EXPONENTS}")
+    r = _degree("sympoly", "r", r)
     inv_r = 1.0 / r
     fin = lambda reals, n: (reals[0] / n if n < r else
                             (_nonzero(reals[r - 1]) / math.comb(n, r)) ** inv_r)
@@ -421,10 +442,8 @@ class BiplanarParams:
     d: int
 
     def __post_init__(self):
-        if not all(isinstance(v, int) and 1 <= v <= MAX_MULTI_EXPONENTS
-                   for v in (self.c, self.d)):
-            raise InvalidDescriptor(
-                f"biplanar needs integers c, d in 1..{MAX_MULTI_EXPONENTS}")
+        _degree("biplanar", "c", self.c)
+        _degree("biplanar", "d", self.d)
         if self.c * Fraction(self.p) == self.d * Fraction(self.q):
             raise DegenerateExponents(f"c*p == d*q == {self.c * self.p}")
 
@@ -449,7 +468,7 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     the paper's: one real per nonzero exponent j*p, j*q, and the log sum.
     """
     params = BiplanarParams(_exponent("biplanar", "p", p),
-                            _exponent("biplanar", "q", q), int(c), int(d))
+                            _exponent("biplanar", "q", q), c, d)
     p, q, c, d = params.p, params.q, params.c, params.d
     ln = p == 0  # the fallback is then the geometric mean
     ctype = ComplexityType(sum(e != 0 for e in params.exponent_set) + ln, True)

@@ -42,6 +42,18 @@ class TestEval:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_overflowed_leaf_with_finite_running_totals(self, monkeypatch, capsys):
+        # witness: 100 -> 1e308 in the first leaf of 64 lines, two -100 in
+        # the second, whose sum is -inf while the running total stays finite;
+        # eval failed with "state carries non-finite components"
+        xs = [100.0] + [0.0] * 63 + [-100.0, -100.0]
+        code, out, _ = run_cli(["eval", "--family", "quasiarithmetic",
+                                "--f", "affine:1e306,0"],
+                               "".join(f"{x}\n" for x in xs), monkeypatch, capsys)
+        assert code == 0
+        assert float(out) == ms.evaluate_stream(
+            ms.quasi_arithmetic("affine:1e306,0"), xs) == pytest.approx(-100 / 66)
+
     def test_parse_error_reports_line(self, monkeypatch, capsys):
         code, _, err = run_cli(["eval", "--family", "power", "--p", "1"],
                                "1\nbogus\n", monkeypatch, capsys)
@@ -343,6 +355,14 @@ class TestClassify:
         report = json.loads(capsys.readouterr().out)
         assert report["type"] == "T3+"
         assert report["upper_bound_only"] is True
+
+    def test_gini_with_a_zero_exponent_is_t1_plus(self, capsys):
+        # witness: gini(2, 0), the power mean of order 2, reported T2
+        assert main(["classify", "--family", "gini", "--p", "2", "--q", "0",
+                     "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["type"], report["state_dimension"], report["has_counter"],
+                report["hierarchy_index"]) == ("T1+", 2, True, 1)
 
     def test_median(self, capsys):
         assert main(["classify", "--family", "median", "--kind", "lower",

@@ -161,7 +161,8 @@ class TestAbsorbMany:
             assert s.overflow
             with pytest.raises(NumericalFailure):
                 s.finalize()
-        # a step that raises OverflowError sends the batch through absorb
+        # a step that raises OverflowError makes every component inf, as
+        # absorb does
         s = ms.absorb_many(ms.init(ms.quasi_arithmetic("exp")), [1000.0])
         assert s.overflow and s.reals == ms.init(s.descriptor).absorb(1000.0).reals
 
@@ -194,7 +195,8 @@ class TestAbsorbMany:
 
     def test_overflowed_batches_have_absorbs_bytes(self):
         # a batch whose result overflows, in the batch or in the state it
-        # joins, has the bytes of absorbing it one element at a time
+        # joins, has the bytes of absorbing it one element at a time: both
+        # are written as k infs
         overflowed = 0
         for d in all_families() + [ms.cube_over_square()]:
             seeded = ms.init(d).absorb(2.0).absorb(5.0)
@@ -209,14 +211,29 @@ class TestAbsorbMany:
                                 == ms.serialize_state(one))
         assert overflowed == 46  # of 144 cases
 
+    def test_an_overflowed_leaf_with_finite_running_totals_is_rerun(self):
+        # witness: leaf 2 sums the two -1e308 to -inf, and so does the tree,
+        # but absorb's running total goes 1e308, 0, -1e308 and stays finite;
+        # absorb_many must not return an overflowed state for it
+        d = ms.quasi_arithmetic("identity")
+        for sign in (1.0, -1.0):
+            xs = [sign * 1e308] + [0.0] * (core.LEAF - 1) + [-sign * 1e308] * 2
+            one = ms.init(d)
+            for x in xs:
+                one = one.absorb(x)
+            many = ms.absorb_many(ms.init(d), xs)
+            assert not many.overflow
+            assert ms.serialize_state(many) == ms.serialize_state(one)
+            assert many.finalize() == one.finalize() == -sign * 1e308 / 66
+
     def test_overflowed_e_states_keep_their_bytes(self):
         # pinned state text: an OverflowError in step (x ** 2 of 1e200)
-        # becomes a combine with infs; an overflowed batch is absorbed per
-        # element, so absorb_many gives absorb's bytes
+        # makes every component inf, and an overflowed state is written as
+        # k infs, so absorb and absorb_many give the same bytes
         head = ('{"version": 2, "family": "biplanar", "params": {"p": 2.0, '
                 '"q": 3.0, "c": 3, "d": 3}, "k": 6, "reals": ')
         biplanar = {
-            "one": '["inf", "nan", "nan", "inf", "nan", "nan"], "counter": 1',
+            "one": '["inf", "inf", "inf", "inf", "inf", "inf"], "counter": 1',
             "absorb": '["inf", "inf", "inf", "inf", "inf", "inf"], "counter": 3',
         }
         d = ms.biplanar(2.0, 3.0, 3, 3)
@@ -230,7 +247,8 @@ class TestAbsorbMany:
             with pytest.raises(NumericalFailure):
                 ms.finalize(s)
         # hamy(4) stores 1e200 ** 0.25, which does not overflow, so its n < r
-        # fallback returns the input; two 1e308 overflow its plain sum
+        # fallback returns the input; two 1e308 overflow its plain sum, and
+        # the finite e_1 and e_2 it still holds are written as inf too
         d = ms.hamy(4)
         head = '{"version": 2, "family": "hamy", "params": {"r": 4}, "k": 5, "reals": '
         for s in (ms.init(d).absorb(1e200), ms.absorb_many(ms.init(d), [1e200])):
@@ -242,8 +260,8 @@ class TestAbsorbMany:
         for s in (ms.init(d).absorb(1e308).absorb(1e308),
                   ms.absorb_many(ms.init(d), [1e308, 1e308])):
             assert ms.serialize_state(s).decode() == (
-                f'{head}["0x1.ba2bfd0d5ff5bp+256", "0x1.7dddf6b095ff1p+511", '
-                '"0x0.0p+0", "0x0.0p+0", "inf"], "counter": 2, "overflow": true}')
+                f'{head}["inf", "inf", "inf", "inf", "inf"], "counter": 2, '
+                '"overflow": true}')
             with pytest.raises(NumericalFailure):
                 ms.finalize(s)
 
@@ -300,6 +318,61 @@ def test_step_matches_combine(us, u):
         stepped = ms.absorb(s, x).reals
         merged = ms.merge(s, ms.absorb(ms.init(d), x)).reals
         assert [v.hex() for v in stepped] == [v.hex() for v in merged], d.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2 * core.LEAF),
+       st.data())
+def test_overflowed_bytes_do_not_depend_on_the_route(us, data):
+    """Streams with 1e200, 1e308 or -1e308 inserted (its absolute value
+    off the real line): one absorb per element, one absorb_many, and shards
+    built by any mix of the two, optionally sent through serialize and
+    parse, then merged by any tree.  An overflowed state has the same bytes
+    on every route, and absorb_many overflows only if absorb does.  With
+    big values of one sign, all routes agree on whether the state
+    overflowed; with both, a sum in another order may overflow where the
+    running totals do not, or cancel where they do."""
+    stream = list(us)  # u in [0, 1] is mapped into each domain, the big kept
+    bigs = st.sampled_from([1e200, 1e308, -1e308])
+    for i, big in data.draw(st.lists(st.tuples(st.integers(0, len(us)), bigs),
+                                     min_size=1, max_size=3)):
+        stream.insert(i, big)
+    n = len(stream)
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, n), max_size=5))), n]
+    shards = [(lo, hi, data.draw(st.integers(lo, hi)), data.draw(st.booleans()))
+              for lo, hi in zip(bounds, bounds[1:])]
+    joins = [data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 2),
+                                 st.booleans()))
+             for m in range(len(shards), 1, -1)]
+    overflowed = set()
+    for d in all_families() + [ms.cube_over_square(),
+                               ms.quasi_arithmetic("identity")]:
+        xs = [_in_domain(d, x) if abs(x) <= 1.0
+              else x if d.domain.contains(x) else -x for x in stream]
+        one = ms.init(d)
+        for x in xs:
+            one = ms.absorb(one, x)
+        states = []
+        for lo, hi, mid, round_trip in shards:  # absorb up to mid, then a batch
+            s = ms.init(d)
+            for x in xs[lo:mid]:
+                s = ms.absorb(s, x)
+            s = ms.absorb_many(s, xs[mid:hi])
+            states.append(ms.parse_state(ms.serialize_state(s))
+                          if round_trip else s)
+        for i, j, first in joins:  # merge states[i] into one of the others
+            a = states.pop(i)
+            states[j] = ms.merge(a, states[j]) if first else ms.merge(states[j], a)
+        many = ms.absorb_many(ms.init(d), xs)
+        routes = (one, many, states[0])
+        assert [s.count for s in routes] == [n] * 3, d.name
+        assert one.overflow or not many.overflow, d.name
+        if len({x > 0 for x in xs if abs(x) >= 1e200}) == 1:
+            assert len({s.overflow for s in routes}) == 1, d.name
+        assert len({ms.serialize_state(s) for s in routes if s.overflow}) <= 1
+        if one.overflow:
+            overflowed.add(d.name)
+    assert "gini(p=2.0,q=1.0)" in overflowed  # 1e200 ** 2 overflows
 
 
 class TestMerge:
@@ -418,7 +491,9 @@ class TestSerialization:
                 "family": state.descriptor.family,
                 "params": state.descriptor.params,
                 "k": len(state.reals),
-                "reals": [float(v).hex() for v in state.reals],
+                # an overflowed state is written as k infs
+                "reals": [float(math.inf if state.overflow else v).hex()
+                          for v in state.reals],
                 "counter": state.count,
                 "overflow": state.overflow,
             }

@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import random
@@ -103,6 +104,28 @@ class TestGini:
                 assert ms.evaluate_stream(dg, xs) == pytest.approx(
                     ms.evaluate_stream(dp, xs), rel=1e-10)
 
+    @pytest.mark.parametrize("p, q", [(2.0, 0.0), (0.0, 3.0), (0.0, 0.0),
+                                      (-0.0, 1.0)])
+    def test_a_zero_exponent_is_t1_plus(self, p, q):
+        # witness: gini(2, 0) is power_mean(2) on [1, 4] yet was declared
+        # T2; x^0 sums to the count, so the mean is quasi-arithmetic
+        d = ms.gini(p, q)
+        assert (d.type_label, d.k, d.has_counter) == ("T1+", 2, True)
+        assert not d.ctype_is_upper_bound
+        s = ms.init(d).absorb(1.0).absorb(4.0)
+        assert s.counter == 2 and json.loads(ms.serialize_state(s))["k"] == 2
+
+    def test_v1_null_counter_of_a_t1_plus_gini_is_a_parse_error(self):
+        # a T1+ mean stores its count, so a blob without one is malformed
+        blob = {"version": 1, "family": "gini", "params": {"p": 2.0, "q": 0.0},
+                "k": 2, "reals": [(17.0).hex(), (2.0).hex()], "counter": None,
+                "overflow": False}
+        with pytest.raises(ParseError, match="bad counter"):
+            ms.parse_state(json.dumps(blob))
+        blob["counter"] = 2
+        assert ms.parse_state(json.dumps(blob)).finalize() == pytest.approx(
+            math.sqrt(8.5))
+
     def test_parameter_symmetry(self):
         a, b = ms.gini(2.0, 1.0), ms.gini(1.0, 2.0)
         for xs in random_vectors(50, seed=6):
@@ -164,6 +187,26 @@ class TestBajraktarevic:
             ms.pair_from_functions(lambda x: x, lambda x: 0.0,
                                    DomainInterval.positive())
 
+    @pytest.mark.parametrize("pair, same", [
+        (lambda: ms.pair_power(2, 0), lambda: ms.power_mean(2)),
+        (lambda: ms.pair_power(0, 2), lambda: ms.power_mean(2)),
+        (lambda: ms.pair_from_names("ln", "one"), lambda: ms.power_mean(0)),
+    ], ids=["power2-one", "one-power2", "ln-one"])
+    def test_a_constant_component_is_t1_plus(self, pair, same):
+        # witnesses: each was declared T2, but a constant f or g makes a
+        # power mean, of type T1+
+        d = ms.bajraktarevic(pair())
+        assert (d.type_label, d.k, d.has_counter) == ("T1+", 2, True)
+        assert not d.ctype_is_upper_bound
+        assert ms.evaluate_stream(d, [1.0, 4.0]) == pytest.approx(
+            ms.evaluate_stream(same(), [1.0, 4.0]), rel=1e-12)
+
+    def test_a_custom_f_named_one_is_not_t1_plus(self):
+        # the type follows the constant component itself, not its name
+        pair = ms.pair_from_functions(lambda x: x * x, lambda x: x,
+                                      DomainInterval.positive(), f_name="one")
+        assert ms.bajraktarevic(pair).type_label == "T2"
+
     def test_unnamed_custom_pairs_do_not_merge(self):
         # witness: both pairs were named "<custom>", and [2.0] under
         # x^2 / x merged with [8.0] under 1 / x finalized to 0.5
@@ -207,8 +250,12 @@ class TestHamy:
         assert got == pytest.approx(6.0)
 
     def test_rejects_bad_r(self):
-        with pytest.raises(InvalidDescriptor):
-            ms.hamy(0)
+        # witness: hamy(True) and sympoly(True) built states that parse_state
+        # rejects ("r must be an integer, got True")
+        for build in (ms.hamy, ms.sympoly):
+            for bad in (0, True, False, 2.0, 2.5, "2", None):
+                with pytest.raises(InvalidDescriptor, match="integer r"):
+                    build(bad)
 
     def test_rejects_r_above_the_recursion_limit(self):
         # witness: hamy(13) built and absorbed, then finalize raised a bare
@@ -272,6 +319,15 @@ class TestBiplanar:
         for c, d in ((MAX_MULTI_EXPONENTS + 1, 1), (1, MAX_MULTI_EXPONENTS + 1)):
             with pytest.raises(InvalidDescriptor):
                 ms.biplanar(2, 3, c, d)
+
+    def test_rejects_c_or_d_that_is_not_an_int(self):
+        # witness: biplanar(2, 3, 3.7, "3") built biplanar(c=3, d=3) through
+        # int()
+        for c, d in ((3.7, "3"), (3, "3"), (3.0, 3), (True, 1), (1, True)):
+            with pytest.raises(InvalidDescriptor, match="integer [cd]"):
+                ms.biplanar(2, 3, c, d)
+        with pytest.raises(InvalidDescriptor, match="integer c"):
+            ms.BiplanarParams(2.0, 3.0, True, 1)
 
     def test_zero_p_fallback_is_geometric(self):
         d = ms.biplanar(0.0, 1.0, 2, 1)
@@ -518,42 +574,54 @@ class TestEStateKernels:
                 except OverflowError:
                     with pytest.raises(OverflowError):
                         d.step(ours, x)
-                    ours = d.combine(ours, infs)
-                    ref = _reference_combine(layout, ref, infs)
+                    ours = ref = infs
                 else:
                     ours = d.step(ours, x)
                     ref = want
                 assert _bits(ours) == _bits(ref)
                 states.append(ours)
         assert any(not all(map(math.isfinite, s)) for s in states)
-        for a in states[::3]:
-            for b in states[1::4] + [infs]:
+        # merging an overflowed state with an emptier one gives NaN (inf * 0)
+        nans = d.combine(infs, identity)
+        assert _bits(nans) == _bits(_reference_combine(layout, infs, identity))
+        assert (_bits(d.step(nans, 2.0))
+                == _bits(_reference_step(layout, nans, 2.0)))
+        for a in states[::3] + [nans]:
+            for b in states[1::4] + [infs, nans]:
                 assert (_bits(d.combine(a, b))
                         == _bits(_reference_combine(layout, a, b)))
             if all(map(math.isfinite, a)):
                 assert _bits(d.combine(identity, a)) == _bits(a)
                 assert _bits(d.combine(a, identity)) == _bits(a)
 
-    def test_merged_overflow_keeps_its_nans(self):
-        # pinned until a non-finite rule for combine changes it on purpose:
-        # absorbing gives six inf, but the half xs[19:] meets 1e200 second,
-        # while its e_2 is 0, so its e_3 = 0 + inf + y inf + 0 inf is NaN
+    def test_merged_overflow_has_the_one_pass_bytes(self):
+        # witness: split at 19, serialized, parsed and merged, this stream
+        # wrote inf, inf, nan twice where absorbing it wrote six inf
         d = ms.biplanar(2.0, 3.0, 3, 3)
         xs = [1.0 + i / 8 for i in range(38)]
         xs[20] = 1e200
         one = ms.init(d)
         for x in xs:
             one = ms.absorb(one, x)
+        blob = ms.serialize_state(one)
+        assert b'"reals": ["inf", "inf", "inf", "inf", "inf", "inf"]' in blob
         for s in (one, ms.absorb_many(ms.init(d), xs)):
             assert [v.hex() for v in s.reals] == ["inf"] * 6
+            assert ms.serialize_state(s) == blob
         halves = [ms.parse_state(ms.serialize_state(ms.absorb_many(ms.init(d), h)))
                   for h in (xs[:19], xs[19:])]
         layout = (((3, lambda x: x ** 2.0), (3, lambda x: x ** 3.0)), ())
         for a, b in (halves, halves[::-1]):
-            merged = ms.merge(a, b).reals
-            assert [v.hex() for v in merged] == ["inf", "inf", "nan"] * 2
-            assert _bits(merged) == _bits(
+            merged = ms.merge(a, b)
+            assert _bits(merged.reals) == _bits(
                 _reference_combine(layout, a.reals, b.reals))
+            assert ms.serialize_state(merged) == blob
+        # a merge with a state of fewer elements than a block's size holds
+        # NaN (e_3 = inf + 0 + inf * 0 + ...), and is written as k infs too
+        single = ms.init(d).absorb(2.0)
+        for merged in (ms.merge(one, single), ms.merge(single, one)):
+            assert [v.hex() for v in merged.reals] == ["inf", "inf", "nan"] * 2
+            assert ms.serialize_state(merged) == ms.serialize_state(one.absorb(2.0))
 
 
 class TestDescriptorFromParams:
