@@ -9,9 +9,11 @@ classical families are provided, together with a generalized power-sum
 engine, a property-based verification harness, and an empirical Myhill-type
 state-complexity probe.
 
-``import meanstream`` loads the streaming core and the families; the
-verification harness (``verify``) and the probe (``myhill``) load on first
-use of one of their names.
+``import meanstream`` loads the streaming core and the families, and
+neither numpy, ``dataclasses`` nor ``fractions``; ``fractions`` loads with
+the first biplanar descriptor, for its exact exponent check.  The
+verification harness (``verify``) and the probe (``myhill``), which use
+numpy and dataclasses, load on first use of one of their names.
 """
 
 import importlib

@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -37,18 +36,64 @@ DESCRIPTOR_CACHE_SIZE = 64  # parse_state's descriptors, by family and params
 LEAF = 64
 
 
-@dataclass(frozen=True)
-class DomainInterval:
+class Record:
+    """Base of the package's immutable records, in place of a frozen
+    dataclass: ``import dataclasses`` loads ``inspect``, and each frozen
+    decoration ``exec``s its methods, which took more than half of
+    ``import meanstream``.
+
+    A subclass names its fields in ``_fields`` (and, unless it needs an
+    instance ``__dict__``, makes them its ``__slots__``); its ``__init__``
+    validates and hands the values to ``Record.__init__``, in field order.
+    Records compare equal when they are of the same class with equal field
+    values, hash as the tuple of those values, and refuse assignment.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._values())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: restoring the fields by
+        # assignment would raise
+        return type(self), self._values()
+
+
+class DomainInterval(Record):
     """An interval of the extended real line with endpoint flags."""
 
-    lo: float = -math.inf
-    hi: float = math.inf
-    lo_closed: bool = False
-    hi_closed: bool = False
+    __slots__ = _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} hi={self.hi}")
+    def __init__(self, lo: float = -math.inf, hi: float = math.inf,
+                 lo_closed: bool = False, hi_closed: bool = False):
+        if not lo < hi:
+            raise ValueError(f"empty interval: lo={lo} hi={hi}")
+        super().__init__(lo, hi, lo_closed, hi_closed)
 
     def contains(self, x):
         """Membership of a float; NaN is outside."""
@@ -79,16 +124,15 @@ class DomainInterval:
         return DomainInterval(-math.inf, math.inf, False, False)
 
 
-@dataclass(frozen=True)
-class ComplexityType:
+class ComplexityType(Record):
     """Position in the hierarchy T1 <= T1+ <= T2 <= T2+ <= ..."""
 
-    k: int
-    plus_counter: bool
+    __slots__ = _fields = ("k", "plus_counter")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, plus_counter: bool):
+        if k < 1:
             raise ValueError("k must be a positive integer")
+        super().__init__(k, plus_counter)
 
     @property
     def order_index(self) -> int:
@@ -110,8 +154,7 @@ def _vector_add(a: tuple, b: tuple) -> tuple:
     return tuple(map(operator.add, a, b))
 
 
-@dataclass(frozen=True)
-class MeanDescriptor:
+class MeanDescriptor(Record):
     """Finite encoding of a generating pair: per-element step + finalizer.
 
     ``step`` pushes one element: it maps (reals, x) to the reals of the
@@ -131,16 +174,20 @@ class MeanDescriptor:
     to be reconstructible from a state file.
     """
 
-    family: str
-    params: dict
-    domain: DomainInterval
-    ctype: Optional[ComplexityType]
-    step: Callable[[tuple, float], tuple]
-    finalizer: Callable[[tuple, int], float]
-    combine: Callable[[tuple, tuple], tuple] = _vector_add
-    ctype_is_upper_bound: bool = False
-    paper_k: Optional[int] = None  # biplanar: exponent-set cardinality
-    slots: Optional[int] = None
+    _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
+               "combine", "ctype_is_upper_bound", "paper_k", "slots")
+    # no __slots__: family_id and _blob_head cache into the instance dict
+
+    def __init__(self, family: str, params: dict, domain: DomainInterval,
+                 ctype: Optional[ComplexityType],
+                 step: Callable[[tuple, float], tuple],
+                 finalizer: Callable[[tuple, int], float],
+                 combine: Callable[[tuple, tuple], tuple] = _vector_add,
+                 ctype_is_upper_bound: bool = False,
+                 paper_k: Optional[int] = None,  # biplanar: exponent-set size
+                 slots: Optional[int] = None):
+        super().__init__(family, params, domain, ctype, step, finalizer,
+                         combine, ctype_is_upper_bound, paper_k, slots)
 
     @property
     def k(self) -> int:
@@ -298,7 +345,9 @@ def finalize(state: AccumulatorState) -> float:
         # e.g. a count whose C(n, r) exceeds binary64, a sum that underflowed
         # (and then a division by it, or its log)
         raise NumericalFailure(f"finalizer failed: {e}") from e
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+    # the ABC check costs more than the rest of a finalize: floats skip it
+    if (not (type(value) is float or isinstance(value, numbers.Real))
+            or not math.isfinite(value)):
         raise NumericalFailure(f"finalizer produced {value}")
     return value
 

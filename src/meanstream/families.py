@@ -13,12 +13,10 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-from .core import ComplexityType, DomainInterval, MeanDescriptor
+from .core import ComplexityType, DomainInterval, MeanDescriptor, Record
 from .errors import (
     DegenerateExponents,
     FinalizeOutsideBranches,
@@ -75,15 +73,15 @@ def _exact(v: float) -> str:
     return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
 
 
-@dataclass(frozen=True)
-class GeneratorFunction:
+class GeneratorFunction(Record):
     """A strictly monotone continuous bijection with explicit inverse."""
 
-    name: str
-    forward: Callable[[float], float]
-    inverse: Callable[[float], float]
-    domain: DomainInterval
-    increasing: bool
+    __slots__ = _fields = ("name", "forward", "inverse", "domain", "increasing")
+
+    def __init__(self, name: str, forward: Callable[[float], float],
+                 inverse: Callable[[float], float], domain: DomainInterval,
+                 increasing: bool):
+        super().__init__(name, forward, inverse, domain, increasing)
 
     def validate(self) -> None:
         _check_invertible(self.name, self.domain, self.forward, self.inverse,
@@ -187,23 +185,24 @@ def _bisect_inverse(h: Callable[[float], float], domain: DomainInterval,
     return inverse
 
 
-@dataclass(frozen=True)
-class BajraktarevicPair:
+class BajraktarevicPair(Record):
     """(f, g) with g positive and f/g strictly monotone, plus (f/g)^-1.  The
     names are the mean's identity: name different functions differently, or
     leave "<custom>", which becomes "<custom 0x...>" after the function's id."""
 
-    f: Callable[[float], float]
-    g: Callable[[float], float]
-    ratio_inverse: Callable[[float], float]
-    domain: DomainInterval
-    f_name: str = "<custom>"
-    g_name: str = "<custom>"
+    __slots__ = _fields = ("f", "g", "ratio_inverse", "domain", "f_name",
+                           "g_name")
 
-    def __post_init__(self):
-        for field, fn in (("f_name", self.f), ("g_name", self.g)):
-            if getattr(self, field) == "<custom>":
-                object.__setattr__(self, field, f"<custom {id(fn):#x}>")
+    def __init__(self, f: Callable[[float], float],
+                 g: Callable[[float], float],
+                 ratio_inverse: Callable[[float], float],
+                 domain: DomainInterval, f_name: str = "<custom>",
+                 g_name: str = "<custom>"):
+        if f_name == "<custom>":
+            f_name = f"<custom {id(f):#x}>"
+        if g_name == "<custom>":
+            g_name = f"<custom {id(g):#x}>"
+        super().__init__(f, g, ratio_inverse, domain, f_name, g_name)
 
     def validate(self) -> None:
         _check_positive(self.g, self.domain)
@@ -434,21 +433,26 @@ def sympoly(r: int) -> MeanDescriptor:
         ctype_is_upper_bound=True)
 
 
-@dataclass(frozen=True)
-class BiplanarParams:
-    p: float
-    q: float
-    c: int
-    d: int
+class BiplanarParams(Record):
+    """biplanar's exponents p and q and degrees c and d, where c*p != d*q
+    exactly: the exponents are compared as Fractions, imported on use, so
+    that ``import meanstream`` does not load fractions and decimal."""
 
-    def __post_init__(self):
-        _degree("biplanar", "c", self.c)
-        _degree("biplanar", "d", self.d)
-        if self.c * Fraction(self.p) == self.d * Fraction(self.q):
-            raise DegenerateExponents(f"c*p == d*q == {self.c * self.p}")
+    __slots__ = _fields = ("p", "q", "c", "d")
+
+    def __init__(self, p: float, q: float, c: int, d: int):
+        from fractions import Fraction
+
+        _degree("biplanar", "c", c)
+        _degree("biplanar", "d", d)
+        if c * Fraction(p) == d * Fraction(q):
+            raise DegenerateExponents(f"c*p == d*q == {c * p}")
+        super().__init__(p, q, c, d)
 
     @property
     def exponent_set(self) -> list:
+        from fractions import Fraction
+
         P, Q = Fraction(self.p), Fraction(self.q)
         exps = {j * P for j in range(1, self.c + 1)}
         exps |= {j * Q for j in range(1, self.d + 1)}

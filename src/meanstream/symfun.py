@@ -21,35 +21,36 @@ MAX_MULTI_EXPONENTS bounds those families' degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .core import Record
 from .errors import DomainError, MissingGamma
 
 MAX_MULTI_EXPONENTS = 12
 
 
-@dataclass(frozen=True)
-class ExponentMultiset:
+class ExponentMultiset(Record):
     """A sorted multiset of exponents; the canonical memoization key."""
 
-    exponents: tuple
+    __slots__ = _fields = ("exponents",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(sorted(self.exponents)))
-        if len(self.exponents) < 1:
+    def __init__(self, exponents: tuple):
+        exponents = tuple(sorted(exponents))
+        if len(exponents) < 1:
             raise ValueError("at least one exponent required")
+        super().__init__(exponents)
 
     def __len__(self):
         return len(self.exponents)
 
 
-@dataclass(frozen=True)
-class GammaTable:
+class GammaTable(Record):
     """Single power sums gamma_q keyed by exponent, plus the element count."""
 
-    values: Mapping
-    n: int
+    __slots__ = _fields = ("values", "n")
+
+    def __init__(self, values: Mapping, n: int):
+        super().__init__(values, n)
 
     def gamma(self, q):
         try:

@@ -452,6 +452,27 @@ class TestFinalize:
         with pytest.raises(NumericalFailure):
             ms.evaluate_stream(ms.quasi_arithmetic("exp"), [-800.0, -801.0])
 
+    @staticmethod
+    def _returning(value):
+        """A one-slot descriptor whose finalizer returns value."""
+        return ms.MeanDescriptor(
+            family="constant", params={}, domain=ms.DomainInterval.reals(),
+            ctype=ms.ComplexityType(1, True), step=lambda r, x: (r[0] + x,),
+            finalizer=lambda reals, n: value)
+
+    @pytest.mark.parametrize("value", [1.5, 3, np.float32(1.5), Fraction(3, 2)],
+                             ids=["float", "int", "float32", "Fraction"])
+    def test_a_finite_real_is_returned_as_is(self, value):
+        assert ms.evaluate_stream(self._returning(value), [1.0]) is value
+
+    @pytest.mark.parametrize("value", [complex(1.5, 0.0), math.inf, math.nan,
+                                       np.float32("inf"), "1.5", None],
+                             ids=["complex", "inf", "nan", "float32-inf",
+                                  "str", "None"])
+    def test_anything_else_is_numerical_failure(self, value):
+        with pytest.raises(NumericalFailure, match="finalizer produced"):
+            ms.evaluate_stream(self._returning(value), [1.0])
+
     def test_zero_division_is_numerical_failure(self):
         d = ms.MeanDescriptor(
             family="reciprocal", params={}, domain=ms.DomainInterval.reals(),

@@ -1,6 +1,7 @@
 """The package surface: every exported name resolves, every demo runs,
-numpy never loads on a streaming path, verify and myhill load only on
-first use, and eval's memory does not grow with its input."""
+numpy never loads on a streaming path, neither dataclasses nor fractions
+loads at start-up, verify and myhill load only on first use, and eval's
+memory does not grow with its input."""
 
 import os
 import random
@@ -27,12 +28,9 @@ BUILT_IN = [
     ("cube_over_square", {}),
 ]
 
-NUMPY_PROBE = """
-import sys
-sys.modules["numpy"] = None  # from here on, importing numpy raises
-import meanstream as ms
-from meanstream import cli
-
+# every SPECS family through the state operations, then the CLI's eval,
+# merge and classify; run after the imports of a probe below
+PIPELINE = """
 for i, (family, params) in enumerate(SPECS):
     d = ms.descriptor_from_params(family, params)
     a = ms.absorb(ms.init(d), 3.25)
@@ -47,8 +45,33 @@ with open("values.txt", "w") as fh:
 for family in (["power", "--p", "1"], ["hamy", "--r", "4"], ["median"],
                ["quasiarithmetic", "--f", "ln"]):
     assert cli.main(["eval", "--family", *family, "--input", "values.txt"]) == 0
+"""
+
+NUMPY_PROBE = """
+import sys
+sys.modules["numpy"] = None  # from here on, importing numpy raises
+import meanstream as ms
+from meanstream import cli
+""" + PIPELINE + """
 assert sys.modules["numpy"] is None
 print("no numpy")
+"""
+
+# modules that `import meanstream` and its streaming paths must not load:
+# dataclasses pulls in inspect (and ast, dis, tokenize), fractions decimal
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+
+HEAVY_PROBE = """
+import sys
+before = set(sys.modules)
+import meanstream as ms
+from meanstream import cli
+""" + PIPELINE + """
+loaded = sorted(m for m in HEAVY if m in sys.modules and m not in before)
+assert loaded == [], loaded
+ms.biplanar(2.0, 3.0, 3, 3)  # its exponent check loads fractions
+assert callable(ms.run_suite)  # verify, which loads dataclasses, resolves
+print("light")
 """
 
 LAZY_PROBE = """
@@ -111,6 +134,18 @@ def test_numpy_never_loads_on_a_streaming_path(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "no numpy"
+
+
+def test_start_up_loads_neither_dataclasses_nor_fractions(tmp_path):
+    # witness: core, families and symfun imported dataclasses (9 ms with
+    # inspect) and fractions (3 ms with decimal) at import
+    specs = [spec for spec in BUILT_IN if spec[0] != "biplanar"]
+    probe = f"SPECS = {specs!r}\nHEAVY = {HEAVY!r}\n{HEAVY_PROBE}"
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "light"
 
 
 def test_verify_and_myhill_load_on_first_use(tmp_path):
