@@ -13,7 +13,7 @@ state-complexity probe.
 neither numpy, ``dataclasses`` nor ``fractions``; ``fractions`` loads with
 the first biplanar descriptor, for its exact exponent check.  The
 verification harness (``verify``) and the probe (``myhill``), which use
-numpy and dataclasses, load on first use of one of their names.
+numpy, load on first use of one of their names.
 """
 
 import importlib

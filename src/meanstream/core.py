@@ -46,7 +46,8 @@ class Record:
     instance ``__dict__``, makes them its ``__slots__``); its ``__init__``
     validates and hands the values to ``Record.__init__``, in field order.
     Records compare equal when they are of the same class with equal field
-    values, hash as the tuple of those values, and refuse assignment.
+    values, hash as the tuple of those values, and refuse assignment;
+    ``as_dict`` maps the field names to the values, in field order.
     """
 
     __slots__ = ()
@@ -58,6 +59,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def as_dict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -143,9 +147,13 @@ class ComplexityType(Record):
         return f"T{self.k}+" if self.plus_counter else f"T{self.k}"
 
     def __le__(self, other: "ComplexityType") -> bool:
+        if not isinstance(other, ComplexityType):
+            return NotImplemented
         return self.order_index <= other.order_index
 
     def __lt__(self, other: "ComplexityType") -> bool:
+        if not isinstance(other, ComplexityType):
+            return NotImplemented
         return self.order_index < other.order_index
 
 

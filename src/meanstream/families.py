@@ -251,29 +251,31 @@ def _one(x: float) -> float:
 
 def _pair_component(name: str):
     """A pair component by name (registry generators plus the constant
-    'one'): its function, its domain, and p if it is x^p, else None."""
+    'one'): its function, its inverse (None for 'one'), its domain, and p
+    if it is x^p, else None."""
     if name == "one":
-        return _one, DomainInterval.reals(), 0.0
+        return _one, None, DomainInterval.reals(), 0.0
     gen = generator_by_name(name)
     p = (float(name[6:]) if name.startswith("power:")
          else 1.0 if name == "identity" else None)
-    return gen.forward, gen.domain, p
+    return gen.forward, gen.inverse, gen.domain, p
 
 
 def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
-    f, f_dom, pf = _pair_component(f_name)
-    g, g_dom, pg = _pair_component(g_name)
+    f, f_inverse, f_dom, pf = _pair_component(f_name)
+    g, _, g_dom, pg = _pair_component(g_name)
     lo = max(f_dom.lo, g_dom.lo)
     hi = min(f_dom.hi, g_dom.hi)
     domain = DomainInterval(lo, hi,
                             f_dom.lo_closed and g_dom.lo_closed,
                             f_dom.hi_closed and g_dom.hi_closed)
     ratio_inverse = None
-    if pf is not None and pg is not None and pf != pg:
+    if g is _one:
+        # f/1 is f: the pair's mean is f's quasi-arithmetic mean
+        ratio_inverse = f_inverse
+    elif pf is not None and pg is not None and pf != pg:
         diff = pf - pg
         ratio_inverse = lambda t: t ** (1.0 / diff)
-    elif f_name == "ln" and g_name == "one":
-        ratio_inverse = math.exp
     return pair_from_functions(f, g, domain, ratio_inverse, f_name, g_name)
 
 

@@ -9,11 +9,10 @@ counts are therefore lower bounds on the exact class counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
-from .core import MeanDescriptor, init, absorb
+from .core import MeanDescriptor, Record, init, absorb
 from .errors import BudgetExceeded, InsufficientData
 from .verify import _subject
 
@@ -22,28 +21,18 @@ DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
 
 
-@dataclass
-class ClassProfile:
-    """Per-length Myhill class counts for one mean over a finite alphabet."""
+class ClassProfile(Record):
+    """Per-length Myhill class counts for one mean over a finite alphabet;
+    ``counts[i]`` is the class count at word length i + 1."""
 
-    subject: str
-    alphabet: list
-    max_len: int
-    probes: list
-    counts: list  # counts[i] is the class count at word length i + 1
-    value_atol: float
-    value_rtol: float
+    __slots__ = _fields = ("subject", "alphabet", "max_len", "probes",
+                           "counts", "value_atol", "value_rtol")
 
-    def as_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "alphabet": self.alphabet,
-            "max_len": self.max_len,
-            "probes": self.probes,
-            "counts": self.counts,
-            "value_atol": self.value_atol,
-            "value_rtol": self.value_rtol,
-        }
+    def __init__(self, subject: str, alphabet: list, max_len: int,
+                 probes: list, counts: list, value_atol: float,
+                 value_rtol: float):
+        super().__init__(subject, alphabet, max_len, probes, counts,
+                         value_atol, value_rtol)
 
 
 def default_probes(alphabet: Sequence[float], max_probe_len: int = 2,

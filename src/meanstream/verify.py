@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .core import DomainInterval, MeanDescriptor, evaluate_stream
+from .core import DomainInterval, MeanDescriptor, Record, evaluate_stream
 from .errors import InvalidDescriptor, TooLarge
 from . import families
 
@@ -26,42 +25,31 @@ DEFAULT_SEED = 20260823
 BRUTE_FORCE_MAX_N = 12
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(Record):
     """Outcome of one axiom check."""
 
-    property: str
-    subject: str
-    holds: bool
-    tolerance: float
-    witness: Optional[list] = None
-    lhs: Optional[float] = None
-    rhs: Optional[float] = None
-    detail: str = ""
+    __slots__ = _fields = ("property", "subject", "holds", "tolerance",
+                           "witness", "lhs", "rhs", "detail")
 
-    def as_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "subject": self.subject,
-            "holds": self.holds,
-            "tolerance": self.tolerance,
-            "witness": self.witness,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "detail": self.detail,
-        }
+    def __init__(self, property: str, subject: str, holds: bool,
+                 tolerance: float, witness: Optional[list] = None,
+                 lhs: Optional[float] = None, rhs: Optional[float] = None,
+                 detail: str = ""):
+        super().__init__(property, subject, holds, tolerance, witness, lhs,
+                         rhs, detail)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
 
 
-@dataclass(frozen=True)
-class FunctionMean:
+class FunctionMean(Record):
     """Adapter exposing an arbitrary tuple->real function as a mean."""
 
-    fn: Callable[[Sequence[float]], float]
-    domain: DomainInterval
-    name: str
+    __slots__ = _fields = ("fn", "domain", "name")
+
+    def __init__(self, fn: Callable[[Sequence[float]], float],
+                 domain: DomainInterval, name: str):
+        super().__init__(fn, domain, name)
 
     def evaluate(self, xs: Sequence[float]) -> float:
         return self.fn(list(xs))

@@ -80,6 +80,22 @@ class TestEval:
         assert code == 0
         assert out.strip() == "3.5"
 
+    def test_csv_column_index_reads_the_first_row_as_data(self, monkeypatch,
+                                                          capsys):
+        # no header cell is "0", so column 0 is read from the first row on
+        code, out, _ = run_cli(["eval", "--family", "power", "--p", "1",
+                                "--column", "0"], "2,9\n4,9\n",
+                               monkeypatch, capsys)
+        assert code == 0
+        assert out.strip() == "3"
+
+    def test_csv_unknown_column(self, monkeypatch, capsys):
+        code, out, err = run_cli(["eval", "--family", "power", "--p", "1",
+                                  "--column", "nope"], "x,y\n1,3\n",
+                                 monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.strip() == "error: column 'nope' not found"
+
     def test_csv_lone_hash_row_ends_stream(self, monkeypatch, capsys, tmp_path):
         # witness: the lone "#" row was skipped, and this printed 50
         path = tmp_path / "data.csv"
@@ -381,6 +397,15 @@ class TestVerifyCommand:
                      if r["subject"].startswith("piecewise")
                      and r["property"] == "repetition_invariance"]
         assert piecewise and not piecewise[0]["holds"]
+
+
+    def test_seed_from_the_environment(self, monkeypatch, capsys):
+        argv = ["verify", "--trials", "5", "--format", "json"]
+        assert main(argv + ["--seed", "7"]) == 0
+        seeded = capsys.readouterr().out
+        monkeypatch.setenv("MEANSTREAM_SEED", "7")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == seeded
 
 
 class TestMyhillCommand:

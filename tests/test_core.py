@@ -633,6 +633,23 @@ class TestSerialization:
         with pytest.raises(ParseError):
             ms.parse_state(json.dumps(payload))
 
+    POWER1 = ('{"version": 2, "family": "power", "params": {"p": 1.0}, '
+              '"k": %s, "reals": %s, "counter": 1, "overflow": false}')
+
+    @pytest.mark.parametrize("blob, match", [
+        (b"[1]", "not an object"),
+        (POWER1 % (1, '["two"]'), "bad hex float"),
+        (POWER1 % (1, '[2.0]'), "bad hex float"),
+        # k agrees with the two reals, not with power(1)'s one slot
+        (POWER1 % (2, '["0x1p+1", "0x1p+1"]'), "expected 1 components, got 2"),
+    ], ids=["not-an-object", "not-hex", "not-a-string",
+            "k-of-the-blob-not-the-family"])
+    def test_malformed_blob_is_a_parse_error(self, blob, match):
+        # the template itself parses
+        assert ms.parse_state(self.POWER1 % (1, '["0x1p+1"]')).finalize() == 2.0
+        with pytest.raises(ParseError, match=match):
+            ms.parse_state(blob)
+
     def test_empty_state_must_hold_identity(self):
         # witness: count 0 with reals [100] merged into [2] finalized to 102
         payload = json.loads(ms.serialize_state(ms.init(ms.power_mean(1.0))))

@@ -142,6 +142,20 @@ class TestBajraktarevic:
         d = ms.bajraktarevic(ms.pair_from_names("ln", "one"))
         assert ms.evaluate_stream(d, [1, 4]) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("name", ["identity", "ln", "exp", "power:0.5",
+                                      "power:-1", "affine:2,3"])
+    def test_constant_g_is_the_quasi_arithmetic_mean_bit_for_bit(self, name):
+        # witness: ("exp", "one") and ("affine:2,3", "one") inverted f/1 by
+        # bisection and differed from quasi_arithmetic on every vector
+        pair, qa = (ms.bajraktarevic(ms.pair_from_names(name, "one")),
+                    ms.quasi_arithmetic(name))
+        for xs in random_vectors(200, n_max=10, seed=11):
+            assert ms.evaluate_stream(pair, xs) == ms.evaluate_stream(qa, xs)
+
+    def test_two_constant_components_are_no_pair(self):
+        with pytest.raises(PairInvalid):
+            ms.pair_from_names("one", "one")
+
     def test_reflexivity(self):
         d = ms.bajraktarevic(ms.pair_power(3, 1))
         for v in (0.6, 1.0, 17.5):

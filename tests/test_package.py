@@ -1,7 +1,8 @@
 """The package surface: every exported name resolves, every demo runs,
 numpy never loads on a streaming path, neither dataclasses nor fractions
-loads at start-up, verify and myhill load only on first use, and eval's
-memory does not grow with its input."""
+loads at start-up, verify and myhill load only on first use and build their
+records without dataclasses, and eval's memory does not grow with its
+input."""
 
 import os
 import random
@@ -70,7 +71,17 @@ from meanstream import cli
 loaded = sorted(m for m in HEAVY if m in sys.modules and m not in before)
 assert loaded == [], loaded
 ms.biplanar(2.0, 3.0, 3, 3)  # its exponent check loads fractions
-assert callable(ms.run_suite)  # verify, which loads dataclasses, resolves
+assert callable(ms.run_suite)  # verify resolves
+print("light")
+"""
+
+RECORDS_PROBE = """
+import sys
+import meanstream as ms
+ms.check_reflexivity(ms.power_mean(1.0)).to_json()
+ms.enumerate_classes(ms.median_mean("lower"), [0.0, 1.0, 2.0], 4).as_dict()
+loaded = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+assert loaded == [], loaded
 print("light")
 """
 
@@ -142,6 +153,16 @@ def test_start_up_loads_neither_dataclasses_nor_fractions(tmp_path):
     specs = [spec for spec in BUILT_IN if spec[0] != "biplanar"]
     probe = f"SPECS = {specs!r}\nHEAVY = {HEAVY!r}\n{HEAVY_PROBE}"
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "light"
+
+
+def test_verify_and_myhill_records_load_no_dataclasses(tmp_path):
+    # witness: PropertyReport, FunctionMean and ClassProfile were dataclasses,
+    # so the first check or profile imported dataclasses and inspect
+    done = subprocess.run([sys.executable, "-c", RECORDS_PROBE], env=src_env(),
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr

@@ -4,6 +4,7 @@ and hashing, read-only fields, the type order, copies and pickles."""
 
 import copy
 import math
+import operator
 import pickle
 
 import pytest
@@ -28,10 +29,26 @@ TWINS = {
                        ms.BiplanarParams(2.0, 3.0, 3, 1)),
     "GammaTable": (ms.GammaTable({1: 2.0}, 1), ms.GammaTable(values={1: 2.0}, n=1),
                    ms.GammaTable({1: 3.0}, 1)),
+    "PropertyReport": (
+        ms.PropertyReport("symmetry", "m", False, 1e-12, [2.0, 1.0], 1.5, 1.0),
+        ms.PropertyReport(rhs=1.0, lhs=1.5, witness=[2.0, 1.0], tolerance=1e-12,
+                          holds=False, subject="m", property="symmetry",
+                          detail=""),
+        ms.PropertyReport("symmetry", "m", True, 1e-12)),
+    "FunctionMean": (
+        ms.FunctionMean(max, ms.DomainInterval.positive(), "max"),
+        ms.FunctionMean(name="max", fn=max, domain=ms.DomainInterval(0.0)),
+        ms.FunctionMean(min, ms.DomainInterval.positive(), "min")),
+    "ClassProfile": (
+        ms.ClassProfile("m", [0.0, 1.0], 2, [[0.0]], [2, 3], 1e-12, 1e-9),
+        ms.ClassProfile(subject="m", alphabet=[0.0, 1.0], max_len=2,
+                        probes=[[0.0]], counts=[2, 3], value_atol=1e-12,
+                        value_rtol=1e-9),
+        ms.ClassProfile("m", [0.0, 1.0], 2, [[0.0]], [2, 2], 1e-12, 1e-9)),
 }
 
 HASHABLE = ["DomainInterval", "ComplexityType", "ExponentMultiset",
-            "BiplanarParams"]
+            "BiplanarParams", "FunctionMean"]
 
 
 def _gen():
@@ -44,7 +61,7 @@ def _pair():
                                 ms.DomainInterval.positive(), "ln", "abs")
 
 
-# one instance of each of the eight classes, and its fields
+# one instance of each record class, and its fields
 INSTANCES = [
     (TWINS["DomainInterval"][0], ["lo", "hi", "lo_closed", "hi_closed"]),
     (TWINS["ComplexityType"][0], ["k", "plus_counter"]),
@@ -56,6 +73,11 @@ INSTANCES = [
     (TWINS["BiplanarParams"][0], ["p", "q", "c", "d"]),
     (TWINS["ExponentMultiset"][0], ["exponents"]),
     (TWINS["GammaTable"][0], ["values", "n"]),
+    (TWINS["PropertyReport"][0], ["property", "subject", "holds", "tolerance",
+                                  "witness", "lhs", "rhs", "detail"]),
+    (TWINS["FunctionMean"][0], ["fn", "domain", "name"]),
+    (TWINS["ClassProfile"][0], ["subject", "alphabet", "max_len", "probes",
+                                "counts", "value_atol", "value_rtol"]),
 ]
 
 
@@ -187,6 +209,15 @@ class TestEquality:
                     i < j, i <= j, i > j, i >= j), (a, b)
         assert sorted(reversed(chain)) == chain
 
+    def test_type_order_needs_two_types(self):
+        # witness: ComplexityType(1, True) < 3 raised "'int' object has no
+        # attribute 'order_index'"
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(ms.ComplexityType(1, True), 3)
+            with pytest.raises(TypeError):
+                compare(None, ms.ComplexityType(1, True))
+
 
 @pytest.mark.parametrize("value, fields", INSTANCES,
                          ids=[type(v).__name__ for v, _ in INSTANCES])
@@ -205,3 +236,10 @@ def test_copies_and_pickles_are_equal(name):
     a = TWINS[name][0]
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert twin == a and type(twin) is type(a)
+
+
+@pytest.mark.parametrize("value, fields", INSTANCES,
+                         ids=[type(v).__name__ for v, _ in INSTANCES])
+def test_as_dict_maps_the_fields_in_order(value, fields):
+    assert list(value.as_dict().items()) == [
+        (field, getattr(value, field)) for field in fields]
