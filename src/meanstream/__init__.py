@@ -4,16 +4,19 @@ A mean is computed online in a fixed-length state vector living in a
 commutative semigroup: the descriptor's ``step`` pushes one element into a
 state, its ``combine`` merges two states (componentwise addition for the
 additive families, a truncated polynomial product for hamy, sympoly and
-biplanar), and a finalizer maps the state back to the input interval.  Seven
+biplanar), and a finalizer maps the state back to the input interval.
+Each fixed-length family is a block table, from which core compiles a
+domain-checked step, a leaf fold and a combine on first use.  Seven
 classical families are provided, together with a generalized power-sum
 engine, a property-based verification harness, and an empirical Myhill-type
 state-complexity probe.
 
 ``import meanstream`` loads the streaming core and the families, and
 neither numpy, ``dataclasses`` nor ``fractions``; ``fractions`` loads with
-the first biplanar descriptor, for its exact exponent check.  The
-verification harness (``verify``) and the probe (``myhill``), which use
-numpy, load on first use of one of their names.
+the first biplanar descriptor, for its exact exponent check.  The power-sum
+engine (``symfun``), the verification harness (``verify``) and the probe
+(``myhill``), the last two of which use numpy, load on first use of one of
+their names.
 """
 
 import importlib
@@ -52,14 +55,6 @@ from .families import (
     quasi_arithmetic,
     sympoly,
 )
-from .symfun import (
-    ExponentMultiset,
-    GammaTable,
-    gamma_multi,
-    power_sums,
-    sigma_from_power,
-    subset_sum_closure,
-)
 from . import errors
 from .errors import (
     DomainError,
@@ -82,6 +77,8 @@ _LAZY = {
                "oracle_direct", "run_suite"),
     "myhill": ("ClassProfile", "default_probes", "enumerate_classes",
                "growth_report", "state_counts"),
+    "symfun": ("ExponentMultiset", "GammaTable", "gamma_multi", "power_sums",
+               "sigma_from_power", "subset_sum_closure"),
 }
 
 __all__ = [
@@ -93,9 +90,7 @@ __all__ = [
     "generator_by_name", "gini", "hamy", "median_mean",
     "pair_from_functions", "pair_from_names", "pair_power",
     "piecewise_counterexample", "power_mean", "quasi_arithmetic", "sympoly",
-    "ExponentMultiset", "GammaTable", "gamma_multi", "power_sums",
-    "sigma_from_power", "subset_sum_closure",
-    *_LAZY["verify"], *_LAZY["myhill"],
+    *_LAZY["symfun"], *_LAZY["verify"], *_LAZY["myhill"],
     "errors", "DomainError", "EmptyStateError", "FamilyMismatch",
     "MeanStreamError", "NumericalFailure", "ParseError",
 ]

@@ -120,9 +120,11 @@ def _parse_rows(rows: list, lineno: int, idx: int) -> tuple:
 
 
 def _column_floats(rows: list, idx: int) -> list:
-    """Column idx of well-formed rows; raises on any other row."""
-    if "#" in map(str.strip, map(itemgetter(0), rows)):
-        raise ValueError("a '#' row ends the stream")
+    """Column idx of well-formed rows; raises on any other row, and on any
+    "#" in a first cell, so that the careful path decides whether it ends
+    the stream."""
+    if "#" in "".join(map(itemgetter(0), rows)):
+        raise ValueError("a '#' row may end the stream")
     return list(map(float, map(itemgetter(idx), rows)))
 
 

@@ -3,10 +3,12 @@
 Every mean in this package is evaluated as ``finalize(fold(absorb, init, xs))``
 where the state lives in a commutative semigroup: the descriptor's
 ``step`` pushes one element into a state's reals, and its ``combine`` merges
-two states.  ``absorb_many`` takes a whole batch at once: ``step`` folds
-it into leaves of LEAF elements, which a pairwise tree of ``combine``
-joins, so no family needs a batch encoder of its own.  A state is an
-immutable ``NamedTuple`` (descriptor, reals, count); absorb and merge
+two states.  Core calls each descriptor through three kernels
+(``MeanDescriptor.kernels``): ``absorb`` a checked step, ``absorb_many`` a
+leaf fold over runs of LEAF elements, which a pairwise tree of the combine
+joins, and ``merge`` the combine.  ``table_mean`` compiles all three from a
+block table; any other descriptor derives them from its ``step``.  A state
+is an immutable ``NamedTuple`` (descriptor, reals, count); absorb and merge
 return new states, so shard-parallel accumulation followed by a merge tree
 needs no locking.
 """
@@ -17,7 +19,7 @@ import json
 import math
 import numbers
 import operator
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -157,6 +159,23 @@ class ComplexityType(Record):
         return self.order_index < other.order_index
 
 
+class _cached:
+    """``functools.cached_property``, storing the value with
+    ``object.__setattr__``.  cached_property writes through ``__dict__``,
+    which turns the instance's inline attribute values into a dict and
+    makes every later attribute lookup on it slower."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def _vector_add(a: tuple, b: tuple) -> tuple:
     """The default ``combine``: vector addition."""
     return tuple(map(operator.add, a, b))
@@ -180,11 +199,26 @@ class MeanDescriptor(Record):
     which may differ from the paper's ``ctype.k``; without it the length is
     ``ctype.k``.  ``params`` must round-trip through JSON for the descriptor
     to be reconstructible from a state file.
+
+    The other attributes are derived, not fields.  ``identity`` is
+    ``init``'s reals, and ``kernels`` what core calls: (checked step, leaf
+    fold, combine), compiled on the first call of any of them.  The checked
+    step raises absorb's DomainError outside the domain, then steps; the
+    leaf fold maps (xs, reals) to ``reduce(step, xs, reals)``, bit for bit.
+    ``table_mean`` gives a descriptor its block table (``blocks`` and
+    ``block_env``), which the kernels are compiled from.  Without one, they
+    are a generated domain test that calls ``step``, ``leaf_fold`` (a
+    family's own fold, such as the median's sort) or else
+    ``partial(reduce, step)``, and ``combine``.  ``layout_version`` is the
+    first state format whose reals mean what this descriptor's do.
     """
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
                "combine", "ctype_is_upper_bound", "paper_k", "slots")
-    # no __slots__: family_id and _blob_head cache into the instance dict
+    # no __slots__: the derived attributes live beside the fields, set with
+    # object.__setattr__ (see _cached)
+    blocks = block_env = leaf_fold = None
+    layout_version = 1
 
     def __init__(self, family: str, params: dict, domain: DomainInterval,
                  ctype: Optional[ComplexityType],
@@ -196,6 +230,8 @@ class MeanDescriptor(Record):
                  slots: Optional[int] = None):
         super().__init__(family, params, domain, ctype, step, finalizer,
                          combine, ctype_is_upper_bound, paper_k, slots)
+        object.__setattr__(self, "identity", (0.0,) * self.k)
+        object.__setattr__(self, "kernels", _first_use(self))
 
     @property
     def k(self) -> int:
@@ -208,13 +244,13 @@ class MeanDescriptor(Record):
     def has_counter(self) -> bool:
         return self.ctype.plus_counter if self.ctype is not None else True
 
-    @cached_property
+    @_cached
     def family_id(self) -> str:
         """Family and sorted params as text, built once, like ``_blob_head``,
         so merge compares two equal descriptors without ``json.dumps``."""
         return f"{self.family}:{json.dumps(self.params, sort_keys=True)}"
 
-    @cached_property
+    @_cached
     def _blob_head(self) -> str:
         """serialize_state's JSON text up to ``"k": ``, built once, so
         ``params`` must not change afterwards."""
@@ -230,6 +266,103 @@ class MeanDescriptor(Record):
     @property
     def type_label(self) -> str:
         return self.ctype.label if self.ctype is not None else "no finite type"
+
+
+def table_mean(family: str, params: dict, domain: DomainInterval,
+               ctype: ComplexityType, blocks: tuple, finalizer,
+               env: dict, layout_version: int = 1,
+               **extra) -> MeanDescriptor:
+    """A descriptor on a block table: for each block (m, expression), the
+    state holds e_1..e_m of the y = expression(x), with e_0 = 1 implicit,
+    so zeros are the identity and a block of size 1 is a plain sum.  The
+    table's length is the state's (``slots``).
+
+    Expressions are Python text in ``x``; the names they use besides
+    (``log``, an exponent, a user's ``forward``) come from ``env``, never
+    from the source text.  Its kernels compile on first use (``_kernels``);
+    ``step`` and ``combine`` call them.
+    """
+
+    def step(reals, x):
+        return d.kernels[1]((x,), reals)
+
+    def combine(a, b):
+        return d.kernels[2](a, b)
+
+    d = MeanDescriptor(family, params, domain, ctype, step, finalizer,
+                       combine, slots=sum(m for m, _ in blocks), **extra)
+    object.__setattr__(d, "blocks", blocks)
+    object.__setattr__(d, "block_env", env)
+    object.__setattr__(d, "layout_version", layout_version)
+    return d
+
+
+def _first_use(d: MeanDescriptor) -> tuple:
+    """Stand-ins for d's kernels: the first call of one compiles all three
+    into ``d.kernels``, then runs its own."""
+
+    def stand_in(i):
+        def kernel(*args):
+            if d.kernels is stand_ins:
+                object.__setattr__(d, "kernels", _kernels(d))
+            return d.kernels[i](*args)
+        return kernel
+
+    stand_ins = stand_in(0), stand_in(1), stand_in(2)
+    return stand_ins
+
+
+def _kernels(d: MeanDescriptor) -> tuple:
+    """d's (checked step, leaf fold, combine), from one ``exec``.
+
+    The domain test is inline: ``lo < x < hi``, with ``<=`` at a closed
+    end, which NaN fails.  A block table's kernels are straight-line code
+    over the locals a<i>_<j> (e_j of block i) and y<i> (block i's encoded
+    x).  The step pushes y by e_j += y e_{j-1}; the fold does the same for
+    each x, from j = m down to 1, so it has the step's bits; the combine
+    multiplies two states' polynomials prod(1 + y t), truncated at t^m,
+    left to right.  The sizes are ints, and values reach the code through
+    its globals, never through its text.
+    """
+    # blocks ((2, "x ** p"), (1, "x")) give the checked step's body
+    #     a0_1, a0_2, a1_1, = reals; y0 = x ** p; y1 = x
+    #     return (a0_1 + y0, a0_2 + y0 * a0_1, a1_1 + y1,)
+    domain = d.domain
+    env = {"DomainError": DomainError, "lo": domain.lo, "hi": domain.hi,
+           "name": d.name}
+    check = ("def checked(reals, x):\n    if not lo %s x %s hi:\n"
+             "        raise DomainError(f'{x} outside domain of {name}')\n"
+             % ("<=" if domain.lo_closed else "<",
+                "<=" if domain.hi_closed else "<"))
+    if d.blocks is None:
+        env["step"] = d.step
+        exec(check + "    return step(reals, x)\n", env)
+        return (env["checked"], d.leaf_fold or partial(reduce, d.step),
+                d.combine)
+    slots, encoded, pushed, folded, merged = [], [], [], [], []
+    for i, (m, expression) in enumerate(d.blocks):
+        encoded.append("y%d = %s" % (i, expression))
+        block = []
+        for j in range(1, m + 1):
+            push = "y%d * a%d_%d" % (i, i, j - 1) if j > 1 else "y%d" % i
+            slots.append("%d_%d" % (i, j))
+            pushed.append("a%d_%d + %s" % (i, j, push))
+            block.append("a%d_%d += %s" % (i, j, push))
+            merged.append(" + ".join(
+                ["a%d_%d + b%d_%d" % (i, j, i, j)]
+                + ["a%d_%d * b%d_%d" % (i, h, i, j - h) for h in range(1, j)]))
+        folded += reversed(block)
+    a, b = (", ".join(side + slot for slot in slots) for side in "ab")
+    env.update(d.block_env)
+    exec(check
+         + "    %s, = reals\n    %s\n    return (%s,)\n" % (
+             a, "\n    ".join(encoded), ", ".join(pushed))
+         + "def fold(xs, reals):\n    %s, = reals\n    for x in xs:\n"
+           "        %s\n    return (%s,)\n" % (
+             a, "\n        ".join(encoded + folded), a)
+         + "def combine(a, b):\n    %s, = a\n    %s, = b\n    return (%s,)\n"
+         % (a, b, ", ".join(merged)), env)
+    return env["checked"], env["fold"], env["combine"]
 
 
 class AccumulatorState(NamedTuple):
@@ -273,30 +406,28 @@ class AccumulatorState(NamedTuple):
 
 def init(descriptor: MeanDescriptor) -> AccumulatorState:
     """The empty state: k zero reals (none for the median), count 0."""
-    return AccumulatorState(descriptor, (0.0,) * descriptor.k, 0)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(AccumulatorState, (descriptor, descriptor.identity, 0))
 
 
 def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
     d, reals, count = state
-    x = float(x)
-    if not d.domain.contains(x):
-        raise DomainError(f"{x} outside domain of {d.name}")
+    x = float(x)  # an int past the float range raises OverflowError here
     try:
-        reals = d.step(reals, x)
+        reals = d.kernels[0](reals, x)
     except OverflowError:  # every component inf, surfaced at finalize
         reals = (math.inf,) * d.k
-    # tuple.__new__ skips the NamedTuple's Python-level __new__
     return tuple.__new__(AccumulatorState, (d, reals, count + 1))
 
 
 def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
-    """Absorb a batch: ``step`` folds each run of LEAF elements into a leaf,
-    a binary-counter tree of ``combine`` joins the leaves, and the tree's
-    result is combined into the state once.
+    """Absorb a batch: the leaf fold takes each run of LEAF elements into a
+    leaf, a binary-counter tree of the combine joins the leaves, and the
+    tree's result is combined into the state once.
 
     Same state as absorbing each element in turn, up to rounding (exactly,
     for one element); the first out-of-domain element raises the
-    DomainError ``absorb`` would.  An OverflowError in ``step`` makes every
+    DomainError ``absorb`` would.  An OverflowError in the fold makes every
     component inf, as in ``absorb``.  A result with a non-finite component
     is re-run one element at a time, since a sum in another order can
     overflow where the running totals do not: an overflowed batch overflows
@@ -312,11 +443,12 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
                                         and contains(max(xs))):
         bad = next(x for x in xs if not contains(x))
         raise DomainError(f"{bad} outside domain of {d.name}")
-    step, combine, identity = d.step, d.combine, (0.0,) * d.k
+    _, fold, combine = d.kernels
+    identity = d.identity
     stack = []  # (height, reals) of 2**height leaves, heights decreasing
     try:
         for i in range(0, len(xs), LEAF):
-            height, node = 0, reduce(step, xs[i:i + LEAF], identity)
+            height, node = 0, fold(xs[i:i + LEAF], identity)
             while stack and stack[-1][0] == height:
                 node = combine(stack.pop()[1], node)
                 height += 1
@@ -335,20 +467,29 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
 
 
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
+    """The combine of two states of one family.  A result with a non-finite
+    component is every component inf, as absorb's is, so an overflowed state
+    does not depend on the merge tree (the median's multiset is finite)."""
     d, reals_a, count_a = a
     db, reals_b, count_b = b
     if d is not db and d.family_id != db.family_id:
         raise FamilyMismatch(f"{d.family_id} vs {db.family_id}")
-    return AccumulatorState(d, d.combine(reals_a, reals_b), count_a + count_b)
+    reals = d.kernels[2](reals_a, reals_b)
+    # a sum is finite if every term is; one that is not may have overflowed
+    if (d.ctype is not None and not math.isfinite(sum(reals))
+            and not all(map(math.isfinite, reals))):
+        reals = (math.inf,) * len(reals)
+    return tuple.__new__(AccumulatorState, (d, reals, count_a + count_b))
 
 
 def finalize(state: AccumulatorState) -> float:
-    if state.is_empty():
+    d, reals, count = state
+    if not count:
         raise EmptyStateError("finalize of the empty state")
-    if state.overflow:
+    if not all(map(math.isfinite, reals)):
         raise NumericalFailure("state carries non-finite components")
     try:
-        value = state.descriptor.finalizer(state.reals, state.count)
+        value = d.finalizer(reals, count)
     except (OverflowError, ZeroDivisionError, ValueError) as e:
         # e.g. a count whose C(n, r) exceeds binary64, a sum that underflowed
         # (and then a division by it, or its log)
@@ -432,9 +573,9 @@ def parse_state(data) -> AccumulatorState:
         descriptor = _descriptor(_sorted_json([payload["family"], payload["params"]]))
     except Exception as e:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
-    if version == 1 and descriptor.ctype and descriptor.combine is not _vector_add:
-        # version 1 held power sums where version 2 holds another layout;
-        # only vector sums and the median's multiset are unchanged
+    if version == 1 and descriptor.layout_version > 1:
+        # version 1 held power sums where version 2 holds e_1..e_m; plain
+        # sums and the median's multiset are unchanged
         raise ParseError(f"version 1 {descriptor.family} states hold power sums")
     if not isinstance(payload["reals"], list):
         raise ParseError("reals is not a list")
@@ -463,7 +604,7 @@ def parse_state(data) -> AccumulatorState:
     elif len(reals) != descriptor.k:
         raise ParseError(
             f"expected {descriptor.k} components, got {len(reals)}")
-    if count == 0 and reals != init(descriptor).reals:
+    if count == 0 and reals != descriptor.identity:
         raise ParseError("an empty state must hold the identity reals")
     if payload["overflow"] is not state.overflow:
         raise ParseError(

@@ -1,11 +1,13 @@
 """Concrete generating pairs for each mean family.
 
-Each constructor returns a MeanDescriptor: a state layout (the per-element
-step, and the combine when it is not vector addition) plus a finalization
-formula.  Parameters are validated at build time; branch selection (p = 0,
-p = q) uses exact parameter comparison, never runtime tolerance.  hamy,
-sympoly and biplanar compile their step and combine to straight-line code
-(``_esym_mean``).
+The paper writes every mean as M(x) = F(f(x_1) + ... + f(x_n)).  Each
+fixed-length family here is a block table of (size, expression) pairs, the
+encoded columns of f, plus a finalizer F: ``core.table_mean`` compiles the
+table's checked step, leaf fold and combine on first use.  A block of size
+1 is a plain sum of its expression; one of size m holds e_1..e_m of it
+(hamy, sympoly, biplanar).  The median keeps the sorted multiset instead.
+Parameters are validated at build time; branch selection (p = 0, p = q)
+uses exact parameter comparison, never runtime tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import sys
 from functools import partial
 from typing import Callable
 
-from .core import ComplexityType, DomainInterval, MeanDescriptor, Record
+from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
+                   table_mean)
 from .errors import (
     DegenerateExponents,
     FinalizeOutsideBranches,
@@ -25,10 +28,8 @@ from .errors import (
     NumericalFailure,
     PairInvalid,
 )
-# sigma_from_power is no longer called here; the name stays for callers
-# that look it up through this module (bench/job.py traces it)
-from .symfun import MAX_MULTI_EXPONENTS, sigma_from_power  # noqa: F401
 
+MAX_MULTI_EXPONENTS = 12  # the largest degree of hamy, sympoly and biplanar
 GRID_POINTS = 64
 ROUNDTRIP_RTOL = 1e-10
 BISECT_TOL = 1e-12
@@ -312,17 +313,25 @@ def _nonzero(s: float) -> float:
     return s
 
 
+def _mean_of_one_sum(inverse, positive: bool):
+    """The finalizer inverse(s / n) of a mean of one sum s (the power and
+    quasi-arithmetic means, and Bajraktarevic with g = 1).  A sum of
+    positive terms, the x^p of a power generator, that reads 0 underflowed:
+    ``_nonzero`` raises there, where the inverse would return 0.0."""
+    if positive:
+        return lambda reals, n: inverse(_nonzero(reals[0]) / n)
+    return lambda reals, n: inverse(reals[0] / n)
+
+
 def power_mean(p: float) -> MeanDescriptor:
     p = _exponent("power", "p", p)
     if p == 0.0:
-        step = lambda r, x: (r[0] + math.log(x),)
-        fin = lambda reals, n: math.exp(reals[0] / n)
+        encoded, fin = "log(x)", _mean_of_one_sum(math.exp, False)
     else:
-        step = lambda r, x: (r[0] + x ** p,)
-        fin = lambda reals, n: (_nonzero(reals[0]) / n) ** (1.0 / p)
-    return MeanDescriptor(
-        family="power", params={"p": p}, domain=DomainInterval.positive(),
-        ctype=ComplexityType(1, True), step=step, finalizer=fin)
+        encoded, fin = "x ** p", _mean_of_one_sum(_power(p).inverse, True)
+    return table_mean("power", {"p": p}, DomainInterval.positive(),
+                      ComplexityType(1, True), ((1, encoded),), fin,
+                      {"p": p, "log": math.log})
 
 
 def quasi_arithmetic(f) -> MeanDescriptor:
@@ -330,10 +339,11 @@ def quasi_arithmetic(f) -> MeanDescriptor:
     if isinstance(f, str):
         f = generator_by_name(f)
     f.validate()
-    return MeanDescriptor(
-        family="quasiarithmetic", params={"f": f.name}, domain=f.domain,
-        ctype=ComplexityType(1, True), step=lambda r, x: (r[0] + f.forward(x),),
-        finalizer=lambda reals, n: f.inverse(reals[0] / n))
+    return table_mean(
+        "quasiarithmetic", {"f": f.name}, f.domain, ComplexityType(1, True),
+        ((1, "forward(x)"),),
+        _mean_of_one_sum(f.inverse, f.name.startswith("power:")),
+        {"forward": f.forward})
 
 
 def _ctype_of_two_sums(constant: bool) -> ComplexityType:
@@ -346,64 +356,29 @@ def _ctype_of_two_sums(constant: bool) -> ComplexityType:
 def gini(p: float, q: float) -> MeanDescriptor:
     p, q = _exponent("gini", "p", p), _exponent("gini", "q", q)
     if p == q:
-        step = lambda r, x: (r[0] + x ** p * math.log(x), r[1] + x ** p)
+        blocks = ((1, "x ** p * log(x)"), (1, "x ** p"))
         # reals[0] sums x^p ln x, which may be 0
         fin = lambda reals, n: math.exp(reals[0] / _nonzero(reals[1]))
     else:
         inv = 1.0 / (p - q)
-        step = lambda r, x: (r[0] + x ** p, r[1] + x ** q)
+        blocks = ((1, "x ** p"), (1, "x ** q"))
         fin = lambda reals, n: (_nonzero(reals[0]) / _nonzero(reals[1])) ** inv
-    return MeanDescriptor(
-        family="gini", params={"p": p, "q": q}, domain=DomainInterval.positive(),
-        ctype=_ctype_of_two_sums(0.0 in (p, q)), step=step, finalizer=fin,
-        slots=2)
+    return table_mean("gini", {"p": p, "q": q}, DomainInterval.positive(),
+                      _ctype_of_two_sums(0.0 in (p, q)), blocks, fin,
+                      {"p": p, "q": q, "log": math.log})
 
 
 def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
     pair.validate()
-    return MeanDescriptor(
-        family="bajraktarevic",
-        params={"f": pair.f_name, "g": pair.g_name},
-        domain=pair.domain,
-        ctype=_ctype_of_two_sums(_one in (pair.f, pair.g)),
-        step=lambda r, x: (r[0] + pair.f(x), r[1] + pair.g(x)),
-        finalizer=lambda reals, n: pair.ratio_inverse(reals[0] / reals[1]),
-        slots=2)
-
-
-def _esym_mean(family: str, params: dict, ctype: ComplexityType,
-               blocks: tuple, fin, env: dict, **extra) -> MeanDescriptor:
-    """A descriptor on the elementary-symmetric state (e-state): for each
-    block (m, expression), e_1..e_m of the y = expression(x), with e_0 = 1
-    implicit, so zeros are the identity (a block of size 1 is a plain sum).
-    ``step`` pushes y by e_j += y e_{j-1}; ``combine`` multiplies two
-    states' polynomials prod(1 + y t), truncated at t^m, left to right.
-
-    Both are straight-line code generated from the sizes (validated ints)
-    and compiled once.  Parameter values reach the constant expressions
-    through ``env`` (an exponent, ``log``), never through the source text.
-    """
-    # hamy(2): a0_1, a0_2, a1_1 = reals; y0 = x ** inv_r; y1 = x
-    # return (a0_1 + y0, a0_2 + y0 * a0_1, a1_1 + y1)
-    slots, pushed, merged = [], [], []
-    for i, (m, _) in enumerate(blocks):
-        for j in range(1, m + 1):
-            slots.append("%d_%d" % (i, j))
-            pushed.append("a%d_%d + y%d" % (i, j, i)
-                          + (" * a%d_%d" % (i, j - 1) if j > 1 else ""))
-            merged.append(" + ".join(
-                ["a%d_%d + b%d_%d" % (i, j, i, j)]
-                + ["a%d_%d * b%d_%d" % (i, h, i, j - h) for h in range(1, j)]))
-    a, b = (", ".join(side + slot for slot in slots) for side in "ab")
-    exec("def step(reals, x):\n    %s, = reals\n%s    return (%s,)\n"
-         "def combine(a, b):\n    %s, = a\n    %s, = b\n    return (%s,)\n"
-         % (a, "".join("    y%d = %s\n" % (i, expression)
-                       for i, (_, expression) in enumerate(blocks)),
-            ", ".join(pushed), a, b, ", ".join(merged)), env)
-    return MeanDescriptor(
-        family=family, params=params, domain=DomainInterval.positive(),
-        ctype=ctype, step=env["step"], finalizer=fin, combine=env["combine"],
-        slots=len(slots), **extra)
+    if pair.g is _one:  # the second sum is the count: f's quasi-arithmetic mean
+        fin = _mean_of_one_sum(pair.ratio_inverse,
+                               pair.f_name.startswith("power:"))
+    else:
+        fin = lambda reals, n: pair.ratio_inverse(reals[0] / reals[1])
+    return table_mean(
+        "bajraktarevic", {"f": pair.f_name, "g": pair.g_name}, pair.domain,
+        _ctype_of_two_sums(_one in (pair.f, pair.g)),
+        ((1, "f(x)"), (1, "g(x)")), fin, {"f": pair.f, "g": pair.g})
 
 
 def hamy(r: int) -> MeanDescriptor:
@@ -415,10 +390,10 @@ def hamy(r: int) -> MeanDescriptor:
     r = _degree("hamy", "r", r)
     fin = lambda reals, n: (reals[-1] / n if n < r else
                             _nonzero(reals[r - 1]) / math.comb(n, r))
-    return _esym_mean(
-        "hamy", {"r": r}, ComplexityType(r, True),
+    return table_mean(
+        "hamy", {"r": r}, DomainInterval.positive(), ComplexityType(r, True),
         ((r, "x ** inv_r"), (1, "x")), fin, {"inv_r": 1.0 / r},
-        ctype_is_upper_bound=True)
+        layout_version=2, ctype_is_upper_bound=True)
 
 
 def sympoly(r: int) -> MeanDescriptor:
@@ -430,9 +405,9 @@ def sympoly(r: int) -> MeanDescriptor:
     inv_r = 1.0 / r
     fin = lambda reals, n: (reals[0] / n if n < r else
                             (_nonzero(reals[r - 1]) / math.comb(n, r)) ** inv_r)
-    return _esym_mean(
-        "sympoly", {"r": r}, ComplexityType(r, True), ((r, "x"),), fin, {},
-        ctype_is_upper_bound=True)
+    return table_mean(
+        "sympoly", {"r": r}, DomainInterval.positive(), ComplexityType(r, True),
+        ((r, "x"),), fin, {}, layout_version=2, ctype_is_upper_bound=True)
 
 
 class BiplanarParams(Record):
@@ -494,9 +469,10 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
         return ratio ** exponent
 
     blocks = ((c, "x ** p"), (d, "x ** q")) + (((1, "log(x)"),) if ln else ())
-    return _esym_mean(
-        "biplanar", {"p": p, "q": q, "c": c, "d": d}, ctype, blocks, fin,
-        {"p": p, "q": q, "log": math.log}, paper_k=params.k)
+    return table_mean(
+        "biplanar", {"p": p, "q": q, "c": c, "d": d}, DomainInterval.positive(),
+        ctype, blocks, fin, {"p": p, "q": q, "log": math.log},
+        layout_version=2, paper_k=params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +497,8 @@ def piecewise_counterexample() -> MeanDescriptor:
             return sq / s
         raise FinalizeOutsideBranches(f"second component {s} in a branch gap")
 
-    return MeanDescriptor(
-        family="piecewise_h", params={}, domain=domain,
-        ctype=ComplexityType(2, False),
-        step=lambda r, x: (r[0] + x * x, r[1] + x), finalizer=fin)
+    return table_mean("piecewise_h", {}, domain, ComplexityType(2, False),
+                      ((1, "x * x"), (1, "x")), fin, {})
 
 
 def cube_over_square() -> MeanDescriptor:
@@ -534,10 +508,9 @@ def cube_over_square() -> MeanDescriptor:
         u, v = reals
         return 0.0 if v == 0.0 else u / v
 
-    return MeanDescriptor(
-        family="cube_over_square", params={}, domain=DomainInterval.reals(),
-        ctype=ComplexityType(2, False),
-        step=lambda r, x: (r[0] + x ** 3, r[1] + x * x), finalizer=fin)
+    return table_mean("cube_over_square", {}, DomainInterval.reals(),
+                      ComplexityType(2, False), ((1, "x ** 3"), (1, "x * x")),
+                      fin, {})
 
 
 def _insort(a: tuple, x: float) -> tuple:
@@ -545,6 +518,12 @@ def _insort(a: tuple, x: float) -> tuple:
     values = list(a)
     bisect.insort(values, x)
     return tuple(values)
+
+
+def _sort_leaf(xs: list, a: tuple) -> tuple:
+    """The median's leaf fold: one sort.  It is stable, so equal values
+    (0.0 and -0.0) keep insort's order: a's first, then xs's in turn."""
+    return tuple(sorted([*a, *xs]))
 
 
 def _sorted_merge(a: tuple, b: tuple) -> tuple:
@@ -561,9 +540,11 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
         idx = (n - 1) // 2 if kind == "lower" else n // 2
         return reals[idx]
 
-    return MeanDescriptor(
+    d = MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
         ctype=None, step=_insort, combine=_sorted_merge, finalizer=fin)
+    object.__setattr__(d, "leaf_fold", _sort_leaf)  # derived, not a field
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -613,3 +594,13 @@ def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
     except KeyError as e:
         raise InvalidDescriptor(f"{family}: missing parameter {e}") from None
     raise InvalidDescriptor(f"unknown family {family!r}")
+
+
+def __getattr__(name):
+    # sigma_from_power, which this module imported from symfun when symfun
+    # was on the start path, loads with symfun on its first lookup here
+    # (bench/job.py traces it as families.sigma_from_power)
+    if name == "sigma_from_power":
+        from .symfun import sigma_from_power
+        return sigma_from_power
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

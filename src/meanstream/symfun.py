@@ -15,7 +15,9 @@ must hit the table keys exactly, so float exponents are only safe when their
 sums are exact (integers, dyadic rationals); pass Fractions otherwise.  No
 finalizer calls this module: hamy, sympoly and biplanar hold e_1..e_r
 themselves.  It is the tested reference for the paper's identities, and
-MAX_MULTI_EXPONENTS bounds those families' degree.
+MAX_MULTI_EXPONENTS, the bound of those families' degree, bounds its
+exponent multisets too.  ``import meanstream`` does not load it: its names
+load on first use.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from typing import Mapping, Sequence
 
 from .core import Record
 from .errors import DomainError, MissingGamma
-
-MAX_MULTI_EXPONENTS = 12
+from .families import MAX_MULTI_EXPONENTS
 
 
 class ExponentMultiset(Record):

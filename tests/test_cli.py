@@ -106,6 +106,22 @@ class TestEval:
         assert code == 0
         assert out.strip() == "1"
 
+    def test_csv_hash_inside_a_first_cell_does_not_end_the_stream(
+            self, monkeypatch, capsys, tmp_path):
+        # a "#" anywhere in a first cell sends the block to the careful path;
+        # only a cell that strips to "#" ends the stream
+        path = tmp_path / "data.csv"
+        for rows, want in (("a#b,2\nc#,4\n#d,8\n", "4.666666666666667"),
+                           ("a#b,2\nc#,4\n#d,8\n # ,16\ne,32\n",
+                            "4.666666666666667"),
+                           ("a#b,2\n" * BLOCK_LINES + "c,5\n",
+                            "2.0003661662394729")):
+            path.write_text("name,value\n" + rows)
+            code, out, _ = run_cli(["eval", "--family", "power", "--p", "1",
+                                    "--input", str(path), "--column", "value"],
+                                   "", monkeypatch, capsys)
+            assert (code, out.strip()) == (0, want)
+
     def test_crlf_input(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "data.txt"
         path.write_bytes(b"1\r\n2\r\n\r\n6\r\n")

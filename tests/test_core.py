@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import meanstream as ms
 from meanstream import core, families
@@ -375,7 +376,107 @@ def test_overflowed_bytes_do_not_depend_on_the_route(us, data):
     assert "gini(p=2.0,q=1.0)" in overflowed  # 1e200 ** 2 overflows
 
 
+def kernel_subjects():
+    """Every family of all_families, the three beyond it, and a user-built
+    descriptor, whose kernels are derived from its step."""
+    user = ms.MeanDescriptor(
+        "user_sum_of_squares", {}, ms.DomainInterval(-1e3, 1e3, True, False),
+        ms.ComplexityType(2, False), lambda r, x: (r[0] + x * x, r[1] + x),
+        lambda reals, n: reals[0] / reals[1])
+    return all_families() + [ms.piecewise_counterexample(),
+                             ms.cube_over_square(),
+                             ms.quasi_arithmetic("identity"), user]
+
+
+def _hexes(reals) -> list:
+    return [float(v).hex() for v in reals]
+
+
+class TestKernels:
+    """The three kernels core calls: the checked step, the leaf fold and
+    the combine (``MeanDescriptor.kernels``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0])),
+                    max_size=2 * core.LEAF),
+           st.integers(0, 2 * core.LEAF))
+    @example(us=[0.0, -0.0, 0.0, -0.0], cut=1)
+    def test_leaf_fold_is_reduce_of_the_step(self, us, cut):
+        """Bit for bit, from the identity and from a state with elements
+        in it; the median's -0.0 and 0.0 keep insort's order.  A table's
+        ``step`` is its fold of one element, so the fold is checked against
+        the checked step, whose code is generated apart."""
+        for d in kernel_subjects():
+            xs = [x for x in (_in_domain(d, u) if u else u for u in us)
+                  if d.domain.contains(x)]  # the median keeps the zeros
+            checked, fold, _ = d.kernels
+            head, tail = xs[:cut], xs[cut:]
+            start = fold(head, d.identity)
+            for step in (checked, d.step):
+                assert _hexes(start) == _hexes(
+                    functools.reduce(step, head, d.identity)), d.name
+                assert _hexes(fold(tail, start)) == _hexes(
+                    functools.reduce(step, tail, start)), d.name
+
+    def test_checked_step_raises_absorbs_domain_error(self):
+        """Outside the domain, with absorb's message; inside, the step."""
+        outside = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                   math.nextafter(3.0, -math.inf), math.nextafter(4.0, math.inf),
+                   math.nextafter(1e3, math.inf), 1e3, -1e3]
+        for d in kernel_subjects():
+            checked = d.kernels[0]
+            state = ms.absorb(ms.init(d), _in_domain(d, 0.5))
+            tested = 0
+            for x in outside + [3.0, 4.0, 1.0, 0.5]:
+                if d.domain.contains(x):
+                    assert _hexes(checked(state.reals, x)) == _hexes(
+                        d.step(state.reals, x)), (d.name, x)
+                    continue
+                with pytest.raises(DomainError) as raised:
+                    ms.absorb(state, x)
+                assert str(raised.value) == f"{x} outside domain of {d.name}"
+                with pytest.raises(DomainError) as kernel:
+                    checked(state.reals, x)
+                assert str(kernel.value) == str(raised.value)
+                tested += 1
+            assert tested >= 3, d.name
+
+    def test_float_conversion_is_outside_the_overflow_guard(self):
+        # an OverflowError of the step makes every component inf, one of
+        # float() is the caller's: 10**400 is no float
+        for d in kernel_subjects():
+            with pytest.raises(OverflowError):
+                ms.absorb(ms.init(d), 10 ** 400)
+
+    def test_kernels_compile_on_first_use(self):
+        d = ms.hamy(3)
+        stand_ins = d.kernels
+        assert ms.absorb(ms.init(d), 2.0).reals == d.step(d.identity, 2.0)
+        assert d.kernels is not stand_ins
+        assert d.kernels[2] is d.kernels[2]  # compiled once
+        fresh = ms.hamy(3)
+        _, fold, combine = fresh.kernels  # stand-ins, compiled by one call
+        assert combine(fold([2.0], fresh.identity), fresh.identity) == (
+            ms.absorb(ms.init(fresh), 2.0).reals)
+
+
 class TestMerge:
+    def test_overflowed_merge_is_every_component_inf(self):
+        # witness: merging this overflowed biplanar state with a
+        # one-element state held inf, inf, nan, inf, inf, nan in memory
+        # (written as six infs), where absorbing the element held six infs
+        d = ms.biplanar(2.0, 3.0, 3, 3)
+        one = ms.init(d)
+        for x in [1.0 + i / 8 for i in range(20)] + [1e200]:
+            one = ms.absorb(one, x)
+        single = ms.absorb(ms.init(d), 2.0)
+        assert one.overflow
+        for merged in (ms.merge(one, single), ms.merge(single, one)):
+            assert merged == one.absorb(2.0)
+            assert merged.reals == (math.inf,) * 6
+        median = ms.absorb(ms.init(ms.median_mean()), 2.0)
+        assert ms.merge(median, median).reals == (2.0, 2.0)
+
     def test_additivity(self):
         d = ms.power_mean(1.0)
         a = ms.init(d).absorb(3.0)

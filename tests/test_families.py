@@ -382,6 +382,23 @@ class TestUnderflowedPowerSum:
         # gini(p, p) sums x^p ln x, which is 0 at x = 1
         assert ms.evaluate_stream(ms.gini(2, 2), [1.0]) == 1.0
         assert ms.evaluate_stream(ms.power_mean(0), [1.0]) == 1.0
+        # nor is a zero sum of terms of both signs
+        assert ms.evaluate_stream(ms.quasi_arithmetic("ln"), [1.0]) == 1.0
+        for d in (ms.quasi_arithmetic("identity"),
+                  ms.bajraktarevic(ms.pair_from_names("identity", "one"))):
+            assert ms.evaluate_stream(d, [0.0]) == 0.0
+
+    def test_the_power_mean_has_one_guard_by_every_name(self):
+        # witness: on [1.2345e-110] * 4, whose cubes underflow to 0,
+        # power_mean(3) raised NumericalFailure and the same mean by
+        # quasi_arithmetic and bajraktarevic returned 0.0
+        names = [ms.power_mean(3), ms.quasi_arithmetic("power:3"),
+                 ms.bajraktarevic(ms.pair_from_names("power:3", "one"))]
+        for d in names:
+            with pytest.raises(NumericalFailure, match="underflow"):
+                ms.evaluate_stream(d, [1.2345e-110] * 4)
+        for xs in random_vectors(50, lo=1e-3, hi=1e3):
+            assert len({ms.evaluate_stream(d, xs).hex() for d in names}) == 1
 
 
 def _both_ways(d, xs):
@@ -630,11 +647,15 @@ class TestEStateKernels:
             assert _bits(merged.reals) == _bits(
                 _reference_combine(layout, a.reals, b.reals))
             assert ms.serialize_state(merged) == blob
-        # a merge with a state of fewer elements than a block's size holds
-        # NaN (e_3 = inf + 0 + inf * 0 + ...), and is written as k infs too
+        # the combine with a state of fewer elements than a block's size
+        # gives NaN (e_3 = inf + 0 + inf * 0 + ...); merge holds k infs, as
+        # absorb does (witness: it held inf, inf, nan twice)
         single = ms.init(d).absorb(2.0)
+        assert [v.hex() for v in d.combine(one.reals, single.reals)] == (
+            ["inf", "inf", "nan"] * 2)
         for merged in (ms.merge(one, single), ms.merge(single, one)):
-            assert [v.hex() for v in merged.reals] == ["inf", "inf", "nan"] * 2
+            assert [v.hex() for v in merged.reals] == ["inf"] * 6
+            assert merged == one.absorb(2.0)
             assert ms.serialize_state(merged) == ms.serialize_state(one.absorb(2.0))
 
 

@@ -1,8 +1,8 @@
 """The package surface: every exported name resolves, every demo runs,
 numpy never loads on a streaming path, neither dataclasses nor fractions
-loads at start-up, verify and myhill load only on first use and build their
-records without dataclasses, and eval's memory does not grow with its
-input."""
+loads at start-up, symfun stays off the streaming paths, verify and myhill
+load only on first use and build their records without dataclasses, and
+eval's memory does not grow with its input."""
 
 import os
 import random
@@ -73,6 +73,17 @@ assert loaded == [], loaded
 ms.biplanar(2.0, 3.0, 3, 3)  # its exponent check loads fractions
 assert callable(ms.run_suite)  # verify resolves
 print("light")
+"""
+
+SYMFUN_PROBE = """
+import sys
+import meanstream as ms
+from meanstream import cli, families
+""" + PIPELINE + """
+assert "meanstream.symfun" not in sys.modules
+assert getattr(families, "sigma_from_power") is ms.sigma_from_power
+assert ms.symfun.MAX_MULTI_EXPONENTS == families.MAX_MULTI_EXPONENTS == 12
+print("no symfun")
 """
 
 RECORDS_PROBE = """
@@ -157,6 +168,17 @@ def test_start_up_loads_neither_dataclasses_nor_fractions(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "light"
+
+
+def test_streaming_paths_do_not_load_symfun(tmp_path):
+    # witness: families imported symfun for MAX_MULTI_EXPONENTS and for
+    # re-exporting sigma_from_power, which no finalizer calls
+    probe = f"SPECS = {BUILT_IN!r}\n{SYMFUN_PROBE}"
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "no symfun"
 
 
 def test_verify_and_myhill_records_load_no_dataclasses(tmp_path):
