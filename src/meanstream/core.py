@@ -31,7 +31,7 @@ from .errors import (
 )
 
 STATE_FORMAT_VERSION = 2
-DESCRIPTOR_CACHE_SIZE = 64  # parse_state's descriptors, by family and params
+DESCRIPTOR_CACHE_SIZE = 64  # parse_state's descriptors, by blob head
 # absorb_many's elements per leaf: step folds them, so one combine per leaf
 # costs little next to the steps, and the tree above the leaves keeps the
 # rounding at the level of a pairwise sum
@@ -219,6 +219,7 @@ class MeanDescriptor(Record):
     # object.__setattr__ (see _cached)
     blocks = block_env = leaf_fold = None
     layout_version = 1
+    _carried = ("blocks", "block_env", "leaf_fold", "layout_version")
 
     def __init__(self, family: str, params: dict, domain: DomainInterval,
                  ctype: Optional[ComplexityType],
@@ -232,6 +233,18 @@ class MeanDescriptor(Record):
                          combine, ctype_is_upper_bound, paper_k, slots)
         object.__setattr__(self, "identity", (0.0,) * self.k)
         object.__setattr__(self, "kernels", _first_use(self))
+
+    def __reduce__(self):
+        # a copy keeps the block table and the family's fold; its kernels
+        # are its own, since the stand-ins are bound to this descriptor
+        # (getattr, not __dict__, which would leave this one's attributes
+        # in a dict: see _cached)
+        return (type(self), self._values(),
+                {name: getattr(self, name) for name in self._carried})
+
+    def __setstate__(self, derived):
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -254,9 +267,7 @@ class MeanDescriptor(Record):
     def _blob_head(self) -> str:
         """serialize_state's JSON text up to ``"k": ``, built once, so
         ``params`` must not change afterwards."""
-        return (f'{{"version": {STATE_FORMAT_VERSION}, '
-                f'"family": {json.dumps(self.family)}, '
-                f'"params": {json.dumps(self.params)}, "k": ')
+        return _head(self.family, self.params)
 
     @property
     def name(self) -> str:
@@ -527,39 +538,124 @@ def serialize_state(state: AccumulatorState) -> bytes:
             f'"counter": {count}, "overflow": {overflow}}}').encode()
 
 
-_sorted_json = json.JSONEncoder(sort_keys=True).encode
+def _head(family, params) -> str:
+    """A state blob's text up to ``"k": ``: its version, family and params."""
+    return (f'{{"version": {STATE_FORMAT_VERSION}, '
+            f'"family": {json.dumps(family)}, '
+            f'"params": {json.dumps(params)}, "k": ')
+
+
+# how every text _head writes starts: a version 1 blob, or one with its
+# keys in another order, fails this before its head reaches _descriptor
+_HEAD_START = f'{{"version": {STATE_FORMAT_VERSION}, "family": '
+
+
+class _NotAHead(Exception):
+    """The text before ``"k": `` is not one that ``_head`` writes."""
 
 
 @lru_cache(maxsize=DESCRIPTOR_CACHE_SIZE)
-def _descriptor(key: str) -> MeanDescriptor:
-    """The descriptor of key = the JSON text of [family, params]."""
+def _descriptor(head: str) -> MeanDescriptor:
+    """The descriptor of a blob head, the text ``_head`` writes; any other
+    text raises _NotAHead.  A failed build raises, and is not cached."""
+    try:
+        payload = json.loads(head[:-len(', "k": ')] + "}")
+        family, params = payload["family"], payload["params"]
+        written = _head(family, params)
+    except Exception as e:
+        raise _NotAHead from e
+    if written != head:  # another version, key order, spacing or key
+        raise _NotAHead
     from . import families  # deferred: families depends on core
 
-    return families.descriptor_from_params(*json.loads(key))
+    return families.descriptor_from_params(family, params)
 
 
 def parse_state(data) -> AccumulatorState:
     """Inverse of serialize_state; raises ParseError, with the byte offset
     of a JSON syntax error.
 
+    serialize_state's own text is read directly, by splitting it at its
+    keys; any other JSON text (keys reordered or re-spaced, version 1, an
+    extra key) and anything malformed goes through ``json.loads``.  Both
+    give the same state or the same ParseError.
+
     Version 1 blobs are read where the layout did not change (vector sums
     and the median's multiset); a version 1 state of another combine held
     power sums and raises ParseError.
 
-    States parsed with the same family and params share one descriptor
-    (the last DESCRIPTOR_CACHE_SIZE of them are kept), so merging them
-    skips the family_id comparison.  A descriptor is a shared value, and
-    its family_id and serialize_state's head cache its params' JSON text:
-    do not mutate its ``params``.
+    States parsed with the same head (serialize_state's text up to "k",
+    which holds the family and params) share one descriptor (the last
+    DESCRIPTOR_CACHE_SIZE of them are kept), so merging them skips the
+    family_id comparison.  Params spelled differently, such as with their
+    keys in another order, get a descriptor of their own, which still
+    merges with the other by family_id.  A descriptor is a shared value,
+    and its family_id and serialize_state's head cache its params' JSON
+    text: do not mutate its ``params``.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8", errors="replace")
     else:
         text = data
+    fields = _read_own_text(text) if type(text) is str else None
+    if fields is None:
+        return _parse_json(text)
+    head, k, reals, counter, overflow = fields
+    try:  # the text is JSON, so a failed build is json's error too
+        descriptor = _descriptor(head)
+    except _NotAHead:
+        return _parse_json(text)
+    except Exception as e:
+        raise ParseError(f"cannot rebuild descriptor: {e}") from e
+    return _checked_state(descriptor, k, reals, counter, overflow)
+
+
+def _read_own_text(text: str) -> Optional[tuple]:
+    """(head, k, reals, counter, overflow) of a text laid out as
+    serialize_state writes it, or None.  Whatever it accepts is JSON that
+    ``json.loads`` reads as the same values, once ``_descriptor`` accepts
+    the head: k and the counter are ints in canonical decimal, and the
+    reals are printable strings that ``float.fromhex`` reads.  fromhex
+    reads no quote, backslash or non-ASCII character, but it strips a
+    control character, which JSON rejects.
+    """
+    if not text.startswith(_HEAD_START):
+        return None
+    head, sep, rest = text.partition(', "k": ')
+    k_text, sep_reals, rest = rest.partition(', "reals": [')
+    hexes, sep_counter, rest = rest.partition('], "counter": ')
+    counter_text, sep_overflow, flag = rest.partition(', "overflow": ')
+    if not (sep and sep_reals and sep_counter and sep_overflow):
+        return None
+    if flag == "false}":
+        overflow = False
+    elif flag == "true}":
+        overflow = True
+    else:
+        return None
+    try:
+        k, counter = int(k_text), int(counter_text)
+        if not hexes:
+            reals = ()
+        elif hexes[0] == hexes[-1] == '"' and hexes.isprintable():
+            reals = tuple(map(float.fromhex, hexes[1:-1].split('", "')))
+        else:
+            return None
+    except (ValueError, OverflowError):  # int digit limit, not hex, too big
+        return None
+    if str(k) != k_text or str(counter) != counter_text:  # "01", " 1", "+1"
+        return None
+    return head + sep, k, reals, counter, overflow
+
+
+def _parse_json(text) -> AccumulatorState:
+    """parse_state through ``json.loads``, for any text."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
+    except (ValueError, RecursionError) as e:  # digit limit, deep nesting
+        raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(payload, dict):
         raise ParseError("top-level JSON value is not an object")
     for key in ("version", "family", "params", "k", "reals", "counter", "overflow"):
@@ -570,7 +666,7 @@ def parse_state(data) -> AccumulatorState:
         raise ParseError(f"unsupported version {version!r}")
     try:
         # the exact JSON text, as -0.0 == 0.0 and 1 == True would hash alike
-        descriptor = _descriptor(_sorted_json([payload["family"], payload["params"]]))
+        descriptor = _descriptor(_head(payload["family"], payload["params"]))
     except Exception as e:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
     if version == 1 and descriptor.layout_version > 1:
@@ -581,11 +677,17 @@ def parse_state(data) -> AccumulatorState:
         raise ParseError("reals is not a list")
     try:
         reals = tuple(map(float.fromhex, payload["reals"]))
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ParseError(f"bad hex float: {e}") from e
-    if type(payload["k"]) is not int or payload["k"] != len(reals):
-        raise ParseError(f"k {payload['k']!r} disagrees with {len(reals)} reals")
-    counter = payload["counter"]
+    return _checked_state(descriptor, payload["k"], reals, payload["counter"],
+                          payload["overflow"])
+
+
+def _checked_state(descriptor, k, reals, counter, overflow) -> AccumulatorState:
+    """The state of a blob's fields, after the checks that both parses
+    run once they hold the descriptor and the reals."""
+    if type(k) is not int or k != len(reals):
+        raise ParseError(f"k {k!r} disagrees with {len(reals)} reals")
     if counter is None and not descriptor.has_counter:
         # files written before every family stored its count: counterless
         # families used the all-zero vector as the empty sentinel
@@ -606,7 +708,7 @@ def parse_state(data) -> AccumulatorState:
             f"expected {descriptor.k} components, got {len(reals)}")
     if count == 0 and reals != descriptor.identity:
         raise ParseError("an empty state must hold the identity reals")
-    if payload["overflow"] is not state.overflow:
+    if overflow is not state.overflow:
         raise ParseError(
-            f"overflow flag {payload['overflow']!r} disagrees with the reals")
+            f"overflow flag {overflow!r} disagrees with the reals")
     return state

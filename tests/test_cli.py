@@ -340,6 +340,22 @@ class TestMerge:
         assert merged.finalize() == pytest.approx(
             ms.evaluate_stream(d, range(1, 51)), rel=1e-14)
 
+    # witnesses: each printed a traceback and exited 1
+    @pytest.mark.parametrize("blob", [
+        b'{"version": 2, "family": "power", "params": {"p": 1.0}, "k": 1, '
+        b'"reals": ["0x1p+99999"], "counter": 1, "overflow": false}',
+        b'{"version": ' + b"[" * 100000,
+        b'{"version": 2, "family": "power", "params": {"p": 1.0}, "k": '
+        + b"1" * 5000 + b', "reals": ["0x1p+1"], "counter": 1, '
+        b'"overflow": false}',
+    ], ids=["OverflowError", "RecursionError", "ValueError"])
+    def test_bare_exception_exit_code(self, tmp_path, capsys, blob):
+        bad = tmp_path / "bad.state"
+        bad.write_bytes(blob)
+        assert main(["merge", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: ")
+
     def test_corrupt_file_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.state"
         bad.write_bytes(b"{not json")

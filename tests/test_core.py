@@ -1,7 +1,9 @@
+import copy
 import functools
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -808,6 +810,17 @@ class TestSerialization:
         assert err.value.offset is None
         assert str(err.value) == "missing field 'family'"
 
+    # witnesses: each escaped parse_state as a bare exception, and
+    # `meanstream merge` printed a traceback and exited 1
+    @pytest.mark.parametrize("blob, match", [
+        (POWER1 % (1, '["0x1p+99999"]'), "bad hex float"),
+        (b'{"version": ' + b"[" * 100000, "invalid JSON: maximum recursion"),
+        (POWER1 % ("1" * 5000, '["0x1p+1"]'), "invalid JSON: Exceeds the limit"),
+    ], ids=["OverflowError", "RecursionError", "ValueError"])
+    def test_bare_exception_is_a_parse_error(self, blob, match):
+        with pytest.raises(ParseError, match=match):
+            ms.parse_state(blob)
+
 
 def count_builds(monkeypatch) -> list:
     """Record each family and params parse_state builds a descriptor for,
@@ -935,6 +948,179 @@ class TestDescriptorCache:
         blob["family"], blob["params"] = family, params
         with pytest.raises(ParseError, match="cannot rebuild descriptor"):
             ms.parse_state(json.dumps(blob))
+
+
+def builtin_blobs() -> list:
+    """serialize_state's bytes for the built-ins: each empty, with 1, 3 or
+    16 values, or overflowed."""
+    sixteen = [0.5 + 1.25 * i for i in range(16)]
+    blobs = []
+    for d in all_families() + [ms.piecewise_counterexample(),
+                               ms.cube_over_square()]:
+        for xs in ([], [2.0], [0.5, 3.0, 7.25], sixteen):
+            if not all(map(d.domain.contains, xs)):  # piecewise_h on (0, 1)
+                xs = d.domain.sample_grid(len(xs) + 1)[:len(xs)]
+            blobs.append(ms.serialize_state(ms.absorb_many(ms.init(d), xs)))
+        for x in (1e300, 1e308):
+            if d.domain.contains(x):
+                s = ms.init(d).absorb(x).absorb(x)
+                if s.overflow:
+                    blobs.append(ms.serialize_state(s))
+                    break
+    return blobs
+
+
+BLOBS = builtin_blobs()
+
+
+def json_variants(blob: bytes) -> list:
+    payload = json.loads(blob)
+    return [blob, json.dumps(payload, sort_keys=True).encode(),
+            json.dumps(payload, separators=(",", ":")).encode(),
+            json.dumps(dict(payload, version=1)).encode()]
+
+
+# text serialize_state writes, and text that looks like it but is not
+SPLICES = [b', "k": ', b'"family": "power", ', b"0x1p+99999", b"-0", b"01",
+           b"\t", b"\x00", b'"', b"\\", b"]", b", ", b"true", b"null",
+           b"1" * 5000, b"\xc3\xa9", b"\xff", b" "]
+
+
+@st.composite
+def mutated_blobs(draw):
+    blob = draw(st.sampled_from(json_variants(draw(st.sampled_from(BLOBS)))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(blob)))
+        kind = draw(st.sampled_from(["substitute", "insert", "delete",
+                                     "splice"]))
+        if kind == "substitute":
+            blob = blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i + 1:]
+        elif kind == "insert":
+            blob = blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i:]
+        elif kind == "delete":
+            blob = blob[:i] + blob[i + draw(st.integers(1, 4)):]
+        else:
+            blob = blob[:i] + draw(st.sampled_from(SPLICES)) + blob[i:]
+    return blob
+
+
+def parsed(parse, blob):
+    """What one parse gives: the state's family_id, real bits and count,
+    or the ParseError's message."""
+    try:
+        s = parse(blob)
+    except ParseError as e:
+        return str(e)
+    return s.family_id, [struct.pack("<d", v) for v in s.reals], s.count
+
+
+class TestTwoParses:
+    """parse_state reads serialize_state's own text without json; every
+    other text goes through json.loads.  Both give one answer."""
+
+    @staticmethod
+    def check(blob):
+        by_json = parsed(
+            lambda b: core._parse_json(b.decode("utf-8", errors="replace")),
+            blob)
+        assert parsed(ms.parse_state, blob) == by_json
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_blobs())
+    def test_parse_state_gives_what_json_gives(self, blob):
+        self.check(blob)
+
+    @pytest.mark.parametrize("family, count, overflow", [
+        ("hamy", 16, False), ("median", 16, False), ("power", 2, True)])
+    def test_every_one_byte_edit(self, family, count, overflow):
+        # deletions, and substitutions and insertions of bytes that some
+        # field treats specially
+        blob = next(b for b in BLOBS if [family, count, overflow] == [
+            json.loads(b)[key] for key in ("family", "counter", "overflow")])
+        for i in range(len(blob)):
+            self.check(blob[:i] + blob[i + 1:])
+            for byte in b'0 -9x."\\]\t\x00':
+                self.check(blob[:i] + bytes([byte]) + blob[i + 1:])
+                self.check(blob[:i] + bytes([byte]) + blob[i:])
+
+    # invalid JSON of a family that does not build: json's error comes
+    # first, so parse_state must read the reals before it builds
+    @pytest.mark.parametrize("reals", [
+        '["inf, "inf"]', '["0x1p+1",\xc7"0x1p+1"]', '["0x1p+1\\", "0x1p+1"]',
+        '["0x1p+1"x"]'])
+    def test_malformed_reals_beat_a_failed_build(self, reals):
+        blob = TestSerialization.POWER1.replace("power", "pwr") % (2, reals)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            ms.parse_state(blob.encode("latin-1"))
+        self.check(blob.encode("latin-1"))
+
+    def test_own_bytes_skip_json(self, monkeypatch):
+        for blob in BLOBS:
+            ms.parse_state(blob)  # warm the descriptor cache
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads",
+                            lambda *a, **kw: calls.append(a) or loads(*a, **kw))
+        for blob in BLOBS:
+            back = ms.parse_state(blob)
+            assert ms.serialize_state(back) == blob
+        assert calls == []
+
+    def test_other_text_is_read_by_json_once(self, monkeypatch):
+        # a version 1 head, or one with its keys in another order, would
+        # miss the descriptor cache on every parse
+        payload = json.loads(power_blob(2.0))
+        blobs = [json.dumps(dict(payload, version=1)),
+                 json.dumps(payload, sort_keys=True)]
+        for blob in blobs:
+            ms.parse_state(blob)  # warm the descriptor cache
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads",
+                            lambda *a, **kw: calls.append(a) or loads(*a, **kw))
+        for blob in blobs:
+            assert ms.parse_state(blob).reals == (4.0,)
+        assert calls == [(blob,) for blob in blobs]
+
+    def test_reordered_params_merge_by_family_id(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        d = ms.gini(2.0, 1.0)
+        own = ms.parse_state(ms.serialize_state(ms.init(d).absorb(3.0)))
+        payload = json.loads(ms.serialize_state(ms.init(d).absorb(4.0)))
+        payload["params"] = {"q": 1.0, "p": 2.0}
+        reordered = ms.parse_state(json.dumps(payload))
+        assert reordered.descriptor is not own.descriptor
+        assert calls == [("gini", {"p": 2.0, "q": 1.0}),
+                         ("gini", {"q": 1.0, "p": 2.0})]
+        assert reordered.family_id == own.family_id
+        assert ms.merge(own, reordered).reals == (25.0, 7.0)
+
+
+class TestDescriptorCopy:
+    # witness: copy.copy(ms.hamy(3)) read blocks None and layout_version 1,
+    # and absorbed through the original's kernels
+    @pytest.mark.parametrize("make", [
+        lambda: ms.hamy(3), lambda: ms.biplanar(2.0, 3.0, 3, 3),
+        lambda: ms.power_mean(2.0)], ids=["hamy", "biplanar", "power"])
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy],
+                             ids=["copy", "deepcopy"])
+    def test_copy_keeps_the_block_table(self, make, how):
+        d = make()
+        stand_ins = d.kernels
+        twin = how(d)
+        assert twin == d
+        assert twin.blocks == d.blocks and twin.blocks is not None
+        assert twin.block_env.keys() == d.block_env.keys()
+        assert twin.layout_version == d.layout_version
+        xs = [0.5, 3.0, 7.25]
+        many, one = ms.absorb_many(ms.init(twin), xs), ms.init(twin).absorb(2.0)
+        # the twin compiled its own kernels from the table, not d's
+        assert twin.kernels[1].__name__ == "fold"
+        assert d.kernels is stand_ins
+        assert many.reals == ms.absorb_many(ms.init(d), xs).reals
+        assert one.reals == ms.init(d).absorb(2.0).reals
+
+    def test_copy_keeps_the_median_fold(self):
+        d = ms.median_mean("lower")
+        assert copy.copy(d).leaf_fold is d.leaf_fold is not None
 
 
 @settings(max_examples=40, deadline=None)
