@@ -11,12 +11,15 @@ classical families are provided, together with a generalized power-sum
 engine, a property-based verification harness, and an empirical Myhill-type
 state-complexity probe.
 
-``import meanstream`` loads the streaming core and the families, and
-neither numpy, ``dataclasses`` nor ``fractions``; ``fractions`` loads with
-the first biplanar descriptor, for its exact exponent check.  The power-sum
-engine (``symfun``), the verification harness (``verify``) and the probe
-(``myhill``), the last two of which use numpy, load on first use of one of
-their names.
+``import meanstream`` loads the streaming core and the families of fixed
+form, and neither numpy, ``dataclasses``, ``fractions``, ``json`` nor
+``numbers``.  ``fractions`` loads with the first biplanar descriptor, for
+its exact exponent check, and ``json`` with the first state serialized or
+parsed, or merge of two distinct descriptors.  The generator registry and
+the Bajraktarevic pairs (``generators``, which builds the quasi-arithmetic
+and Bajraktarevic means), the power-sum engine (``symfun``), the
+verification harness (``verify``) and the probe (``myhill``), the last two
+of which use numpy, load on first use of one of their names.
 """
 
 import importlib
@@ -36,23 +39,17 @@ from .core import (
     serialize_state,
 )
 from .families import (
-    BajraktarevicPair,
+    _GENERATOR_NAMES,
     BiplanarParams,
     GeneratorFunction,
-    bajraktarevic,
     biplanar,
     cube_over_square,
     descriptor_from_params,
-    generator_by_name,
     gini,
     hamy,
     median_mean,
-    pair_from_functions,
-    pair_from_names,
-    pair_power,
     piecewise_counterexample,
     power_mean,
-    quasi_arithmetic,
     sympoly,
 )
 from . import errors
@@ -69,6 +66,7 @@ __version__ = "0.1.0"
 
 # the names of the modules loaded on first use, and the names they export
 _LAZY = {
+    "generators": _GENERATOR_NAMES,
     "verify": ("FunctionMean", "PropertyReport",
                "check_concatenation_betweenness", "check_g23_inequality",
                "check_homogeneity", "check_mean_property",

@@ -9,8 +9,10 @@ blocks of BLOCK_LINES lines and absorbs each with ``absorb_many``, in pure
 Python, so its memory does not grow with the input (except for the median,
 whose state is the multiset itself) and it never loads numpy.
 
-Exit codes: 0 ok, 2 parse error (also a bad argument or an unreadable
-input file), 3 domain error, 4 empty input, 5 family mismatch.
+Exit codes: 0 ok, 2 parse error (also a bad argument, an input file that
+cannot be read or is not UTF-8, or an output file that cannot be written),
+3 domain error, 4 empty input, 5 family mismatch.  It imports json only for
+--family-json, ``classify --format json`` and myhill.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import os
 import sys
 from functools import partial
@@ -50,6 +51,8 @@ class CliError(Exception):
 
 def _family_params(args) -> tuple:
     if args.family_json:
+        import json
+
         try:
             spec = json.loads(args.family_json)
         except json.JSONDecodeError as e:
@@ -72,6 +75,16 @@ def _open_input(path: str, *args, **kwargs):
     """open(path, ...); a file that cannot be opened is a bad argument."""
     try:
         return open(path, *args, **kwargs)
+    except OSError as e:
+        raise CliError(f"{path}: {e.strerror}", EXIT_PARSE) from None
+
+
+def _write_output(path: str, data: bytes) -> None:
+    """Write data to path; a file that cannot be written is a bad argument,
+    as one that cannot be read is."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as e:
         raise CliError(f"{path}: {e.strerror}", EXIT_PARSE) from None
 
@@ -149,30 +162,40 @@ def _blocks(chunks, fast, careful, lineno: int):
 
 
 def _value_blocks(args):
-    """The input's values, BLOCK_LINES lines at a time."""
-    with (_open_input(args.input, "r", encoding="utf-8")
-          if args.input and args.input != "-"
+    """The input's values, BLOCK_LINES lines at a time.  Input that is not
+    UTF-8, or a CSV row the reader refuses, is a parse error."""
+    name = args.input if args.input and args.input != "-" else None
+    with (_open_input(name, "r", encoding="utf-8") if name
           else contextlib.nullcontext(sys.stdin)) as fh:
-        if args.column is None:
-            # re-split as str.splitlines does: the line numbers count its breaks
-            lines = ("".join(c).splitlines() for c in _chunks(fh))
-            yield from _blocks(lines, lambda c: list(map(float, c)),
-                               _parse_lines, 0)
-            return
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return
-        if args.column in header:
-            idx, lineno = header.index(args.column), 1
-        else:
-            try:
-                idx = int(args.column)
-            except ValueError:
-                raise CliError(f"column {args.column!r} not found", EXIT_PARSE)
-            reader, lineno = chain([header], reader), 0
-        yield from _blocks(_chunks(reader), partial(_column_floats, idx=idx),
-                           partial(_parse_rows, idx=idx), lineno)
+        try:
+            if args.column is None:
+                # re-split as str.splitlines does: the line numbers count
+                # its breaks
+                lines = ("".join(c).splitlines() for c in _chunks(fh))
+                yield from _blocks(lines, lambda c: list(map(float, c)),
+                                   _parse_lines, 0)
+                return
+            rows = reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                return
+            if args.column in header:
+                idx, lineno = header.index(args.column), 1
+            else:
+                try:
+                    idx = int(args.column)
+                except ValueError:
+                    raise CliError(f"column {args.column!r} not found",
+                                   EXIT_PARSE)
+                rows, lineno = chain([header], reader), 0
+            yield from _blocks(_chunks(rows),
+                               partial(_column_floats, idx=idx),
+                               partial(_parse_rows, idx=idx), lineno)
+        except UnicodeDecodeError as e:
+            raise CliError(f"{name or '<stdin>'}: not UTF-8 text ({e.reason})",
+                           EXIT_PARSE) from None
+        except csv.Error as e:  # only the reader raises it
+            raise CliError(f"line {reader.line_num}: {e}", EXIT_PARSE) from None
 
 
 def cmd_eval(args) -> int:
@@ -190,8 +213,7 @@ def cmd_eval(args) -> int:
         raise CliError("empty input", EXIT_EMPTY)
     value = finalize(state)
     if args.state_out:
-        with open(args.state_out, "wb") as fh:
-            fh.write(serialize_state(state))
+        _write_output(args.state_out, serialize_state(state))
     print(f"{value:.17g}")
     return EXIT_OK
 
@@ -214,8 +236,7 @@ def cmd_merge(args) -> int:
         raise CliError(str(mismatch), EXIT_MISMATCH)
     payload = serialize_state(merged)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        _write_output(args.out, payload)
     else:
         sys.stdout.buffer.write(payload + b"\n")
     return EXIT_OK
@@ -236,6 +257,8 @@ def cmd_classify(args) -> int:
     if descriptor.paper_k is not None:
         report["exponent_set_size"] = descriptor.paper_k
     if args.format == "json":
+        import json
+
         print(json.dumps(report))
     else:
         print(f"{descriptor.name}: type {report['type']}"
@@ -266,9 +289,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_myhill(args) -> int:
+    import json
+
     from . import myhill  # loaded on use, like verify
     descriptor = _build_descriptor(args)
-    alphabet = [float(t) for t in args.alphabet.split(",")]
+    try:
+        alphabet = [float(t) for t in args.alphabet.split(",")]
+    except ValueError as e:
+        raise CliError(f"bad --alphabet {args.alphabet!r}: {e}", EXIT_PARSE)
     probes = myhill.default_probes(alphabet, args.probe_len)
     profile = myhill.enumerate_classes(descriptor, alphabet, args.max_len,
                                        probes=probes)

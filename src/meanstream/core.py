@@ -15,9 +15,9 @@ needs no locking.
 
 from __future__ import annotations
 
-import json
+# json and numbers are imported where they are used, so that neither
+# ``import meanstream`` nor a stream's absorb and finalize loads them
 import math
-import numbers
 import operator
 from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -261,6 +261,8 @@ class MeanDescriptor(Record):
     def family_id(self) -> str:
         """Family and sorted params as text, built once, like ``_blob_head``,
         so merge compares two equal descriptors without ``json.dumps``."""
+        import json
+
         return f"{self.family}:{json.dumps(self.params, sort_keys=True)}"
 
     @_cached
@@ -506,10 +508,18 @@ def finalize(state: AccumulatorState) -> float:
         # (and then a division by it, or its log)
         raise NumericalFailure(f"finalizer failed: {e}") from e
     # the ABC check costs more than the rest of a finalize: floats skip it
-    if (not (type(value) is float or isinstance(value, numbers.Real))
+    if (not (type(value) is float or _is_real(value))
             or not math.isfinite(value)):
         raise NumericalFailure(f"finalizer produced {value}")
     return value
+
+
+def _is_real(value) -> bool:
+    """Whether a finalizer's non-float result is a real number; numbers is
+    imported here, so that ``import meanstream`` does not load it."""
+    import numbers
+
+    return isinstance(value, numbers.Real)
 
 
 def evaluate_stream(descriptor: MeanDescriptor, xs: Iterable[float]) -> float:
@@ -540,6 +550,8 @@ def serialize_state(state: AccumulatorState) -> bytes:
 
 def _head(family, params) -> str:
     """A state blob's text up to ``"k": ``: its version, family and params."""
+    import json
+
     return (f'{{"version": {STATE_FORMAT_VERSION}, '
             f'"family": {json.dumps(family)}, '
             f'"params": {json.dumps(params)}, "k": ')
@@ -550,22 +562,23 @@ def _head(family, params) -> str:
 _HEAD_START = f'{{"version": {STATE_FORMAT_VERSION}, "family": '
 
 
-class _NotAHead(Exception):
-    """The text before ``"k": `` is not one that ``_head`` writes."""
-
-
 @lru_cache(maxsize=DESCRIPTOR_CACHE_SIZE)
-def _descriptor(head: str) -> MeanDescriptor:
-    """The descriptor of a blob head, the text ``_head`` writes; any other
-    text raises _NotAHead.  A failed build raises, and is not cached."""
+def _descriptor(head: str) -> Optional[MeanDescriptor]:
+    """The descriptor of a blob head, the text ``_head`` writes, or None for
+    any other text.  A refusal is cached like a descriptor, so a blob whose
+    head ``_head`` would not write pays its ``json.loads`` once, not on every
+    parse; junk heads can then evict descriptors from the cache.  A failed
+    build raises, and is not cached."""
+    import json
+
     try:
         payload = json.loads(head[:-len(', "k": ')] + "}")
         family, params = payload["family"], payload["params"]
         written = _head(family, params)
-    except Exception as e:
-        raise _NotAHead from e
+    except Exception:
+        return None
     if written != head:  # another version, key order, spacing or key
-        raise _NotAHead
+        return None
     from . import families  # deferred: families depends on core
 
     return families.descriptor_from_params(family, params)
@@ -603,10 +616,10 @@ def parse_state(data) -> AccumulatorState:
     head, k, reals, counter, overflow = fields
     try:  # the text is JSON, so a failed build is json's error too
         descriptor = _descriptor(head)
-    except _NotAHead:
-        return _parse_json(text)
     except Exception as e:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
+    if descriptor is None:
+        return _parse_json(text)
     return _checked_state(descriptor, k, reals, counter, overflow)
 
 
@@ -650,6 +663,8 @@ def _read_own_text(text: str) -> Optional[tuple]:
 
 def _parse_json(text) -> AccumulatorState:
     """parse_state through ``json.loads``, for any text."""
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -669,6 +684,8 @@ def _parse_json(text) -> AccumulatorState:
         descriptor = _descriptor(_head(payload["family"], payload["params"]))
     except Exception as e:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
+    if descriptor is None:  # not expected: _head's own text reads back
+        raise ParseError("cannot rebuild descriptor: params do not read back")
     if version == 1 and descriptor.layout_version > 1:
         # version 1 held power sums where version 2 holds e_1..e_m; plain
         # sums and the median's multiset are unchanged

@@ -8,6 +8,14 @@ table's checked step, leaf fold and combine on first use.  A block of size
 (hamy, sympoly, biplanar).  The median keeps the sorted multiset instead.
 Parameters are validated at build time; branch selection (p = 0, p = q)
 uses exact parameter comparison, never runtime tolerance.
+
+The quasi-arithmetic and Bajraktarevic families, with the generator
+registry and the pair builders they need, live in ``generators``, which
+loads on first use: a lookup of one of its names here (such as
+``families.quasi_arithmetic``) or through ``meanstream``, or a
+``descriptor_from_params`` of one of those two families.  What stays here
+of the generators is ``GeneratorFunction`` and the power generator, whose
+inverse ``power_mean`` finalizes with.
 """
 
 from __future__ import annotations
@@ -26,48 +34,19 @@ from .errors import (
     GeneratorInvalid,
     InvalidDescriptor,
     NumericalFailure,
-    PairInvalid,
 )
 
 MAX_MULTI_EXPONENTS = 12  # the largest degree of hamy, sympoly and biplanar
-GRID_POINTS = 64
-ROUNDTRIP_RTOL = 1e-10
-BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 200
+# the public names of ``generators``, which resolve here (and through
+# ``meanstream``) on first lookup
+_GENERATOR_NAMES = ("BajraktarevicPair", "bajraktarevic",
+                    "generator_by_name", "pair_from_functions",
+                    "pair_from_names", "pair_power", "quasi_arithmetic")
 
 
 # ---------------------------------------------------------------------------
-# generator functions (the f of quasi-arithmetic means)
-
-def _check_invertible(label: str, domain: DomainInterval, h, inverse,
-                      increasing, error: type) -> None:
-    """Raise ``error`` unless h is finite and strictly monotone (either way
-    if ``increasing`` is None) on the domain's grid, and inverse(h(x)) gives
-    x back there within ROUNDTRIP_RTOL; an OverflowError there is ``error``
-    too."""
-
-    def call(fn, v):
-        try:
-            return fn(v)
-        except OverflowError as e:
-            raise error(f"{label}: overflow on the domain grid ({e})") from None
-
-    grid = domain.sample_grid(GRID_POINTS)
-    values = [call(h, x) for x in grid]
-    for x, y in zip(grid, values):
-        if not math.isfinite(y):
-            raise error(f"{label}: non-finite value at {x}")
-    if increasing is None:
-        increasing = values[-1] > values[0]
-    for a, b in zip(values, values[1:]):
-        if (b <= a) if increasing else (b >= a):
-            raise error(f"{label}: not strictly "
-                        + ("increasing" if increasing else "decreasing"))
-    for x, y in zip(grid, values):
-        back = call(inverse, y)
-        if abs(back - x) > ROUNDTRIP_RTOL * max(1.0, abs(x)):
-            raise error(f"{label}: inverse round-trip fails at {x} (got {back})")
-
+# generator functions (the f of quasi-arithmetic means); the registry and
+# the validation are in generators
 
 def _exact(v: float) -> str:
     """v as %g if that reads back as v, else in full, so names are exact."""
@@ -85,20 +64,10 @@ class GeneratorFunction(Record):
         super().__init__(name, forward, inverse, domain, increasing)
 
     def validate(self) -> None:
+        from .generators import _check_invertible
+
         _check_invertible(self.name, self.domain, self.forward, self.inverse,
                           self.increasing, GeneratorInvalid)
-
-
-def _affine(a: float, b: float) -> GeneratorFunction:
-    if a == 0:
-        raise GeneratorInvalid("affine generator needs a != 0")
-    return GeneratorFunction(
-        f"affine:{_exact(a)},{_exact(b)}",
-        lambda x: a * x + b,
-        lambda y: (y - b) / a,
-        DomainInterval.reals(),
-        a > 0,
-    )
 
 
 def _power(p: float) -> GeneratorFunction:
@@ -113,175 +82,9 @@ def _power(p: float) -> GeneratorFunction:
     )
 
 
-def generator_by_name(name: str) -> GeneratorFunction:
-    """Registry lookup: identity, ln, exp, power:<p>, affine:<a>,<b>."""
-    if name == "identity":
-        return GeneratorFunction("identity", lambda x: x, lambda y: y,
-                                 DomainInterval.reals(), True)
-    if name == "ln":
-        return GeneratorFunction("ln", math.log, math.exp,
-                                 DomainInterval.positive(), True)
-    if name == "exp":
-        return GeneratorFunction("exp", math.exp, math.log,
-                                 DomainInterval.reals(), True)
-    if name.startswith("power:"):
-        try:
-            return _power(float(name.split(":", 1)[1]))
-        except ValueError:
-            raise GeneratorInvalid(f"bad power generator {name!r}") from None
-    if name.startswith("affine:"):
-        try:
-            a, b = (float(t) for t in name.split(":", 1)[1].split(","))
-        except ValueError:
-            raise GeneratorInvalid(f"bad affine generator {name!r}") from None
-        return _affine(a, b)
-    raise GeneratorInvalid(f"unknown generator {name!r}")
-
-
 # ---------------------------------------------------------------------------
-# Bajraktarevic pairs
-
-def _bisect_inverse(h: Callable[[float], float], domain: DomainInterval,
-                    increasing: bool) -> Callable[[float], float]:
-    """Bracketed bisection inverse of a strictly monotone h on the domain."""
-
-    def clip(x: float) -> float:
-        lo, hi = domain.lo, domain.hi
-        if x <= lo:
-            x = lo if domain.lo_closed else lo + max(1e-12, abs(lo) * 1e-12)
-        if x >= hi:
-            x = hi if domain.hi_closed else hi - max(1e-12, abs(hi) * 1e-12)
-        return x
-
-    def inverse(t: float) -> float:
-        a = clip(domain.lo if math.isfinite(domain.lo) else -1.0)
-        b = clip(domain.hi if math.isfinite(domain.hi) else 1.0)
-        lo_is_below = increasing  # whether h(a) should sit below t
-
-        def below(x):
-            return h(x) < t if lo_is_below else h(x) > t
-
-        for _ in range(BISECT_MAX_ITER):
-            if below(a):
-                break
-            if math.isfinite(domain.lo):
-                break  # already at the domain edge
-            a = a * 2 if a < 0 else -1.0
-        for _ in range(BISECT_MAX_ITER):
-            if not below(b):
-                break
-            if math.isfinite(domain.hi):
-                break
-            b = b * 2 if b > 0 else 1.0
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (a + b)
-            if b - a <= BISECT_TOL * max(1.0, abs(mid)):
-                return mid
-            if below(mid):
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    return inverse
-
-
-class BajraktarevicPair(Record):
-    """(f, g) with g positive and f/g strictly monotone, plus (f/g)^-1.  The
-    names are the mean's identity: name different functions differently, or
-    leave "<custom>", which becomes "<custom 0x...>" after the function's id."""
-
-    __slots__ = _fields = ("f", "g", "ratio_inverse", "domain", "f_name",
-                           "g_name")
-
-    def __init__(self, f: Callable[[float], float],
-                 g: Callable[[float], float],
-                 ratio_inverse: Callable[[float], float],
-                 domain: DomainInterval, f_name: str = "<custom>",
-                 g_name: str = "<custom>"):
-        if f_name == "<custom>":
-            f_name = f"<custom {id(f):#x}>"
-        if g_name == "<custom>":
-            g_name = f"<custom {id(g):#x}>"
-        super().__init__(f, g, ratio_inverse, domain, f_name, g_name)
-
-    def validate(self) -> None:
-        _check_positive(self.g, self.domain)
-        _check_invertible("f/g", self.domain, lambda x: self.f(x) / self.g(x),
-                          self.ratio_inverse, None, PairInvalid)
-
-
-def _check_positive(g, domain: DomainInterval) -> None:
-    """Raise PairInvalid unless g > 0 on the domain's grid."""
-    for x in domain.sample_grid(GRID_POINTS):
-        if not g(x) > 0:
-            raise PairInvalid(f"g({x}) = {g(x)} is not positive")
-
-
-def pair_from_functions(f, g, domain: DomainInterval,
-                        ratio_inverse=None,
-                        f_name: str = "<custom>",
-                        g_name: str = "<custom>") -> BajraktarevicPair:
-    """Build a pair from raw callables; bisection inverse if none given.
-    Different functions need different names (see BajraktarevicPair)."""
-    if ratio_inverse is None:
-        _check_positive(g, domain)  # before f/g picks the bisection direction
-        grid = domain.sample_grid(GRID_POINTS)
-        try:
-            increasing = f(grid[-1]) / g(grid[-1]) > f(grid[0]) / g(grid[0])
-        except OverflowError as e:
-            raise PairInvalid(f"f/g: overflow on the domain grid ({e})") from None
-        ratio_inverse = _bisect_inverse(lambda x: f(x) / g(x), domain, increasing)
-    pair = BajraktarevicPair(f, g, ratio_inverse, domain, f_name, g_name)
-    pair.validate()
-    return pair
-
-
-def pair_power(pf: float, pg: float) -> BajraktarevicPair:
-    """``pair_from_names`` of "power:<p>" ("one" for p = 0): (x^pf, x^pg)."""
-    if pf == pg:
-        raise PairInvalid("pair_power needs pf != pg")
-    return pair_from_names(*(f"power:{_exact(p)}" if p else "one"
-                             for p in (pf, pg)))
-
-
-def _one(x: float) -> float:
-    """The constant pair component "one"."""
-    return 1.0
-
-
-def _pair_component(name: str):
-    """A pair component by name (registry generators plus the constant
-    'one'): its function, its inverse (None for 'one'), its domain, and p
-    if it is x^p, else None."""
-    if name == "one":
-        return _one, None, DomainInterval.reals(), 0.0
-    gen = generator_by_name(name)
-    p = (float(name[6:]) if name.startswith("power:")
-         else 1.0 if name == "identity" else None)
-    return gen.forward, gen.inverse, gen.domain, p
-
-
-def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
-    f, f_inverse, f_dom, pf = _pair_component(f_name)
-    g, _, g_dom, pg = _pair_component(g_name)
-    lo = max(f_dom.lo, g_dom.lo)
-    hi = min(f_dom.hi, g_dom.hi)
-    domain = DomainInterval(lo, hi,
-                            f_dom.lo_closed and g_dom.lo_closed,
-                            f_dom.hi_closed and g_dom.hi_closed)
-    ratio_inverse = None
-    if g is _one:
-        # f/1 is f: the pair's mean is f's quasi-arithmetic mean
-        ratio_inverse = f_inverse
-    elif pf is not None and pg is not None and pf != pg:
-        diff = pf - pg
-        ratio_inverse = lambda t: t ** (1.0 / diff)
-    return pair_from_functions(f, g, domain, ratio_inverse, f_name, g_name)
-
-
-# ---------------------------------------------------------------------------
-# the seven families
+# five of the seven families (quasi_arithmetic and bajraktarevic are in
+# generators)
 
 def _exponent(family: str, name: str, value) -> float:
     """value as a finite float; an infinite or NaN exponent has no mean."""
@@ -334,18 +137,6 @@ def power_mean(p: float) -> MeanDescriptor:
                       {"p": p, "log": math.log})
 
 
-def quasi_arithmetic(f) -> MeanDescriptor:
-    """f may be a GeneratorFunction or a registry name."""
-    if isinstance(f, str):
-        f = generator_by_name(f)
-    f.validate()
-    return table_mean(
-        "quasiarithmetic", {"f": f.name}, f.domain, ComplexityType(1, True),
-        ((1, "forward(x)"),),
-        _mean_of_one_sum(f.inverse, f.name.startswith("power:")),
-        {"forward": f.forward})
-
-
 def _ctype_of_two_sums(constant: bool) -> ComplexityType:
     """T2 for a ratio of two sums, or T1+ when one summand is constant: that
     sum is the count, and the mean is quasi-arithmetic (the state keeps both
@@ -366,19 +157,6 @@ def gini(p: float, q: float) -> MeanDescriptor:
     return table_mean("gini", {"p": p, "q": q}, DomainInterval.positive(),
                       _ctype_of_two_sums(0.0 in (p, q)), blocks, fin,
                       {"p": p, "q": q, "log": math.log})
-
-
-def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
-    pair.validate()
-    if pair.g is _one:  # the second sum is the count: f's quasi-arithmetic mean
-        fin = _mean_of_one_sum(pair.ratio_inverse,
-                               pair.f_name.startswith("power:"))
-    else:
-        fin = lambda reals, n: pair.ratio_inverse(reals[0] / reals[1])
-    return table_mean(
-        "bajraktarevic", {"f": pair.f_name, "g": pair.g_name}, pair.domain,
-        _ctype_of_two_sums(_one in (pair.f, pair.g)),
-        ((1, "f(x)"), (1, "g(x)")), fin, {"f": pair.f, "g": pair.g})
 
 
 def hamy(r: int) -> MeanDescriptor:
@@ -573,10 +351,14 @@ def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
         if family == "power":
             return power_mean(get("p", float))
         if family == "quasiarithmetic":
+            from .generators import quasi_arithmetic
+
             return quasi_arithmetic(get("f", str))
         if family == "gini":
             return gini(get("p", float), get("q", float))
         if family == "bajraktarevic":
+            from .generators import bajraktarevic, pair_from_names
+
             return bajraktarevic(pair_from_names(get("f", str), get("g", str)))
         if family == "hamy":
             return hamy(get("r", int))
@@ -599,8 +381,12 @@ def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
 def __getattr__(name):
     # sigma_from_power, which this module imported from symfun when symfun
     # was on the start path, loads with symfun on its first lookup here
-    # (bench/job.py traces it as families.sigma_from_power)
+    # (bench/job.py traces it as families.sigma_from_power); so do the
+    # names that moved to generators, which verify looks up here
     if name == "sigma_from_power":
         from .symfun import sigma_from_power
         return sigma_from_power
+    if name in _GENERATOR_NAMES:
+        from . import generators
+        return getattr(generators, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

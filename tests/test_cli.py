@@ -245,6 +245,39 @@ class TestEval:
         assert code == 0
         assert out.strip() == "3.5714285714285716"
 
+    def test_csv_field_over_the_reader_limit(self, monkeypatch, capsys,
+                                             tmp_path):
+        # witness: csv.reader raised "_csv.Error: field larger than field
+        # limit (131072)", and eval printed a traceback and exited 1
+        path = tmp_path / "wide.csv"
+        path.write_text("v\n1\n" + "9" * 200_000 + "\n3\n")
+        code, out, err = run_cli(["eval", "--family", "power", "--p", "1",
+                                  "--column", "v", "--input", str(path)],
+                                 "", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("column", [None, "0"], ids=["lines", "csv"])
+    def test_input_that_is_not_utf8(self, monkeypatch, capsys, tmp_path,
+                                    column):
+        # witness: a UnicodeDecodeError traceback, exit 1
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1\n\xff\xfe2\n")
+        argv = ["eval", "--family", "power", "--p", "1", "--input", str(path)]
+        code, out, err = run_cli(argv + (["--column", column] if column else []),
+                                 "", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_unwritable_state_out(self, monkeypatch, capsys, tmp_path):
+        # witness: a FileNotFoundError traceback, exit 1
+        path = str(tmp_path / "absent" / "x.json")
+        code, out, err = run_cli(["eval", "--family", "power", "--p", "1",
+                                  "--state-out", path], "3\n",
+                                 monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: No such file or directory\n"
+
 
 class TestMerge:
     def _state_file(self, tmp_path, name, values, monkeypatch, capsys):
@@ -317,6 +350,16 @@ class TestMerge:
         good.write_bytes(ms.serialize_state(ms.init(ms.power_mean(1.0))))
         path = str(tmp_path / "absent.state")
         assert main(["merge", str(good), path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: No such file or directory\n"
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        # witness: a FileNotFoundError traceback, exit 1
+        good = tmp_path / "good.state"
+        good.write_bytes(ms.serialize_state(ms.init(ms.power_mean(1.0))))
+        path = str(tmp_path / "absent" / "m.json")
+        assert main(["merge", str(good), "--out", path]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {path}: No such file or directory\n"
@@ -448,3 +491,13 @@ class TestMyhillCommand:
         result = json.loads(capsys.readouterr().out)
         assert result["counts"][:3] == [3, 6, 10]
         assert "classification" in result["growth"]
+
+    def test_bad_alphabet(self, capsys):
+        # witness: "ValueError: could not convert string to float: 'a'",
+        # a traceback and exit 1
+        assert main(["myhill", "--family", "power", "--p", "1",
+                     "--alphabet", "a,b"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: bad --alphabet 'a,b': could not convert "
+                       "string to float: 'a'\n")

@@ -1080,6 +1080,20 @@ class TestTwoParses:
             assert ms.parse_state(blob).reals == (4.0,)
         assert calls == [(blob,) for blob in blobs]
 
+    def test_refused_head_is_read_by_json_once(self, monkeypatch):
+        # witness: a version 2 blob with its params re-spaced paid a
+        # json.loads of its head, refused on every parse, before json read
+        # the blob: two calls on a warm parse
+        blob = ms.serialize_state(ms.init(ms.gini(2.0, 1.0)).absorb(3.0))
+        blob = blob.replace(b'{"p": 2.0, "q": 1.0}', b'{"p":2.0,"q":1.0}')
+        ms.parse_state(blob)  # warm the descriptor cache
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads",
+                            lambda *a, **kw: calls.append(a) or loads(*a, **kw))
+        for _ in range(3):
+            assert ms.parse_state(blob).reals == (9.0, 3.0)
+        assert calls == [(blob.decode(),)] * 3
+
     def test_reordered_params_merge_by_family_id(self, monkeypatch):
         calls = count_builds(monkeypatch)
         d = ms.gini(2.0, 1.0)

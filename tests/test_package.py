@@ -1,8 +1,9 @@
 """The package surface: every exported name resolves, every demo runs,
 numpy never loads on a streaming path, neither dataclasses nor fractions
-loads at start-up, symfun stays off the streaming paths, verify and myhill
-load only on first use and build their records without dataclasses, and
-eval's memory does not grow with its input."""
+loads at start-up, symfun stays off the streaming paths, the start path
+loads neither json, numbers nor the generators, verify and myhill load
+only on first use and build their records without dataclasses, and eval's
+memory does not grow with its input."""
 
 import os
 import random
@@ -84,6 +85,31 @@ assert "meanstream.symfun" not in sys.modules
 assert getattr(families, "sigma_from_power") is ms.sigma_from_power
 assert ms.symfun.MAX_MULTI_EXPONENTS == families.MAX_MULTI_EXPONENTS == 12
 print("no symfun")
+"""
+
+START_PROBE = """
+import sys
+import meanstream as ms
+from meanstream import cli, families
+
+def loaded(names):
+    return sorted(m for m in names if m in sys.modules)
+
+for d in (ms.power_mean(1), ms.hamy(4), ms.median_mean("lower"), ms.gini(2, 1)):
+    ms.finalize(ms.absorb_many(ms.init(d), [1.0, 2.0, 4.0]))
+with open("values.txt", "w") as fh:
+    fh.write("1\\n2\\n4\\n")
+for family in (["power", "--p", "1"], ["hamy", "--r", "4"], ["median"]):
+    assert cli.main(["eval", "--family", *family, "--input", "values.txt"]) == 0
+assert loaded(LIGHT) == [], loaded(LIGHT)
+ms.biplanar(2.0, 3.0, 3, 3)  # its exponent check loads fractions, with numbers
+assert loaded(LIGHT) == ["numbers"], loaded(LIGHT)
+ms.quasi_arithmetic("ln")
+assert loaded(LIGHT) == ["meanstream.generators", "numbers"], loaded(LIGHT)
+assert families.generator_by_name is ms.generator_by_name
+from meanstream.families import GeneratorFunction, pair_from_names
+assert pair_from_names is ms.generators.pair_from_names
+print("streaming core")
 """
 
 RECORDS_PROBE = """
@@ -179,6 +205,20 @@ def test_streaming_paths_do_not_load_symfun(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "no symfun"
+
+
+def test_start_path_loads_only_the_streaming_core(tmp_path):
+    # witness: import meanstream loaded json (with json.decoder,
+    # json.scanner, json.encoder and _json), numbers, and the generator
+    # registry and pair builders, which no power, hamy, median, gini or
+    # biplanar mean runs
+    light = ("json", "numbers", "meanstream.generators")
+    probe = f"LIGHT = {light!r}\n{START_PROBE}"
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "streaming core"
 
 
 def test_verify_and_myhill_records_load_no_dataclasses(tmp_path):
