@@ -273,7 +273,17 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify  # loaded on use, so eval never compiles it
-    reports = verify.run_suite(seed=args.seed, trials=args.trials)
+    seed, source = args.seed, "--seed"
+    if seed is None and "MEANSTREAM_SEED" in os.environ:
+        seed, source = os.environ["MEANSTREAM_SEED"], "MEANSTREAM_SEED"
+    if seed is not None and not str(seed).isdecimal():
+        raise CliError(f"{source} must be a non-negative integer, got "
+                       f"{seed!r}", EXIT_PARSE)
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}",
+                       EXIT_PARSE)
+    reports = verify.run_suite(seed=None if seed is None else int(seed),
+                               trials=args.trials)
     if args.format == "json":
         for report in reports:
             print(report.to_json())
@@ -298,8 +308,11 @@ def cmd_myhill(args) -> int:
     except ValueError as e:
         raise CliError(f"bad --alphabet {args.alphabet!r}: {e}", EXIT_PARSE)
     probes = myhill.default_probes(alphabet, args.probe_len)
-    profile = myhill.enumerate_classes(descriptor, alphabet, args.max_len,
-                                       probes=probes)
+    try:
+        profile = myhill.enumerate_classes(descriptor, alphabet, args.max_len,
+                                           probes=probes)
+    except ValueError as e:  # the alphabet's size or domain, or max_len
+        raise CliError(str(e), EXIT_PARSE)
     result = profile.as_dict()
     result["growth"] = myhill.growth_report(profile)
     print(json.dumps(result))
@@ -361,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and "MEANSTREAM_SEED" in os.environ:
-        args.seed = int(os.environ["MEANSTREAM_SEED"])
     try:
         return args.func(args)
     except CliError as e:

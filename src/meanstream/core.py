@@ -5,12 +5,12 @@ where the state lives in a commutative semigroup: the descriptor's
 ``step`` pushes one element into a state's reals, and its ``combine`` merges
 two states.  Core calls each descriptor through three kernels
 (``MeanDescriptor.kernels``): ``absorb`` a checked step, ``absorb_many`` a
-leaf fold over runs of LEAF elements, which a pairwise tree of the combine
-joins, and ``merge`` the combine.  ``table_mean`` compiles all three from a
-block table; any other descriptor derives them from its ``step``.  A state
-is an immutable ``NamedTuple`` (descriptor, reals, count); absorb and merge
-return new states, so shard-parallel accumulation followed by a merge tree
-needs no locking.
+checked leaf fold over runs of LEAF elements, which a pairwise tree of the
+combine joins, and ``merge`` the combine; absorb decides every overflow.
+``table_mean`` compiles all three from a block table; any other descriptor
+derives them from its ``step``.  A state is an immutable ``NamedTuple``
+(descriptor, reals, count); absorb and merge return new states, so
+shard-parallel accumulation followed by a merge tree needs no locking.
 """
 
 from __future__ import annotations
@@ -203,14 +203,13 @@ class MeanDescriptor(Record):
     The other attributes are derived, not fields.  ``identity`` is
     ``init``'s reals, and ``kernels`` what core calls: (checked step, leaf
     fold, combine), compiled on the first call of any of them.  The checked
-    step raises absorb's DomainError outside the domain, then steps; the
-    leaf fold maps (xs, reals) to ``reduce(step, xs, reals)``, bit for bit.
-    ``table_mean`` gives a descriptor its block table (``blocks`` and
-    ``block_env``), which the kernels are compiled from.  Without one, they
-    are a generated domain test that calls ``step``, ``leaf_fold`` (a
-    family's own fold, such as the median's sort) or else
-    ``partial(reduce, step)``, and ``combine``.  ``layout_version`` is the
-    first state format whose reals mean what this descriptor's do.
+    step and the leaf fold raise absorb's DomainError at the first element
+    outside the domain; else the fold maps (xs, reals) to
+    ``reduce(step, xs, reals)``, bit for bit.  They are compiled from the
+    block table that ``table_mean`` gives a descriptor (``blocks`` and
+    ``block_env``), else from ``step`` and ``leaf_fold`` (a family's own
+    fold, such as the median's sort) and ``combine``.  ``layout_version``
+    is the first state format whose reals mean what this descriptor's do.
     """
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
@@ -293,7 +292,7 @@ def table_mean(family: str, params: dict, domain: DomainInterval,
     Expressions are Python text in ``x``; the names they use besides
     (``log``, an exponent, a user's ``forward``) come from ``env``, never
     from the source text.  Its kernels compile on first use (``_kernels``);
-    ``step`` and ``combine`` call them.
+    ``step`` (a fold of one element) and ``combine`` call them.
     """
 
     def step(reals, x):
@@ -328,30 +327,33 @@ def _first_use(d: MeanDescriptor) -> tuple:
 def _kernels(d: MeanDescriptor) -> tuple:
     """d's (checked step, leaf fold, combine), from one ``exec``.
 
-    The domain test is inline: ``lo < x < hi``, with ``<=`` at a closed
-    end, which NaN fails.  A block table's kernels are straight-line code
-    over the locals a<i>_<j> (e_j of block i) and y<i> (block i's encoded
-    x).  The step pushes y by e_j += y e_{j-1}; the fold does the same for
-    each x, from j = m down to 1, so it has the step's bits; the combine
-    multiplies two states' polynomials prod(1 + y t), truncated at t^m,
-    left to right.  The sizes are ints, and values reach the code through
-    its globals, never through its text.
+    The checked step and the fold test each x before they encode it, by one
+    generated line that raises absorb's DomainError unless ``lo < x < hi``
+    (``<=`` at a closed end; NaN fails).  Without a block table they then
+    call ``step``, and ``leaf_fold`` or ``partial(reduce, step)``.  A block
+    table's kernels are straight-line code over the locals a<i>_<j> (e_j of
+    block i) and y<i> (block i's encoded x).  The step pushes y by e_j +=
+    y e_{j-1}; the fold does the same for each x, from j = m down to 1, so
+    it has the step's bits; the combine multiplies two states' polynomials
+    prod(1 + y t), truncated at t^m, left to right.  The sizes are ints,
+    and values reach the code through its globals, never through its text.
     """
-    # blocks ((2, "x ** p"), (1, "x")) give the checked step's body
+    # after the check, blocks ((2, "x ** p"), (1, "x")) give the step's body
     #     a0_1, a0_2, a1_1, = reals; y0 = x ** p; y1 = x
     #     return (a0_1 + y0, a0_2 + y0 * a0_1, a1_1 + y1,)
     domain = d.domain
     env = {"DomainError": DomainError, "lo": domain.lo, "hi": domain.hi,
            "name": d.name}
-    check = ("def checked(reals, x):\n    if not lo %s x %s hi:\n"
-             "        raise DomainError(f'{x} outside domain of {name}')\n"
+    check = ("if not lo %s x %s hi: "
+             "raise DomainError(f'{x} outside domain of {name}')"
              % ("<=" if domain.lo_closed else "<",
                 "<=" if domain.hi_closed else "<"))
     if d.blocks is None:
-        env["step"] = d.step
-        exec(check + "    return step(reals, x)\n", env)
-        return (env["checked"], d.leaf_fold or partial(reduce, d.step),
-                d.combine)
+        env.update(step=d.step, leaf=d.leaf_fold or partial(reduce, d.step))
+        exec("def checked(reals, x):\n    %s\n    return step(reals, x)\n"
+             "def fold(xs, reals):\n    for x in xs:\n        %s\n"
+             "    return leaf(xs, reals)\n" % (check, check), env)
+        return env["checked"], env["fold"], d.combine
     slots, encoded, pushed, folded, merged = [], [], [], [], []
     for i, (m, expression) in enumerate(d.blocks):
         encoded.append("y%d = %s" % (i, expression))
@@ -367,12 +369,12 @@ def _kernels(d: MeanDescriptor) -> tuple:
         folded += reversed(block)
     a, b = (", ".join(side + slot for slot in slots) for side in "ab")
     env.update(d.block_env)
-    exec(check
-         + "    %s, = reals\n    %s\n    return (%s,)\n" % (
-             a, "\n    ".join(encoded), ", ".join(pushed))
+    exec("def checked(reals, x):\n    %s\n    %s, = reals\n    %s\n"
+         "    return (%s,)\n" % (check, a, "\n    ".join(encoded),
+                                 ", ".join(pushed))
          + "def fold(xs, reals):\n    %s, = reals\n    for x in xs:\n"
            "        %s\n    return (%s,)\n" % (
-             a, "\n        ".join(encoded + folded), a)
+             a, "\n        ".join([check] + encoded + folded), a)
          + "def combine(a, b):\n    %s, = a\n    %s, = b\n    return (%s,)\n"
          % (a, b, ", ".join(merged)), env)
     return env["checked"], env["fold"], env["combine"]
@@ -439,23 +441,16 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
     tree's result is combined into the state once.
 
     Same state as absorbing each element in turn, up to rounding (exactly,
-    for one element); the first out-of-domain element raises the
-    DomainError ``absorb`` would.  An OverflowError in the fold makes every
-    component inf, as in ``absorb``.  A result with a non-finite component
-    is re-run one element at a time, since a sum in another order can
-    overflow where the running totals do not: an overflowed batch overflows
-    in ``absorb`` too, and ``serialize_state`` writes both as k infs.
+    for one element).  The fold tests each element as absorb does, so the
+    first one outside the domain raises absorb's DomainError.  An
+    OverflowError, or a non-finite result, re-runs the batch through
+    absorb, which decides every overflow: a leaf or node can overflow where
+    the running totals do not (encodings of both signs).
     """
     d, reals, count = state
     xs = list(map(float, xs))
     if not xs:
         return state
-    contains = d.domain.contains
-    # an interval holds all of xs iff it holds min and max, NaN aside
-    if any(map(math.isnan, xs)) or not (contains(min(xs))
-                                        and contains(max(xs))):
-        bad = next(x for x in xs if not contains(x))
-        raise DomainError(f"{bad} outside domain of {d.name}")
     _, fold, combine = d.kernels
     identity = d.identity
     stack = []  # (height, reals) of 2**height leaves, heights decreasing
@@ -466,17 +461,15 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
                 node = combine(stack.pop()[1], node)
                 height += 1
             stack.append((height, node))
-    except OverflowError:  # every component inf, as in absorb
-        return AccumulatorState(d, (math.inf,) * d.k, count + len(xs))
-    node = stack.pop()[1]
-    while stack:
-        node = combine(stack.pop()[1], node)
-    reals = combine(reals, node)
-    if not all(map(math.isfinite, reals)):
-        # a leaf or node overflowed, which the running totals may not do
-        # (encodings of both signs): absorb decides
-        return reduce(absorb, xs, state)
-    return AccumulatorState(d, reals, count + len(xs))
+        node = stack.pop()[1]
+        while stack:
+            node = combine(stack.pop()[1], node)
+        reals = combine(reals, node)
+        if all(map(math.isfinite, reals)):
+            return AccumulatorState(d, reals, count + len(xs))
+    except OverflowError:
+        pass
+    return reduce(absorb, xs, state)
 
 
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
@@ -524,10 +517,7 @@ def _is_real(value) -> bool:
 
 def evaluate_stream(descriptor: MeanDescriptor, xs: Iterable[float]) -> float:
     """init, absorb each element, finalize at end of input."""
-    state = init(descriptor)
-    for x in xs:
-        state = absorb(state, x)
-    return finalize(state)
+    return finalize(reduce(absorb, xs, init(descriptor)))
 
 
 def serialize_state(state: AccumulatorState) -> bytes:

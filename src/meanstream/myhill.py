@@ -9,6 +9,7 @@ counts are therefore lower bounds on the exact class counts.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
@@ -123,9 +124,7 @@ def state_counts(descriptor: MeanDescriptor, alphabet: Sequence[float],
     for length in range(1, max_len + 1):
         states = []
         for word in combinations_with_replacement(alphabet, length):
-            s = init(descriptor)
-            for x in word:
-                s = absorb(s, x)
+            s = reduce(absorb, word, init(descriptor))
             states.append(tuple(s.reals) + (s.count,))
         distinct = []
         for s in states:

@@ -482,6 +482,25 @@ class TestVerifyCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == seeded
 
+    @pytest.mark.parametrize("argv, message", [
+        # witnesses: --trials 0 and -5 ran no random trial and printed
+        # "holds" for every property; --seed -1 raised a bare ValueError
+        (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--trials", "-5"], "--trials must be at least 1, got -5"),
+        (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    ])
+    def test_bad_argument(self, capsys, argv, message):
+        assert main(["verify"] + argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_bad_seed_in_the_environment(self, monkeypatch, capsys):
+        # witness: "ValueError: invalid literal for int()", a traceback
+        monkeypatch.setenv("MEANSTREAM_SEED", "abc")
+        assert main(["verify", "--trials", "5"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: MEANSTREAM_SEED must be a non-negative integer, "
+                "got 'abc'\n")
+
 
 class TestMyhillCommand:
     def test_profile_json(self, capsys):
@@ -501,3 +520,15 @@ class TestMyhillCommand:
         assert out == ""
         assert err == ("error: bad --alphabet 'a,b': could not convert "
                        "string to float: 'a'\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # witnesses: each raised a bare ValueError, a traceback and exit 1;
+        # the default alphabet 0,1,2 is outside every positive domain
+        ([], "alphabet letter 0.0 outside the domain"),
+        (["--max-len", "11"], "max_len must be at most 10"),
+        (["--alphabet", "1,2,3,4,5,6"],
+         "alphabet size must be between 1 and 5"),
+    ])
+    def test_bad_argument(self, capsys, argv, message):
+        assert main(["myhill", "--family", "power", "--p", "1"] + argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

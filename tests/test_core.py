@@ -143,8 +143,8 @@ class TestAbsorbMany:
             assert same.reals == s.reals and same.count == s.count
 
     def test_domain_error_names_the_first_bad_value(self):
-        # the batch is checked through its NaNs, min and max, so the bad
-        # value's position and kind must not change which one is named
+        # the leaf fold tests each element in turn, so the bad value's
+        # position and kind must not change which one is named
         d = ms.power_mean(1.0)
         for batch, bad in (([1.0, -3.0, -4.0], -3.0), ([2.0, math.nan, -1.0], math.nan),
                            ([2.0, -1.0, math.nan], -1.0), ([1.0, -0.0, 0.0], -0.0),
@@ -267,6 +267,62 @@ class TestAbsorbMany:
                 '"overflow": true}')
             with pytest.raises(NumericalFailure):
                 ms.finalize(s)
+
+
+# values outside some built-in's domain, and 1e200, whose x ** 2 raises
+# OverflowError and whose square overflows the e-state products
+SPECIALS = [1e200, math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5.0]
+
+
+def _decides_as_absorb(d, xs) -> str:
+    """absorb_many of xs raises the DomainError of absorbing xs in turn, or
+    has its count, and its bytes where absorb's route overflows; returns
+    what absorb's route did."""
+    try:
+        one = functools.reduce(ms.absorb, xs, ms.init(d))
+    except DomainError as e:
+        with pytest.raises(DomainError) as raised:
+            ms.absorb_many(ms.init(d), xs)
+        assert str(raised.value) == str(e), d.name
+        return "domain"
+    many = ms.absorb_many(ms.init(d), xs)
+    assert many.count == one.count == len(xs), d.name
+    if one.overflow:
+        assert ms.serialize_state(many) == ms.serialize_state(one), d.name
+        return "overflow"
+    return "finite"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=3 * core.LEAF),
+       st.lists(st.tuples(st.integers(0, 3 * core.LEAF),
+                          st.sampled_from(SPECIALS)), max_size=4))
+@example(us=[0.5] * (3 * core.LEAF - 2),
+         specials=[(0, 1e200), (core.LEAF + 1, -1.0)])
+@example(us=[0.5] * core.LEAF, specials=[(core.LEAF, 1e200)])
+def test_absorb_many_decides_as_absorb_does(us, specials):
+    """Batches up to 3 * LEAF long that mix values inside the domain, values
+    whose step overflows and values outside it, at any position across the
+    leaf boundaries: absorb_many names absorb's first bad value, and where
+    absorb's route overflows it has that route's bytes."""
+    for d in kernel_subjects():
+        xs = [_in_domain(d, u) for u in us]
+        for at, x in specials:
+            xs.insert(at, x)
+        _decides_as_absorb(d, xs)
+
+
+def test_absorb_many_decides_as_absorb_does_on_its_witnesses():
+    # witness: power(2)'s fold raises OverflowError at 1e200 ** 2, so the
+    # re-run through absorb must name the -1.0 in the leaf after it
+    batch = [1e200] + [1.0] * 70 + [-1.0]
+    with pytest.raises(DomainError, match="^-1.0 outside domain of power"):
+        ms.absorb_many(ms.init(ms.power_mean(2.0)), batch)
+    seen = set()
+    for d in kernel_subjects() + [ms.power_mean(2.0)]:
+        seen.add(_decides_as_absorb(d, batch))
+        seen.add(_decides_as_absorb(d, [2.0] * 65 + [math.nan]))
+    assert seen == {"domain", "overflow", "finite"}
 
 
 def _in_domain(d, u: float) -> float:
@@ -440,6 +496,33 @@ class TestKernels:
                 with pytest.raises(DomainError) as kernel:
                     checked(state.reals, x)
                 assert str(kernel.value) == str(raised.value)
+                tested += 1
+            assert tested >= 3, d.name
+
+    def test_leaf_fold_raises_absorbs_domain_error(self):
+        """The leaf fold tests each element as the checked step does, and
+        a table's ``step``, its fold of one element, raises the same."""
+        outside = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                   math.nextafter(3.0, -math.inf), math.nextafter(4.0, math.inf),
+                   math.nextafter(1e3, math.inf), 1e3, -1e3]
+        for d in kernel_subjects():
+            fold = d.kernels[1]
+            inside = _in_domain(d, 0.5)
+            state = ms.absorb(ms.init(d), inside)
+            tested = 0
+            for x in outside:
+                if d.domain.contains(x):
+                    continue
+                with pytest.raises(DomainError) as raised:
+                    ms.absorb(state, x)
+                calls = [lambda: fold([x], d.identity),
+                         lambda: fold([inside] * core.LEAF + [x], state.reals)]
+                if d.blocks is not None:
+                    calls.append(lambda: d.step(state.reals, x))
+                for call in calls:
+                    with pytest.raises(DomainError) as kernel:
+                        call()
+                    assert str(kernel.value) == str(raised.value), (d.name, x)
                 tested += 1
             assert tested >= 3, d.name
 

@@ -2,9 +2,11 @@
 numpy never loads on a streaming path, neither dataclasses nor fractions
 loads at start-up, symfun stays off the streaming paths, the start path
 loads neither json, numbers nor the generators, verify and myhill load
-only on first use and build their records without dataclasses, and eval's
-memory does not grow with its input."""
+only on first use and build their records without dataclasses, eval's
+memory does not grow with its input, and every source file parses as the
+oldest Python that pyproject.toml admits."""
 
+import ast
 import os
 import random
 import subprocess
@@ -260,3 +262,14 @@ def test_eval_memory_does_not_grow_with_the_input(tmp_path, family):
         assert code == 0, done.stderr
         peaks.append(peak_kib / 1024)
     assert peaks[1] - peaks[0] <= 2.0, peaks  # MiB
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml says requires-python >= 3.10, and a newer interpreter
+    runs the suite, so syntax newer than 3.10 would pass here unseen."""
+    paths = [path for folder in ("src", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))
