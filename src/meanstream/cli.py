@@ -10,9 +10,11 @@ Python, so its memory does not grow with the input (except for the median,
 whose state is the multiset itself) and it never loads numpy.
 
 Exit codes: 0 ok, 2 parse error (also a bad argument, an input file that
-cannot be read or is not UTF-8, or an output file that cannot be written),
-3 domain error, 4 empty input, 5 family mismatch.  It imports json only for
---family-json, ``classify --format json`` and myhill.
+cannot be read or is not UTF-8, an output file that cannot be written, or a
+myhill --max-len below 4, a negative --probe-len, or a probe or evaluation
+count over myhill's budget), 3 domain error, 4 empty input, 5 family
+mismatch, 1 any other library error; EXIT_CODES decides them all.  It imports
+json only for --family-json, ``classify --format json`` and myhill.
 """
 
 from __future__ import annotations
@@ -31,22 +33,29 @@ from . import families
 # other core operations, which bench/job.py wraps by attribute
 from .core import (absorb, absorb_many, finalize, init, merge,  # noqa: F401
                    parse_state, serialize_state)
-from .errors import (DomainError, EmptyStateError, FamilyMismatch,
-                     InvalidDescriptor, MeanStreamError, ParseError)
+from .errors import (BudgetExceeded, DomainError, EmptyStateError,
+                     FamilyMismatch, InsufficientData, InvalidDescriptor,
+                     MeanStreamError, ParseError)
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_EMPTY = 4
-EXIT_MISMATCH = 5
 
 BLOCK_LINES = 8192  # input lines per absorb_many call in eval
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+class CliError(MeanStreamError):
+    """A bad argument or input that the CLI itself refuses."""
+
+
+# main exits with the code of the first row whose classes the error is an
+# instance of
+EXIT_CODES = (
+    (DomainError, 3),
+    (EmptyStateError, 4),
+    (FamilyMismatch, 5),
+    ((CliError, ParseError, InvalidDescriptor, InsufficientData,
+      BudgetExceeded), 2),
+    (MeanStreamError, 1),
+)
 
 
 def _family_params(args) -> tuple:
@@ -56,13 +65,13 @@ def _family_params(args) -> tuple:
         try:
             spec = json.loads(args.family_json)
         except json.JSONDecodeError as e:
-            raise CliError(f"bad --family-json: {e}", EXIT_PARSE)
+            raise CliError(f"bad --family-json: {e}")
         if not isinstance(spec, dict) or "family" not in spec:
             raise CliError('bad --family-json: expected an object with a '
-                           '"family" key', EXIT_PARSE)
+                           '"family" key')
         return spec.pop("family"), spec
     if not args.family:
-        raise CliError("--family (or --family-json) is required", EXIT_PARSE)
+        raise CliError("--family (or --family-json) is required")
     params = {}
     for key in ("p", "q", "r", "c", "d", "f", "g", "kind"):
         value = getattr(args, key, None)
@@ -76,7 +85,7 @@ def _open_input(path: str, *args, **kwargs):
     try:
         return open(path, *args, **kwargs)
     except OSError as e:
-        raise CliError(f"{path}: {e.strerror}", EXIT_PARSE) from None
+        raise CliError(f"{path}: {e.strerror}") from None
 
 
 def _write_output(path: str, data: bytes) -> None:
@@ -86,15 +95,11 @@ def _write_output(path: str, data: bytes) -> None:
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as e:
-        raise CliError(f"{path}: {e.strerror}", EXIT_PARSE) from None
+        raise CliError(f"{path}: {e.strerror}") from None
 
 
 def _build_descriptor(args):
-    family, params = _family_params(args)
-    try:
-        return families.descriptor_from_params(family, params)
-    except InvalidDescriptor as e:
-        raise CliError(str(e), EXIT_PARSE)
+    return families.descriptor_from_params(*_family_params(args))
 
 
 def _parse_lines(lines: list, lineno: int) -> tuple:
@@ -112,8 +117,7 @@ def _parse_lines(lines: list, lineno: int) -> tuple:
             try:
                 values.append(float(token))
             except ValueError:
-                raise CliError(f"line {lineno}: cannot parse {token!r}",
-                               EXIT_PARSE)
+                raise CliError(f"line {lineno}: cannot parse {token!r}")
     return values, False
 
 
@@ -128,7 +132,7 @@ def _parse_rows(rows: list, lineno: int, idx: int) -> tuple:
         try:
             values.append(float(row[idx]))
         except (ValueError, IndexError):
-            raise CliError(f"line {lineno}: cannot parse {row!r}", EXIT_PARSE)
+            raise CliError(f"line {lineno}: cannot parse {row!r}")
     return values, False
 
 
@@ -185,17 +189,16 @@ def _value_blocks(args):
                 try:
                     idx = int(args.column)
                 except ValueError:
-                    raise CliError(f"column {args.column!r} not found",
-                                   EXIT_PARSE)
+                    raise CliError(f"column {args.column!r} not found")
                 rows, lineno = chain([header], reader), 0
             yield from _blocks(_chunks(rows),
                                partial(_column_floats, idx=idx),
                                partial(_parse_rows, idx=idx), lineno)
         except UnicodeDecodeError as e:
-            raise CliError(f"{name or '<stdin>'}: not UTF-8 text ({e.reason})",
-                           EXIT_PARSE) from None
+            raise CliError(f"{name or '<stdin>'}: not UTF-8 text "
+                           f"({e.reason})") from None
         except csv.Error as e:  # only the reader raises it
-            raise CliError(f"line {reader.line_num}: {e}", EXIT_PARSE) from None
+            raise CliError(f"line {reader.line_num}: {e}") from None
 
 
 def cmd_eval(args) -> int:
@@ -208,9 +211,9 @@ def cmd_eval(args) -> int:
             except DomainError as e:
                 domain_error = e  # read on: a later parse error takes precedence
     if domain_error is not None:
-        raise CliError(str(domain_error), EXIT_DOMAIN)
+        raise domain_error
     if state.is_empty():
-        raise CliError("empty input", EXIT_EMPTY)
+        raise EmptyStateError("empty input")
     value = finalize(state)
     if args.state_out:
         _write_output(args.state_out, serialize_state(state))
@@ -226,14 +229,14 @@ def cmd_merge(args) -> int:
         try:
             state = parse_state(data)
         except ParseError as e:
-            raise CliError(f"{path}: {e}", EXIT_PARSE)
+            raise ParseError(f"{path}: {e}") from None
         if mismatch is None:
             try:
                 merged = state if merged is None else merge(merged, state)
             except FamilyMismatch as e:
                 mismatch = e  # read on: a later parse error takes precedence
     if mismatch is not None:
-        raise CliError(str(mismatch), EXIT_MISMATCH)
+        raise mismatch
     payload = serialize_state(merged)
     if args.out:
         _write_output(args.out, payload)
@@ -278,10 +281,9 @@ def cmd_verify(args) -> int:
         seed, source = os.environ["MEANSTREAM_SEED"], "MEANSTREAM_SEED"
     if seed is not None and not str(seed).isdecimal():
         raise CliError(f"{source} must be a non-negative integer, got "
-                       f"{seed!r}", EXIT_PARSE)
+                       f"{seed!r}")
     if args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}",
-                       EXIT_PARSE)
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     reports = verify.run_suite(seed=None if seed is None else int(seed),
                                trials=args.trials)
     if args.format == "json":
@@ -306,13 +308,13 @@ def cmd_myhill(args) -> int:
     try:
         alphabet = [float(t) for t in args.alphabet.split(",")]
     except ValueError as e:
-        raise CliError(f"bad --alphabet {args.alphabet!r}: {e}", EXIT_PARSE)
-    probes = myhill.default_probes(alphabet, args.probe_len)
+        raise CliError(f"bad --alphabet {args.alphabet!r}: {e}")
     try:
+        probes = myhill.default_probes(alphabet, args.probe_len)
         profile = myhill.enumerate_classes(descriptor, alphabet, args.max_len,
                                            probes=probes)
-    except ValueError as e:  # the alphabet's size or domain, or max_len
-        raise CliError(str(e), EXIT_PARSE)
+    except ValueError as e:  # the alphabet's size or domain, a length
+        raise CliError(str(e))
     result = profile.as_dict()
     result["growth"] = myhill.growth_report(profile)
     print(json.dumps(result))
@@ -376,15 +378,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except EmptyStateError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_EMPTY
     except MeanStreamError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Optional, Sequence
 
 from .core import MeanDescriptor, Record, init, absorb
@@ -44,9 +45,18 @@ def default_probes(alphabet: Sequence[float], max_probe_len: int = 2,
     symmetric mean a prefix/suffix pair collapses, by symmetry, to a single
     suffix multiset of at most twice the per-side probe length; that is the
     default.  ``two_sided=False`` restricts to suffix-only probes of length
-    up to ``max_probe_len``.
+    up to ``max_probe_len``.  A probe count over EVALUATION_BUDGET raises
+    BudgetExceeded before any probe is built.
     """
+    if max_probe_len < 0:
+        raise ValueError(f"max_probe_len must be non-negative, got "
+                         f"{max_probe_len}")
     total = 2 * max_probe_len if two_sided else max_probe_len
+    # words of length 0..total over n letters, less the empty word
+    count = comb(total + len(alphabet), len(alphabet)) - 1
+    if count > EVALUATION_BUDGET:
+        raise BudgetExceeded(f"{count} probes would exceed "
+                             f"{EVALUATION_BUDGET} evaluations")
     probes = []
     for length in range(1, total + 1):
         probes.extend(list(c) for c in
@@ -77,7 +87,9 @@ def enumerate_classes(m, alphabet: Sequence[float], max_len: int,
                       probes: Optional[list] = None,
                       atol: float = DEFAULT_ATOL,
                       rtol: float = DEFAULT_RTOL) -> ClassProfile:
-    """Per-length class counts of the probe-restricted Myhill relation."""
+    """Per-length class counts of the probe-restricted Myhill relation.
+    Raises BudgetExceeded, before the first evaluation, when they would take
+    more than EVALUATION_BUDGET evaluations."""
     evaluate, domain, name = _subject(m)
     alphabet = sorted(set(float(a) for a in alphabet))
     if not 1 <= len(alphabet) <= 5:
@@ -91,14 +103,15 @@ def enumerate_classes(m, alphabet: Sequence[float], max_len: int,
         probes = default_probes(alphabet)
     probes = [list(p) for p in probes]
 
-    evaluations = 0
+    n = len(alphabet)  # C(L + n - 1, n - 1) words of each length L
+    evaluations = sum(comb(length + n - 1, n - 1)
+                      for length in range(1, max_len + 1)) * (1 + len(probes))
+    if evaluations > EVALUATION_BUDGET:
+        raise BudgetExceeded(f"would exceed {EVALUATION_BUDGET} evaluations")
     counts = []
     for length in range(1, max_len + 1):
         words = [list(w) for w in
                  combinations_with_replacement(alphabet, length)]
-        evaluations += len(words) * (1 + len(probes))
-        if evaluations > EVALUATION_BUDGET:
-            raise BudgetExceeded(f"would exceed {EVALUATION_BUDGET} evaluations")
         signatures = [
             [evaluate(w)] + [evaluate(w + probe) for probe in probes]
             for w in words

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import meanstream as ms
-from meanstream import cli, core, families
+from meanstream import cli, core, families, myhill
 from meanstream.cli import BLOCK_LINES, main
+from meanstream.errors import (BudgetExceeded, DomainError, EmptyStateError,
+                               FamilyMismatch, InsufficientData,
+                               InvalidDescriptor, NumericalFailure, ParseError)
 
 
 def run_cli(argv, stdin="", monkeypatch=None, capsys=None):
@@ -532,3 +535,85 @@ class TestMyhillCommand:
     def test_bad_argument(self, capsys, argv, message):
         assert main(["myhill", "--family", "power", "--p", "1"] + argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_max_len_below_4(self, capsys):
+        # witness: exit 1, the InsufficientData of growth_report
+        assert main(["myhill", "--family", "power", "--p", "1",
+                     "--alphabet", "1,2", "--max-len", "3"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: growth classification needs max_len >= 4\n")
+
+    def test_negative_probe_len(self, capsys):
+        # witness: exit 0 with "probes": []
+        assert main(["myhill", "--family", "power", "--p", "1",
+                     "--alphabet", "1,2", "--max-len", "4",
+                     "--probe-len", "-1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: max_probe_len must be non-negative, got -1\n")
+
+    def test_probe_len_0_compares_values_only(self, capsys):
+        assert main(["myhill", "--family", "power", "--p", "1",
+                     "--alphabet", "1,2", "--max-len", "4",
+                     "--probe-len", "0"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["probes"], result["counts"]) == ([], [2, 3, 4, 5])
+
+
+def _refuse_to_enumerate(iterable, r):
+    """A stand-in for myhill.combinations_with_replacement, so that a budget
+    checked only after enumerating fails at once."""
+    raise AssertionError(f"enumerated words of length {r}")
+
+
+MYHILL = ["myhill", "--family", "power", "--p", "1"]
+
+# (error, argv, stdin, exit code, stderr message) of each class in
+# cli.EXIT_CODES; NumericalFailure stands for any other MeanStreamError
+EXIT_CODE_WITNESSES = [
+    (DomainError, ["eval", "--family", "power", "--p", "1"], "1\n-3\n", 3,
+     "-3.0 outside domain of power(p=1.0)"),
+    (EmptyStateError, ["eval", "--family", "power", "--p", "1"], "", 4,
+     "empty input"),
+    (FamilyMismatch, ["merge", "{tmp}/p.state", "{tmp}/h.state"], "", 5,
+     'power:{"p": 1.0} vs hamy:{"r": 2}'),
+    (cli.CliError, ["eval", "--family", "power", "--p", "1"], "1\nbogus\n",
+     2, "line 2: cannot parse 'bogus'"),
+    (ParseError, ["merge", "{tmp}/bad.state"], "", 2,
+     "{tmp}/bad.state: invalid JSON: Expecting property name enclosed in "
+     "double quotes (at byte 1)"),
+    (InvalidDescriptor, ["classify", "--family", "power", "--p", "inf"], "",
+     2, "power needs a finite p, got inf"),
+    (InsufficientData,
+     MYHILL + ["--alphabet", "1,2", "--max-len", "0", "--probe-len", "0"],
+     "", 2, "growth classification needs max_len >= 4"),
+    # witness: C(85, 5) - 1 probes were built before the budget was read
+    (BudgetExceeded, MYHILL + ["--alphabet", "1,2,3,4,5", "--probe-len", "40"],
+     "", 2, "32801516 probes would exceed 10000000 evaluations"),
+    (NumericalFailure, ["eval", "--family", "quasiarithmetic", "--f", "exp"],
+     "-800\n-801\n", 1, "finalizer failed: math domain error"),
+]
+
+
+@pytest.mark.parametrize("error, argv, stdin, code, message",
+                         EXIT_CODE_WITNESSES,
+                         ids=[w[0].__name__ for w in EXIT_CODE_WITNESSES])
+def test_exit_code_of_each_row_of_the_table(monkeypatch, capsys, tmp_path,
+                                            error, argv, stdin, code, message):
+    """The witness raises its error, and main exits with the error's code.
+    No witness enumerates words, so a myhill budget checked only after
+    enumerating fails at once."""
+    (tmp_path / "p.state").write_bytes(
+        ms.serialize_state(ms.init(ms.power_mean(1.0)).absorb(3.0)))
+    (tmp_path / "h.state").write_bytes(
+        ms.serialize_state(ms.init(ms.hamy(2)).absorb(3.0)))
+    (tmp_path / "bad.state").write_bytes(b"{not json")
+    monkeypatch.setattr(myhill, "combinations_with_replacement",
+                        _refuse_to_enumerate)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    message = message.replace("{tmp}", str(tmp_path))
+    args = cli.build_parser().parse_args(argv)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    with pytest.raises(error):
+        args.func(args)
+    assert run_cli(argv, stdin, monkeypatch, capsys) == (
+        code, "", f"error: {message}\n")

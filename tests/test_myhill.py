@@ -11,6 +11,12 @@ def arithmetic():
     return ms.quasi_arithmetic("identity")
 
 
+def refuse(iterable, r):
+    """A stand-in for myhill.combinations_with_replacement: a count checked
+    only after enumerating would fail here at once, not exhaust memory."""
+    raise AssertionError(f"enumerated words of length {r}")
+
+
 class TestEnumerateClasses:
     def test_arithmetic_counts_are_2n_plus_1(self):
         profile = ms.enumerate_classes(arithmetic(), ALPHABET, 8)
@@ -52,6 +58,51 @@ class TestEnumerateClasses:
         monkeypatch.setattr(myhill, "EVALUATION_BUDGET", 10)
         with pytest.raises(BudgetExceeded):
             ms.enumerate_classes(arithmetic(), ALPHABET, 4)
+
+    def test_budget_is_checked_before_the_first_evaluation(self, monkeypatch):
+        # witness: 1,286 words x 6,188 = 7,957,768 evaluations of lengths
+        # 1-8 ran before the budget refused length 9
+        alphabet = [1.0, 2.0, 3.0, 4.0, 5.0]
+        probes = ms.default_probes(alphabet, 6)
+        calls = []
+        counted = ms.FunctionMean(lambda xs: calls.append(xs) or max(xs),
+                                  ms.DomainInterval.positive(), "counted")
+        monkeypatch.setattr(myhill, "combinations_with_replacement", refuse)
+        with pytest.raises(BudgetExceeded,
+                           match="^would exceed 10000000 evaluations$"):
+            ms.enumerate_classes(counted, alphabet, 10, probes=probes)
+        assert calls == []
+
+
+    def test_budget_counts_every_evaluation(self, monkeypatch):
+        # 3 + 6 + 10 + 15 words of lengths 1-4, each with 34 probes
+        monkeypatch.setattr(myhill, "EVALUATION_BUDGET", 34 * 35)
+        ms.enumerate_classes(arithmetic(), ALPHABET, 4)
+        monkeypatch.setattr(myhill, "EVALUATION_BUDGET", 34 * 35 - 1)
+        with pytest.raises(BudgetExceeded):
+            ms.enumerate_classes(arithmetic(), ALPHABET, 4)
+
+
+class TestDefaultProbes:
+    def test_budget_counts_every_probe(self, monkeypatch):
+        monkeypatch.setattr(myhill, "EVALUATION_BUDGET", 34)
+        assert len(ms.default_probes(ALPHABET, 2)) == 34
+        monkeypatch.setattr(myhill, "EVALUATION_BUDGET", 33)
+        with pytest.raises(BudgetExceeded, match="^34 probes would exceed"):
+            ms.default_probes(ALPHABET, 2)
+
+    def test_negative_length(self):
+        # witness: -1 returned no probes, as 0 does
+        with pytest.raises(ValueError,
+                           match="^max_probe_len must be non-negative, got -1$"):
+            ms.default_probes(ALPHABET, -1)
+
+    def test_count_over_the_budget_builds_no_probe(self, monkeypatch):
+        # witness: 5 letters and length 40 built C(85, 5) - 1 probes
+        monkeypatch.setattr(myhill, "combinations_with_replacement", refuse)
+        with pytest.raises(BudgetExceeded, match="^32801516 probes would "
+                                                 "exceed 10000000 evaluations$"):
+            ms.default_probes([1.0, 2.0, 3.0, 4.0, 5.0], 40)
 
 
 class TestStateCountBound:

@@ -3,12 +3,14 @@ numpy never loads on a streaming path, neither dataclasses nor fractions
 loads at start-up, symfun stays off the streaming paths, the start path
 loads neither json, numbers nor the generators, verify and myhill load
 only on first use and build their records without dataclasses, eval's
-memory does not grow with its input, and every source file parses as the
-oldest Python that pyproject.toml admits."""
+memory does not grow with its input, every source file parses as the
+oldest Python that pyproject.toml admits, and the streaming pipeline runs
+under every other Python 3.10-3.13 that can be started."""
 
 import ast
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -273,3 +275,22 @@ def test_sources_parse_as_python_3_10():
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path),
                   feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_streaming_pipeline_runs_under_other_pythons(tmp_path, python):
+    """The syntax check above cannot see a library call newer than 3.10,
+    such as math.cbrt; this runs the numpy-free pipeline under each other
+    interpreter on PATH that starts."""
+    if python == f"python3.{sys.version_info.minor}":
+        pytest.skip("the interpreter running the suite")
+    path = shutil.which(python)
+    if path is None or subprocess.run([path, "-c", "import sys"],
+                                      capture_output=True,
+                                      timeout=60).returncode != 0:
+        pytest.skip(f"{python} cannot be started")
+    probe = f"SPECS = {BUILT_IN!r}\n{NUMPY_PROBE}"
+    done = subprocess.run([path, "-c", probe], env=src_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "no numpy"
