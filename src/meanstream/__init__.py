@@ -12,14 +12,14 @@ engine, a property-based verification harness, and an empirical Myhill-type
 state-complexity probe.
 
 ``import meanstream`` loads the streaming core and the families of fixed
-form, and neither numpy, ``dataclasses``, ``fractions``, ``json`` nor
-``numbers``.  ``fractions`` loads with the first biplanar descriptor, for
-its exact exponent check, and ``json`` with the first state serialized or
-parsed, or merge of two distinct descriptors.  The generator registry and
-the Bajraktarevic pairs (``generators``, which builds the quasi-arithmetic
-and Bajraktarevic means), the power-sum engine (``symfun``), the
-verification harness (``verify``) and the probe (``myhill``), the last two
-of which use numpy, load on first use of one of their names.
+form, and neither ``dataclasses``, ``fractions``, ``json`` nor ``numbers``.
+``fractions`` loads with the first biplanar descriptor, for its exact
+exponent check, or with ``myhill``, and ``json`` with the first state
+serialized or parsed, or merge of two distinct descriptors.  The generator
+registry and the Bajraktarevic pairs (``generators``, which builds the
+quasi-arithmetic and Bajraktarevic means), the power-sum engine
+(``symfun``), the verification harness (``verify``) and the probe
+(``myhill``) load on first use of one of their names.
 """
 
 import importlib

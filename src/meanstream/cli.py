@@ -7,7 +7,7 @@ or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
 first cell is "#") terminates the stream early.  eval reads its input in
 blocks of BLOCK_LINES lines and absorbs each with ``absorb_many``, in pure
 Python, so its memory does not grow with the input (except for the median,
-whose state is the multiset itself) and it never loads numpy.
+whose state is the multiset itself).
 
 Exit codes: 0 ok, 2 parse error (also a bad argument, an input file that
 cannot be read or is not UTF-8, an output file that cannot be written, or a

@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from statistics import linear_regression
 from typing import Optional, Sequence
 
 from .core import MeanDescriptor, Record, init, absorb
@@ -45,12 +46,14 @@ def default_probes(alphabet: Sequence[float], max_probe_len: int = 2,
     symmetric mean a prefix/suffix pair collapses, by symmetry, to a single
     suffix multiset of at most twice the per-side probe length; that is the
     default.  ``two_sided=False`` restricts to suffix-only probes of length
-    up to ``max_probe_len``.  A probe count over EVALUATION_BUDGET raises
+    up to ``max_probe_len``.  Repeated letters count once, as in
+    enumerate_classes.  A probe count over EVALUATION_BUDGET raises
     BudgetExceeded before any probe is built.
     """
     if max_probe_len < 0:
         raise ValueError(f"max_probe_len must be non-negative, got "
                          f"{max_probe_len}")
+    alphabet = sorted(set(float(a) for a in alphabet))
     total = 2 * max_probe_len if two_sided else max_probe_len
     # words of length 0..total over n letters, less the empty word
     count = comb(total + len(alphabet), len(alphabet)) - 1
@@ -154,8 +157,6 @@ def growth_report(profile: ClassProfile, ratio_threshold: float = 1.2) -> dict:
     max_len exceeding the prediction by the threshold ratio is labeled
     superlinear.
     """
-    import numpy as np
-
     if profile.max_len < 4:
         raise InsufficientData("growth classification needs max_len >= 4")
     counts = profile.counts
@@ -174,9 +175,7 @@ def growth_report(profile: ClassProfile, ratio_threshold: float = 1.2) -> dict:
             "counts": counts,
         }
     half = max(2, len(segment) // 2)
-    xs = np.arange(1, half + 1, dtype=float)
-    ys = np.asarray(segment[:half], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = linear_regression(range(1, half + 1), segment[:half])
     predicted = slope * len(segment) + intercept
     actual = segment[-1]
     superlinear = predicted > 0 and actual > ratio_threshold * predicted

@@ -4,22 +4,21 @@ Every check is a black-box test of a mean: it only calls the mean on input
 vectors and compares values at stated tolerances.  Means under test are
 either MeanDescriptors (evaluated through the streaming path) or arbitrary
 callables wrapped in FunctionMean (used for the harness self-tests).
-Sampling is seeded, so reports are reproducible.
+Sampling is seeded, so reports are reproducible: a ``seed`` is None (for
+DEFAULT_SEED), an int, or a ``random.Random`` to draw from.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import DomainInterval, MeanDescriptor, Record, evaluate_stream
 from .errors import InvalidDescriptor, TooLarge
 from . import families
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_SEED = 20260823
 BRUTE_FORCE_MAX_N = 12
@@ -62,12 +61,10 @@ def _subject(m):
     return m.evaluate, m.domain, m.name
 
 
-def _rng(seed) -> np.random.Generator:
-    import numpy as np
-
-    if isinstance(seed, np.random.Generator):
+def _rng(seed) -> random.Random:
+    if isinstance(seed, random.Random):
         return seed
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+    return random.Random(DEFAULT_SEED if seed is None else seed)
 
 
 def _sample_range(domain: DomainInterval, interval) -> tuple:
@@ -81,8 +78,8 @@ def _sample_range(domain: DomainInterval, interval) -> tuple:
 def sample_vector(rng, domain: DomainInterval, n_max: int,
                   interval=(0.5, 20.0), n_min: int = 1) -> list:
     lo, hi = _sample_range(domain, interval)
-    n = int(rng.integers(n_min, n_max + 1))
-    return [float(v) for v in rng.uniform(lo, hi, size=n)]
+    n = rng.randint(n_min, n_max)
+    return [rng.uniform(lo, hi) for _ in range(n)]
 
 
 def _rel_close(a: float, b: float, rtol: float, atol: float = 0.0) -> bool:
@@ -130,7 +127,7 @@ def check_symmetry(m, trials: int = 100, n_max: int = 12,
     for _ in range(trials):
         xs = sample_vector(rng, domain, n_max, interval, n_min=2)
         base = evaluate(xs)
-        perm = list(rng.permutation(xs))
+        perm = rng.sample(xs, len(xs))
         value = evaluate(perm)
         if not _rel_close(value, base, rtol):
             return PropertyReport("symmetry", name, False, rtol,
@@ -230,18 +227,14 @@ def check_g23_inequality(trials: int = 1000, n_max: int = 32,
                          interval=(-10.0, 10.0), slack: float = 1e-12,
                          seed=None) -> PropertyReport:
     """|sum x^3| <= (sum x^2)^(3/2) on arbitrary real vectors."""
-    import numpy as np
-
     rng = _rng(seed)
     for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
-        xs = rng.uniform(interval[0], interval[1], size=n)
-        lhs = abs(float(np.sum(xs ** 3)))
-        rhs = float(np.sum(xs ** 2)) ** 1.5
+        xs = sample_vector(rng, DomainInterval.reals(), n_max, interval)
+        lhs = abs(math.fsum(x ** 3 for x in xs))
+        rhs = math.fsum(x ** 2 for x in xs) ** 1.5
         if lhs > rhs + slack * max(1.0, rhs):
             return PropertyReport("g23_inequality", "cube_vs_square_sums",
-                                  False, slack, witness=[float(v) for v in xs],
-                                  lhs=lhs, rhs=rhs)
+                                  False, slack, witness=xs, lhs=lhs, rhs=rhs)
     return PropertyReport("g23_inequality", "cube_vs_square_sums", True, slack)
 
 

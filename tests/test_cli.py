@@ -558,6 +558,18 @@ class TestMyhillCommand:
         result = json.loads(capsys.readouterr().out)
         assert (result["probes"], result["counts"]) == ([], [2, 3, 4, 5])
 
+    def test_repeated_letters_count_once(self, capsys):
+        # witness: 1,1,2 with --probe-len 1 gave 9 probes, [1.0] twice and
+        # [1.0, 1.0] three times, where 5 are distinct
+        outputs = []
+        for alphabet in ("1,1,2", "1,2"):
+            assert main(["myhill", "--family", "power", "--p", "1",
+                         "--alphabet", alphabet, "--max-len", "4",
+                         "--probe-len", "1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["probes"]) == 5
+
 
 def _refuse_to_enumerate(iterable, r):
     """A stand-in for myhill.combinations_with_replacement, so that a budget

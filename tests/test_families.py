@@ -735,7 +735,7 @@ class TestFamilyInvariants:
         ]
 
     def test_mean_property(self):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for d in self.families_on_positives():
             report = ms.check_mean_property(d, trials=200, seed=rng)
             if d.family == "biplanar" and not report.holds:
@@ -746,7 +746,7 @@ class TestFamilyInvariants:
             assert report.holds, report.as_dict()
 
     def test_homogeneity(self):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for d in self.families_on_positives():
             report = ms.check_homogeneity(d, trials=60, seed=rng)
             assert report.holds, report.as_dict()

@@ -91,6 +91,13 @@ class TestDefaultProbes:
         with pytest.raises(BudgetExceeded, match="^34 probes would exceed"):
             ms.default_probes(ALPHABET, 2)
 
+    def test_repeated_letters_count_once(self, monkeypatch):
+        # witness: the budget counted C(2 + 3, 3) - 1 = 9 probes over
+        # 1, 1, 2 and built [1.0] twice and [1.0, 1.0] three times
+        monkeypatch.setattr(myhill, "EVALUATION_BUDGET", 5)
+        assert ms.default_probes([2.0, 1.0, 1.0], 1) == [
+            [1.0], [2.0], [1.0, 1.0], [1.0, 2.0], [2.0, 2.0]]
+
     def test_negative_length(self):
         # witness: -1 returned no probes, as 0 does
         with pytest.raises(ValueError,
@@ -127,6 +134,16 @@ class TestGrowthReport:
     def test_singleton_bounded_linear(self):
         profile = ms.enumerate_classes(arithmetic(), [1.0], 6)
         assert ms.growth_report(profile)["classification"] == "bounded-linear"
+
+    def test_count_at_the_threshold_is_bounded_linear(self):
+        # the fit on (1, 64), (2, 116) predicts 220 at length 4, and 264 is
+        # not more than 1.2 x 220; witness: np.polyfit predicted
+        # 219.99999999999994 and called it superlinear
+        profile = ms.ClassProfile("w", [1.0], 4, [], [64, 116, 141, 264],
+                                  1e-12, 1e-9)
+        report = ms.growth_report(profile)
+        assert report["classification"] == "bounded-linear"
+        assert report["fit"].endswith("predicts 220.0 at length 4, observed 264")
 
     def test_insufficient_data(self):
         profile = ms.enumerate_classes(arithmetic(), ALPHABET, 3)

@@ -1,11 +1,11 @@
 """The package surface: every exported name resolves, every demo runs,
-numpy never loads on a streaming path, neither dataclasses nor fractions
-loads at start-up, symfun stays off the streaming paths, the start path
-loads neither json, numbers nor the generators, verify and myhill load
+numpy never loads, not even in verify and myhill, neither dataclasses nor
+fractions loads at start-up, symfun stays off the streaming paths, the start
+path loads neither json, numbers nor the generators, verify and myhill load
 only on first use and build their records without dataclasses, eval's
 memory does not grow with its input, every source file parses as the
-oldest Python that pyproject.toml admits, and the streaming pipeline runs
-under every other Python 3.10-3.13 that can be started."""
+oldest Python that pyproject.toml admits, and the streaming pipeline, verify
+and myhill run under every other Python 3.10-3.13 that can be started."""
 
 import ast
 import os
@@ -59,6 +59,9 @@ sys.modules["numpy"] = None  # from here on, importing numpy raises
 import meanstream as ms
 from meanstream import cli
 """ + PIPELINE + """
+assert cli.main(["verify", "--seed", "1", "--trials", "5"]) == 0
+assert cli.main(["myhill", "--family", "power", "--p", "1", "--alphabet", "1,2",
+                 "--max-len", "4"]) == 0
 assert sys.modules["numpy"] is None
 print("no numpy")
 """
@@ -178,8 +181,9 @@ def test_demo_exits_zero(demo):
 
 
 def test_numpy_never_loads_on_a_streaming_path(tmp_path):
-    # witness: absorb_many imported numpy, so eval peaked near 32 MB, where
-    # a process without numpy peaks near 20 MB
+    # witnesses: absorb_many imported numpy, so eval peaked near 32 MB, where
+    # a process without numpy peaks near 20 MB; verify drew its samples and
+    # myhill fitted its growth line with numpy
     probe = f"SPECS = {BUILT_IN!r}\n{NUMPY_PROBE}"
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                           cwd=tmp_path, capture_output=True, text=True,
@@ -280,8 +284,8 @@ def test_sources_parse_as_python_3_10():
 @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
 def test_streaming_pipeline_runs_under_other_pythons(tmp_path, python):
     """The syntax check above cannot see a library call newer than 3.10,
-    such as math.cbrt; this runs the numpy-free pipeline under each other
-    interpreter on PATH that starts."""
+    such as math.cbrt; this runs the numpy-free pipeline, verify and myhill
+    under each other interpreter on PATH that starts."""
     if python == f"python3.{sys.version_info.minor}":
         pytest.skip("the interpreter running the suite")
     path = shutil.which(python)
