@@ -5,7 +5,8 @@ commutative semigroup: the descriptor's ``step`` pushes one element into a
 state, its ``combine`` merges two states (componentwise addition for the
 additive families, a truncated polynomial product for hamy, sympoly and
 biplanar), and a finalizer maps the state back to the input interval.
-Each fixed-length family is a block table, from which core compiles a
+Each fixed-length family is a block table of (kind, size, expression)
+triples, which is its state layout, and from which core compiles a
 domain-checked step, a leaf fold and a combine on first use.  Seven
 classical families are provided, together with a generalized power-sum
 engine, a property-based verification harness, and an empirical Myhill-type

@@ -5,9 +5,10 @@ Subcommands: eval (stream -> value), merge (partial state files), classify
 profile).  Input streams are newline- or comma-separated decimals on stdin
 or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
 first cell is "#") terminates the stream early.  eval reads its input in
-blocks of BLOCK_LINES lines and absorbs each with ``absorb_many``, in pure
-Python, so its memory does not grow with the input (except for the median,
-whose state is the multiset itself).
+blocks of BLOCK_LINES lines, absorbs each with ``absorb_many``, in pure
+Python, and merges the blocks' states in ``merge_tree``, so its memory does
+not grow with the input (except for the median, whose state is the multiset
+itself).
 
 Exit codes: 0 ok, 2 parse error (also a bad argument, an input file that
 cannot be read or is not UTF-8, an output file that cannot be written, or a
@@ -32,7 +33,7 @@ from . import families
 # absorb is not called here; it stays importable as cli.absorb beside the
 # other core operations, which bench/job.py wraps by attribute
 from .core import (absorb, absorb_many, finalize, init, merge,  # noqa: F401
-                   parse_state, serialize_state)
+                   merge_tree, parse_state, serialize_state)
 from .errors import (BudgetExceeded, DomainError, EmptyStateError,
                      FamilyMismatch, InsufficientData, InvalidDescriptor,
                      MeanStreamError, ParseError)
@@ -201,18 +202,29 @@ def _value_blocks(args):
             raise CliError(f"line {reader.line_num}: {e}") from None
 
 
-def cmd_eval(args) -> int:
-    descriptor = _build_descriptor(args)
-    state, domain_error = init(descriptor), None
+def _block_states(args, empty):
+    """Each input block absorbed into empty.  After a DomainError it reads
+    on, yielding nothing, and raises the error at the end of the input: a
+    later parse error takes precedence."""
+    domain_error = None
     for values in _value_blocks(args):
         if domain_error is None:
             try:
-                state = absorb_many(state, values)
+                state = absorb_many(empty, values)
             except DomainError as e:
-                domain_error = e  # read on: a later parse error takes precedence
+                domain_error = e
+                continue
+            yield state
     if domain_error is not None:
         raise domain_error
-    if state.is_empty():
+
+
+def cmd_eval(args) -> int:
+    empty = init(_build_descriptor(args))
+    # a tree of block states, not one running state: the median's merge
+    # copies both multisets
+    state = merge_tree(merge, _block_states(args, empty))
+    if state is None or state.is_empty():
         raise EmptyStateError("empty input")
     value = finalize(state)
     if args.state_out:

@@ -195,30 +195,26 @@ class MeanDescriptor(Record):
     state's ``overflow`` flag be read off its reals.
 
     ``ctype`` is None for means of no finite type (median); their state is
-    the whole sorted multiset.  ``slots``, when set, is the state length,
-    which may differ from the paper's ``ctype.k``; without it the length is
-    ``ctype.k``.  ``params`` must round-trip through JSON for the descriptor
-    to be reconstructible from a state file.
+    the whole sorted multiset.  ``params`` must round-trip through JSON for
+    the descriptor to be reconstructible from a state file.
 
-    The other attributes are derived, not fields.  ``identity`` is
-    ``init``'s reals, and ``kernels`` what core calls: (checked step, leaf
-    fold, combine), compiled on the first call of any of them.  The checked
-    step and the leaf fold raise absorb's DomainError at the first element
-    outside the domain; else the fold maps (xs, reals) to
-    ``reduce(step, xs, reals)``, bit for bit.  They are compiled from the
-    block table that ``table_mean`` gives a descriptor (``blocks`` and
-    ``block_env``), else from ``step`` and ``leaf_fold`` (a family's own
-    fold, such as the median's sort) and ``combine``.  ``layout_version``
-    is the first state format whose reals mean what this descriptor's do.
+    The other attributes are derived, not fields.  ``blocks`` is the block
+    table that ``table_mean`` gives a descriptor, its state layout.
+    ``identity`` is ``init``'s reals, and ``kernels`` what core calls:
+    (checked step, leaf fold, combine), compiled on the first call of any
+    of them.  The checked step and the leaf fold raise absorb's DomainError
+    at the first element outside the domain; else the fold maps (xs, reals)
+    to ``reduce(step, xs, reals)``, bit for bit.  They are compiled from
+    ``blocks`` and ``block_env``, else from ``step`` and ``leaf_fold`` (a
+    family's own fold, such as the median's sort) and ``combine``.
     """
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
-               "combine", "ctype_is_upper_bound", "paper_k", "slots")
+               "combine", "ctype_is_upper_bound", "paper_k")
     # no __slots__: the derived attributes live beside the fields, set with
     # object.__setattr__ (see _cached)
     blocks = block_env = leaf_fold = None
-    layout_version = 1
-    _carried = ("blocks", "block_env", "leaf_fold", "layout_version")
+    _carried = ("blocks", "block_env", "leaf_fold")
 
     def __init__(self, family: str, params: dict, domain: DomainInterval,
                  ctype: Optional[ComplexityType],
@@ -226,11 +222,9 @@ class MeanDescriptor(Record):
                  finalizer: Callable[[tuple, int], float],
                  combine: Callable[[tuple, tuple], tuple] = _vector_add,
                  ctype_is_upper_bound: bool = False,
-                 paper_k: Optional[int] = None,  # biplanar: exponent-set size
-                 slots: Optional[int] = None):
+                 paper_k: Optional[int] = None):  # biplanar: exponent-set size
         super().__init__(family, params, domain, ctype, step, finalizer,
-                         combine, ctype_is_upper_bound, paper_k, slots)
-        object.__setattr__(self, "identity", (0.0,) * self.k)
+                         combine, ctype_is_upper_bound, paper_k)
         object.__setattr__(self, "kernels", _first_use(self))
 
     def __reduce__(self):
@@ -245,12 +239,16 @@ class MeanDescriptor(Record):
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    @property
+    @_cached
     def k(self) -> int:
-        """Number of reals in the fixed-length state; 0 for no finite type."""
-        if self.slots is not None:
-            return self.slots
+        """The state's length: its blocks' total size, else ``ctype.k``."""
+        if self.blocks is not None:
+            return sum([size for _, size, _ in self.blocks])
         return 0 if self.ctype is None else self.ctype.k
+
+    @_cached
+    def identity(self) -> tuple:
+        return (0.0,) * self.k
 
     @property
     def has_counter(self) -> bool:
@@ -282,12 +280,11 @@ class MeanDescriptor(Record):
 
 def table_mean(family: str, params: dict, domain: DomainInterval,
                ctype: ComplexityType, blocks: tuple, finalizer,
-               env: dict, layout_version: int = 1,
-               **extra) -> MeanDescriptor:
-    """A descriptor on a block table: for each block (m, expression), the
-    state holds e_1..e_m of the y = expression(x), with e_0 = 1 implicit,
-    so zeros are the identity and a block of size 1 is a plain sum.  The
-    table's length is the state's (``slots``).
+               env: dict, **extra) -> MeanDescriptor:
+    """A descriptor on a block table, its state layout: for each block
+    (kind, m, expression), the state holds e_1..e_m of y = expression(x),
+    with e_0 = 1 implicit, so zeros are the identity.  A "sum" block (m = 1)
+    is a plain sum; no version 1 state parses for a table with an "esym".
 
     Expressions are Python text in ``x``; the names they use besides
     (``log``, an exponent, a user's ``forward``) come from ``env``, never
@@ -302,10 +299,9 @@ def table_mean(family: str, params: dict, domain: DomainInterval,
         return d.kernels[2](a, b)
 
     d = MeanDescriptor(family, params, domain, ctype, step, finalizer,
-                       combine, slots=sum(m for m, _ in blocks), **extra)
+                       combine, **extra)
     object.__setattr__(d, "blocks", blocks)
     object.__setattr__(d, "block_env", env)
-    object.__setattr__(d, "layout_version", layout_version)
     return d
 
 
@@ -338,7 +334,7 @@ def _kernels(d: MeanDescriptor) -> tuple:
     prod(1 + y t), truncated at t^m, left to right.  The sizes are ints,
     and values reach the code through its globals, never through its text.
     """
-    # after the check, blocks ((2, "x ** p"), (1, "x")) give the step's body
+    # blocks (("esym", 2, "x ** p"), ("sum", 1, "x")) give the step's body
     #     a0_1, a0_2, a1_1, = reals; y0 = x ** p; y1 = x
     #     return (a0_1 + y0, a0_2 + y0 * a0_1, a1_1 + y1,)
     domain = d.domain
@@ -354,20 +350,20 @@ def _kernels(d: MeanDescriptor) -> tuple:
              "def fold(xs, reals):\n    for x in xs:\n        %s\n"
              "    return leaf(xs, reals)\n" % (check, check), env)
         return env["checked"], env["fold"], d.combine
-    slots, encoded, pushed, folded, merged = [], [], [], [], []
-    for i, (m, expression) in enumerate(d.blocks):
+    suffixes, encoded, pushed, folded, merged = [], [], [], [], []
+    for i, (_, m, expression) in enumerate(d.blocks):
         encoded.append("y%d = %s" % (i, expression))
         block = []
         for j in range(1, m + 1):
             push = "y%d * a%d_%d" % (i, i, j - 1) if j > 1 else "y%d" % i
-            slots.append("%d_%d" % (i, j))
+            suffixes.append("%d_%d" % (i, j))
             pushed.append("a%d_%d + %s" % (i, j, push))
             block.append("a%d_%d += %s" % (i, j, push))
             merged.append(" + ".join(
                 ["a%d_%d + b%d_%d" % (i, j, i, j)]
                 + ["a%d_%d * b%d_%d" % (i, h, i, j - h) for h in range(1, j)]))
         folded += reversed(block)
-    a, b = (", ".join(side + slot for slot in slots) for side in "ab")
+    a, b = (", ".join(side + suffix for suffix in suffixes) for side in "ab")
     env.update(d.block_env)
     exec("def checked(reals, x):\n    %s\n    %s, = reals\n    %s\n"
          "    return (%s,)\n" % (check, a, "\n    ".join(encoded),
@@ -435,10 +431,28 @@ def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
     return tuple.__new__(AccumulatorState, (d, reals, count + 1))
 
 
+def merge_tree(combine, nodes):
+    """The combine of nodes, in order, by a tree that grows as a binary
+    counter carries: two subtrees of 2**h nodes join as soon as both are
+    there.  So the tree is balanced, and at most log2(n) + 1 subtrees of n
+    nodes wait at once.  None for no nodes."""
+    stack = []  # (height, node) of 2**height nodes, heights decreasing
+    for node in nodes:
+        height = 0
+        while stack and stack[-1][0] == height:
+            node = combine(stack.pop()[1], node)
+            height += 1
+        stack.append((height, node))
+    node = stack.pop()[1] if stack else None
+    while stack:
+        node = combine(stack.pop()[1], node)
+    return node
+
+
 def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
     """Absorb a batch: the leaf fold takes each run of LEAF elements into a
-    leaf, a binary-counter tree of the combine joins the leaves, and the
-    tree's result is combined into the state once.
+    leaf, ``merge_tree`` joins the leaves by the combine, and the tree's
+    result is combined into the state once.
 
     Same state as absorbing each element in turn, up to rounding (exactly,
     for one element).  The fold tests each element as absorb does, so the
@@ -453,17 +467,9 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
         return state
     _, fold, combine = d.kernels
     identity = d.identity
-    stack = []  # (height, reals) of 2**height leaves, heights decreasing
     try:
-        for i in range(0, len(xs), LEAF):
-            height, node = 0, fold(xs[i:i + LEAF], identity)
-            while stack and stack[-1][0] == height:
-                node = combine(stack.pop()[1], node)
-                height += 1
-            stack.append((height, node))
-        node = stack.pop()[1]
-        while stack:
-            node = combine(stack.pop()[1], node)
+        node = merge_tree(combine, (fold(xs[i:i + LEAF], identity)
+                                    for i in range(0, len(xs), LEAF)))
         reals = combine(reals, node)
         if all(map(math.isfinite, reals)):
             return AccumulatorState(d, reals, count + len(xs))
@@ -676,7 +682,8 @@ def _parse_json(text) -> AccumulatorState:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
     if descriptor is None:  # not expected: _head's own text reads back
         raise ParseError("cannot rebuild descriptor: params do not read back")
-    if version == 1 and descriptor.layout_version > 1:
+    if version == 1 and any(kind == "esym"
+                            for kind, _, _ in descriptor.blocks or ()):
         # version 1 held power sums where version 2 holds e_1..e_m; plain
         # sums and the median's multiset are unchanged
         raise ParseError(f"version 1 {descriptor.family} states hold power sums")

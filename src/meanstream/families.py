@@ -1,11 +1,11 @@
 """Concrete generating pairs for each mean family.
 
 The paper writes every mean as M(x) = F(f(x_1) + ... + f(x_n)).  Each
-fixed-length family here is a block table of (size, expression) pairs, the
-encoded columns of f, plus a finalizer F: ``core.table_mean`` compiles the
-table's checked step, leaf fold and combine on first use.  A block of size
-1 is a plain sum of its expression; one of size m holds e_1..e_m of it
-(hamy, sympoly, biplanar).  The median keeps the sorted multiset instead.
+fixed-length family here is a block table of (kind, size, expression)
+triples, the encoded columns of f, plus a finalizer F: ``core.table_mean``
+compiles its checked step, leaf fold and combine on first use.  A "sum"
+block is a plain sum; an "esym" block of size m holds e_1..e_m of its
+expression (hamy, sympoly, biplanar).  The median keeps the sorted multiset.
 Parameters are validated at build time; branch selection (p = 0, p = q)
 uses exact parameter comparison, never runtime tolerance.
 
@@ -133,26 +133,26 @@ def power_mean(p: float) -> MeanDescriptor:
     else:
         encoded, fin = "x ** p", _mean_of_one_sum(_power(p).inverse, True)
     return table_mean("power", {"p": p}, DomainInterval.positive(),
-                      ComplexityType(1, True), ((1, encoded),), fin,
+                      ComplexityType(1, True), (("sum", 1, encoded),), fin,
                       {"p": p, "log": math.log})
 
 
 def _ctype_of_two_sums(constant: bool) -> ComplexityType:
     """T2 for a ratio of two sums, or T1+ when one summand is constant: that
     sum is the count, and the mean is quasi-arithmetic (the state keeps both
-    slots, so its layout does not depend on the parameters)."""
+    sums, so its layout does not depend on the parameters)."""
     return ComplexityType(1, True) if constant else ComplexityType(2, False)
 
 
 def gini(p: float, q: float) -> MeanDescriptor:
     p, q = _exponent("gini", "p", p), _exponent("gini", "q", q)
     if p == q:
-        blocks = ((1, "x ** p * log(x)"), (1, "x ** p"))
+        blocks = (("sum", 1, "x ** p * log(x)"), ("sum", 1, "x ** p"))
         # reals[0] sums x^p ln x, which may be 0
         fin = lambda reals, n: math.exp(reals[0] / _nonzero(reals[1]))
     else:
         inv = 1.0 / (p - q)
-        blocks = ((1, "x ** p"), (1, "x ** q"))
+        blocks = (("sum", 1, "x ** p"), ("sum", 1, "x ** q"))
         fin = lambda reals, n: (_nonzero(reals[0]) / _nonzero(reals[1])) ** inv
     return table_mean("gini", {"p": p, "q": q}, DomainInterval.positive(),
                       _ctype_of_two_sums(0.0 in (p, q)), blocks, fin,
@@ -170,8 +170,8 @@ def hamy(r: int) -> MeanDescriptor:
                             _nonzero(reals[r - 1]) / math.comb(n, r))
     return table_mean(
         "hamy", {"r": r}, DomainInterval.positive(), ComplexityType(r, True),
-        ((r, "x ** inv_r"), (1, "x")), fin, {"inv_r": 1.0 / r},
-        layout_version=2, ctype_is_upper_bound=True)
+        (("esym", r, "x ** inv_r"), ("sum", 1, "x")), fin,
+        {"inv_r": 1.0 / r}, ctype_is_upper_bound=True)
 
 
 def sympoly(r: int) -> MeanDescriptor:
@@ -185,7 +185,7 @@ def sympoly(r: int) -> MeanDescriptor:
                             (_nonzero(reals[r - 1]) / math.comb(n, r)) ** inv_r)
     return table_mean(
         "sympoly", {"r": r}, DomainInterval.positive(), ComplexityType(r, True),
-        ((r, "x"),), fin, {}, layout_version=2, ctype_is_upper_bound=True)
+        (("esym", r, "x"),), fin, {}, ctype_is_upper_bound=True)
 
 
 class BiplanarParams(Record):
@@ -246,11 +246,12 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
             raise NumericalFailure(f"biplanar ratio {ratio} left the float range")
         return ratio ** exponent
 
-    blocks = ((c, "x ** p"), (d, "x ** q")) + (((1, "log(x)"),) if ln else ())
+    blocks = ((("esym", c, "x ** p"), ("esym", d, "x ** q"))
+              + ((("sum", 1, "log(x)"),) if ln else ()))
     return table_mean(
         "biplanar", {"p": p, "q": q, "c": c, "d": d}, DomainInterval.positive(),
         ctype, blocks, fin, {"p": p, "q": q, "log": math.log},
-        layout_version=2, paper_k=params.k)
+        paper_k=params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ def piecewise_counterexample() -> MeanDescriptor:
         raise FinalizeOutsideBranches(f"second component {s} in a branch gap")
 
     return table_mean("piecewise_h", {}, domain, ComplexityType(2, False),
-                      ((1, "x * x"), (1, "x")), fin, {})
+                      (("sum", 1, "x * x"), ("sum", 1, "x")), fin, {})
 
 
 def cube_over_square() -> MeanDescriptor:
@@ -287,8 +288,8 @@ def cube_over_square() -> MeanDescriptor:
         return 0.0 if v == 0.0 else u / v
 
     return table_mean("cube_over_square", {}, DomainInterval.reals(),
-                      ComplexityType(2, False), ((1, "x ** 3"), (1, "x * x")),
-                      fin, {})
+                      ComplexityType(2, False),
+                      (("sum", 1, "x ** 3"), ("sum", 1, "x * x")), fin, {})
 
 
 def _insort(a: tuple, x: float) -> tuple:

@@ -253,7 +253,7 @@ def quasi_arithmetic(f) -> MeanDescriptor:
     f.validate()
     return table_mean(
         "quasiarithmetic", {"f": f.name}, f.domain, ComplexityType(1, True),
-        ((1, "forward(x)"),),
+        (("sum", 1, "forward(x)"),),
         _mean_of_one_sum(f.inverse, f.name.startswith("power:")),
         {"forward": f.forward})
 
@@ -268,4 +268,5 @@ def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
     return table_mean(
         "bajraktarevic", {"f": pair.f_name, "g": pair.g_name}, pair.domain,
         _ctype_of_two_sums(_one in (pair.f, pair.g)),
-        ((1, "f(x)"), (1, "g(x)")), fin, {"f": pair.f, "g": pair.g})
+        (("sum", 1, "f(x)"), ("sum", 1, "g(x)")), fin,
+        {"f": pair.f, "g": pair.g})

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -182,6 +183,28 @@ class TestEval:
                                monkeypatch, capsys)
         assert code == 0
         assert float(out) == values[(len(values) - 1) // 2]
+
+    def test_median_blocks_merge_in_a_tree(self, monkeypatch, capsys):
+        # witness: eval merged each block into the running multiset, so the
+        # median's sorted merges took in 33,280 elements here, and eval's
+        # time grew with the square of its input
+        lengths, sorted_merge = [], families._sorted_merge
+
+        def counted(a, b):
+            lengths.append(len(a) + len(b))
+            return sorted_merge(a, b)
+
+        monkeypatch.setattr(cli, "BLOCK_LINES", 16)
+        monkeypatch.setattr(families, "_sorted_merge", counted)
+        n = 1024
+        blocks = n // 16
+        values = [float(i * 7919 % n) for i in range(n)]
+        code, out, _ = run_cli(["eval", "--family", "median"],
+                               "".join(f"{v}\n" for v in values),
+                               monkeypatch, capsys)
+        assert code == 0
+        assert float(out) == sorted(values)[(n - 1) // 2]
+        assert sum(lengths) <= n * (math.log2(blocks) + 1)
 
     def test_degree_above_the_recursion_limit(self, monkeypatch, capsys):
         # witness: `seq 1 20 | meanstream eval --family hamy --r 13` printed a

@@ -1206,7 +1206,7 @@ class TestDescriptorCopy:
         assert twin == d
         assert twin.blocks == d.blocks and twin.blocks is not None
         assert twin.block_env.keys() == d.block_env.keys()
-        assert twin.layout_version == d.layout_version
+        assert (twin.k, twin.identity) == (d.k, d.identity)
         xs = [0.5, 3.0, 7.25]
         many, one = ms.absorb_many(ms.init(twin), xs), ms.init(twin).absorb(2.0)
         # the twin compiled its own kernels from the table, not d's

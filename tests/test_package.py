@@ -281,20 +281,31 @@ def test_sources_parse_as_python_3_10():
                   feature_version=(3, 10))
 
 
+def _starts(path: str, env: dict) -> bool:
+    return subprocess.run([path, "-c", "import sys"], env=env,
+                          capture_output=True, timeout=60).returncode == 0
+
+
 @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
 def test_streaming_pipeline_runs_under_other_pythons(tmp_path, python):
     """The syntax check above cannot see a library call newer than 3.10,
     such as math.cbrt; this runs the numpy-free pipeline, verify and myhill
-    under each other interpreter on PATH that starts."""
+    under each other interpreter on PATH that starts.  A pyenv shim starts
+    only an interpreter of the selected versions, so one that does not start
+    gets another try with every installed version selected."""
     if python == f"python3.{sys.version_info.minor}":
         pytest.skip("the interpreter running the suite")
-    path = shutil.which(python)
-    if path is None or subprocess.run([path, "-c", "import sys"],
-                                      capture_output=True,
-                                      timeout=60).returncode != 0:
+    path, env = shutil.which(python), src_env()
+    pyenv = shutil.which("pyenv")
+    if (path is not None and not _starts(path, env)
+            and pyenv is not None and Path(path).parent.name == "shims"):
+        listed = subprocess.run([pyenv, "versions", "--bare"],
+                                capture_output=True, text=True, timeout=60)
+        env["PYENV_VERSION"] = ":".join(listed.stdout.split())
+    if path is None or not _starts(path, env):
         pytest.skip(f"{python} cannot be started")
     probe = f"SPECS = {BUILT_IN!r}\n{NUMPY_PROBE}"
-    done = subprocess.run([path, "-c", probe], env=src_env(), cwd=tmp_path,
+    done = subprocess.run([path, "-c", probe], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "no numpy"

@@ -67,7 +67,7 @@ INSTANCES = [
     (TWINS["ComplexityType"][0], ["k", "plus_counter"]),
     (ms.power_mean(1.0), ["family", "params", "domain", "ctype", "step",
                           "finalizer", "combine", "ctype_is_upper_bound",
-                          "paper_k", "slots"]),
+                          "paper_k"]),
     (_gen(), ["name", "forward", "inverse", "domain", "increasing"]),
     (_pair(), ["f", "g", "ratio_inverse", "domain", "f_name", "g_name"]),
     (TWINS["BiplanarParams"][0], ["p", "q", "c", "d"]),
@@ -109,14 +109,14 @@ class TestConstruction:
         d = ms.MeanDescriptor("sum", {}, ms.DomainInterval.reals(),
                               ms.ComplexityType(1, True), step, fin)
         assert (d.step, d.finalizer, d.combine) == (step, fin, core._vector_add)
-        assert (d.ctype_is_upper_bound, d.paper_k, d.slots, d.k) == (
-            False, None, None, 1)
+        assert (d.ctype_is_upper_bound, d.paper_k, d.k, d.identity) == (
+            False, None, 1, (0.0,))
         keyed = ms.MeanDescriptor(
             family="sum", params={}, domain=ms.DomainInterval.reals(),
             ctype=None, step=step, finalizer=fin, combine=max,
-            ctype_is_upper_bound=True, paper_k=4, slots=2)
+            ctype_is_upper_bound=True, paper_k=4)
         assert (keyed.combine, keyed.ctype_is_upper_bound, keyed.paper_k,
-                keyed.slots, keyed.k) == (max, True, 4, 2, 2)
+                keyed.k, keyed.identity) == (max, True, 4, 0, ())
         assert ms.evaluate_stream(d, [1.0, 2.0]) == 1.5
 
     def test_exponent_multiset_sorts(self):
