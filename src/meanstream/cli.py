@@ -264,13 +264,12 @@ def cmd_classify(args) -> int:
         "params": descriptor.params,
         "type": descriptor.type_label,
         "upper_bound_only": descriptor.ctype_is_upper_bound,
-        "state_dimension": descriptor.k,
+        # the median's state is the whole multiset: no fixed dimension
+        "state_dimension": descriptor.k if descriptor.ctype else None,
         "has_counter": descriptor.has_counter,
         "hierarchy_index": (descriptor.ctype.order_index
                             if descriptor.ctype else None),
     }
-    if descriptor.paper_k is not None:
-        report["exponent_set_size"] = descriptor.paper_k
     if args.format == "json":
         import json
 
@@ -278,7 +277,7 @@ def cmd_classify(args) -> int:
     else:
         print(f"{descriptor.name}: type {report['type']}"
               + (" (upper bound only)" if report["upper_bound_only"] else ""))
-        print(f"  state dimension: {report['state_dimension']}"
+        print(f"  state dimension: {report['state_dimension'] or 'unbounded'}"
               + (" + counter" if report["has_counter"] else ""))
         if report["hierarchy_index"] is not None:
             print(f"  hierarchy chain position: {report['hierarchy_index']}"

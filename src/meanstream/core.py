@@ -163,7 +163,12 @@ class _cached:
     """``functools.cached_property``, storing the value with
     ``object.__setattr__``.  cached_property writes through ``__dict__``,
     which turns the instance's inline attribute values into a dict and
-    makes every later attribute lookup on it slower."""
+    makes every later attribute lookup on it slower.
+
+    It suits an attribute read once per state or blob, not once per
+    element: Python 3.11 does not specialise the load of an attribute that
+    a class-level non-data descriptor shadows, so each read costs more than
+    a plain attribute's."""
 
     def __init__(self, fn):
         self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
@@ -198,46 +203,42 @@ class MeanDescriptor(Record):
     the whole sorted multiset.  ``params`` must round-trip through JSON for
     the descriptor to be reconstructible from a state file.
 
-    The other attributes are derived, not fields.  ``blocks`` is the block
-    table that ``table_mean`` gives a descriptor, its state layout.
-    ``identity`` is ``init``'s reals, and ``kernels`` what core calls:
-    (checked step, leaf fold, combine), compiled on the first call of any
-    of them.  The checked step and the leaf fold raise absorb's DomainError
-    at the first element outside the domain; else the fold maps (xs, reals)
-    to ``reduce(step, xs, reals)``, bit for bit.  They are compiled from
-    ``blocks`` and ``block_env``, else from ``step`` and ``leaf_fold`` (a
-    family's own fold, such as the median's sort) and ``combine``.
+    Its builder may set three inputs beside the fields: ``blocks``, the
+    block table that ``table_mean`` gives a descriptor, its state layout,
+    with ``block_env``, and ``leaf_fold``, a family's own fold (such as the
+    median's sort).  ``identity`` is ``init``'s reals, and ``kernels`` what
+    core calls: (checked step, leaf fold, combine), compiled on the first
+    call of any of them.  The checked step and the leaf fold raise absorb's
+    DomainError at the first element outside the domain; else the fold maps
+    (xs, reals) to ``reduce(step, xs, reals)``, bit for bit.  They are
+    compiled from ``blocks`` and ``block_env``, else from ``step``,
+    ``leaf_fold`` and ``combine``.
+
+    A descriptor is one shared value, as ``parse_state`` shares it: a copy
+    or a deep copy of one is the descriptor itself.
     """
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
-               "combine", "ctype_is_upper_bound", "paper_k")
-    # no __slots__: the derived attributes live beside the fields, set with
-    # object.__setattr__ (see _cached)
+               "combine", "ctype_is_upper_bound")
+    # no __slots__: the builder's inputs and the cached attributes live
+    # beside the fields, set with object.__setattr__ (see _cached)
     blocks = block_env = leaf_fold = None
-    _carried = ("blocks", "block_env", "leaf_fold")
 
     def __init__(self, family: str, params: dict, domain: DomainInterval,
                  ctype: Optional[ComplexityType],
                  step: Callable[[tuple, float], tuple],
                  finalizer: Callable[[tuple, int], float],
                  combine: Callable[[tuple, tuple], tuple] = _vector_add,
-                 ctype_is_upper_bound: bool = False,
-                 paper_k: Optional[int] = None):  # biplanar: exponent-set size
+                 ctype_is_upper_bound: bool = False):
         super().__init__(family, params, domain, ctype, step, finalizer,
-                         combine, ctype_is_upper_bound, paper_k)
+                         combine, ctype_is_upper_bound)
         object.__setattr__(self, "kernels", _first_use(self))
 
-    def __reduce__(self):
-        # a copy keeps the block table and the family's fold; its kernels
-        # are its own, since the stand-ins are bound to this descriptor
-        # (getattr, not __dict__, which would leave this one's attributes
-        # in a dict: see _cached)
-        return (type(self), self._values(),
-                {name: getattr(self, name) for name in self._carried})
+    def __copy__(self):
+        return self
 
-    def __setstate__(self, derived):
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+    def __deepcopy__(self, memo):
+        return self
 
     @_cached
     def k(self) -> int:
@@ -307,7 +308,14 @@ def table_mean(family: str, params: dict, domain: DomainInterval,
 
 def _first_use(d: MeanDescriptor) -> tuple:
     """Stand-ins for d's kernels: the first call of one compiles all three
-    into ``d.kernels``, then runs its own."""
+    into ``d.kernels``, then runs its own.
+
+    ``kernels`` is a plain attribute set in ``__init__``, not a ``_cached``:
+    absorb reads it once per element, and a ``_cached`` load took 37-42 ns
+    against 22 (3-4 % of small_streams' elements per second, Python 3.11 on
+    a 2-core host).  Compiling in ``__init__`` instead would add about
+    3.8 ms to small_streams' setup of about 17 ms, for descriptors that
+    never absorb."""
 
     def stand_in(i):
         def kernel(*args):

@@ -250,8 +250,7 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
               + ((("sum", 1, "log(x)"),) if ln else ()))
     return table_mean(
         "biplanar", {"p": p, "q": q, "c": c, "d": d}, DomainInterval.positive(),
-        ctype, blocks, fin, {"p": p, "q": q, "log": math.log},
-        paper_k=params.k)
+        ctype, blocks, fin, {"p": p, "q": q, "log": math.log})
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +321,8 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
     d = MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
         ctype=None, step=_insort, combine=_sorted_merge, finalizer=fin)
-    object.__setattr__(d, "leaf_fold", _sort_leaf)  # derived, not a field
+    # leaf_fold is an input, set beside the fields
+    object.__setattr__(d, "leaf_fold", _sort_leaf)
     return d
 
 
@@ -344,46 +344,52 @@ def _param(family: str, params: dict, key: str, kind: type):
 
 
 def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
-    """Rebuild a descriptor from the CLI/state-file parameter schema."""
+    """Rebuild a descriptor from the CLI/state-file parameter schema; a key
+    that the built descriptor's params lack is not the family's."""
     if not isinstance(params, dict):
         raise InvalidDescriptor(f"{family}: params must be an object")
     get = partial(_param, family, params)
     try:
         if family == "power":
-            return power_mean(get("p", float))
-        if family == "quasiarithmetic":
+            d = power_mean(get("p", float))
+        elif family == "quasiarithmetic":
             from .generators import quasi_arithmetic
 
-            return quasi_arithmetic(get("f", str))
-        if family == "gini":
-            return gini(get("p", float), get("q", float))
-        if family == "bajraktarevic":
+            d = quasi_arithmetic(get("f", str))
+        elif family == "gini":
+            d = gini(get("p", float), get("q", float))
+        elif family == "bajraktarevic":
             from .generators import bajraktarevic, pair_from_names
 
-            return bajraktarevic(pair_from_names(get("f", str), get("g", str)))
-        if family == "hamy":
-            return hamy(get("r", int))
-        if family == "sympoly":
-            return sympoly(get("r", int))
-        if family == "biplanar":
-            return biplanar(get("p", float), get("q", float),
-                            get("c", int), get("d", int))
-        if family == "median":
-            return median_mean(params.get("kind", "lower"))
-        if family == "piecewise_h":
-            return piecewise_counterexample()
-        if family == "cube_over_square":
-            return cube_over_square()
+            d = bajraktarevic(pair_from_names(get("f", str), get("g", str)))
+        elif family == "hamy":
+            d = hamy(get("r", int))
+        elif family == "sympoly":
+            d = sympoly(get("r", int))
+        elif family == "biplanar":
+            d = biplanar(get("p", float), get("q", float),
+                         get("c", int), get("d", int))
+        elif family == "median":
+            d = median_mean(params.get("kind", "lower"))
+        elif family == "piecewise_h":
+            d = piecewise_counterexample()
+        elif family == "cube_over_square":
+            d = cube_over_square()
+        else:
+            raise InvalidDescriptor(f"unknown family {family!r}")
     except KeyError as e:
         raise InvalidDescriptor(f"{family}: missing parameter {e}") from None
-    raise InvalidDescriptor(f"unknown family {family!r}")
+    unused = [key for key in params if key not in d.params]
+    if unused:
+        raise InvalidDescriptor(f"{family} takes no parameter "
+                                + ", ".join(map(repr, unused)))
+    return d
 
 
 def __getattr__(name):
-    # sigma_from_power, which this module imported from symfun when symfun
-    # was on the start path, loads with symfun on its first lookup here
-    # (bench/job.py traces it as families.sigma_from_power); so do the
-    # names that moved to generators, which verify looks up here
+    # sigma_from_power loads symfun on its first lookup here (bench/job.py
+    # traces it as families.sigma_from_power), and a public name of
+    # generators loads generators (verify looks them up here)
     if name == "sigma_from_power":
         from .symfun import sigma_from_power
         return sigma_from_power

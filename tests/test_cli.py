@@ -242,7 +242,8 @@ class TestEval:
     @pytest.mark.parametrize("spec", [
         '{"family":"power","p":"abc"}', '{"family":"power","p":[1]}',
         '[1]', '"x"', '{"p":1}', '{"family":"hamy","r":4.7}',
-        '{"family":"quasiarithmetic","f":5}',
+        '{"family":"quasiarithmetic","f":5}', '{"family":"hamy","r":3,"p":2}',
+        '{"family":"cube_over_square","kind":"lower"}',
     ])
     def test_malformed_family_json(self, spec, monkeypatch, capsys):
         # witnesses: the first four exited 1 with a traceback; r 4.7 built
@@ -251,6 +252,15 @@ class TestEval:
                                  monkeypatch, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    def test_flag_the_family_does_not_take(self, monkeypatch, capsys):
+        # witness: --p was ignored, and sympoly(2)'s 1.9148542155126762
+        # printed with exit 0
+        code, out, err = run_cli(
+            ["eval", "--family", "sympoly", "--r", "2", "--p", "5"],
+            "1\n2\n3\n", monkeypatch, capsys)
+        assert (code, out, err) == (
+            2, "", "error: sympoly takes no parameter 'p'\n")
 
     def test_integral_float_degree(self, monkeypatch, capsys):
         code, out, _ = run_cli(["eval", "--family-json", '{"family":"hamy","r":2.0}'],
@@ -453,7 +463,8 @@ class TestClassify:
                      "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["type"] == "T5+"
-        assert report["exponent_set_size"] == 5
+        assert report["state_dimension"] == 6
+        assert "exponent_set_size" not in report
 
     def test_non_finite_exponent(self, capsys):
         # witness: `classify --family power --p inf` reported T1+
@@ -484,7 +495,14 @@ class TestClassify:
     def test_median(self, capsys):
         assert main(["classify", "--family", "median", "--kind", "lower",
                      "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["type"] == "no finite type"
+        report = json.loads(capsys.readouterr().out)
+        assert report["type"] == "no finite type"
+        # witness: "state_dimension": 0, and "state dimension: 0 + counter"
+        # in text, for a state that is the whole sorted multiset
+        assert report["state_dimension"] is None
+        assert main(["classify", "--family", "median"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "  state dimension: unbounded + counter")
 
 
 class TestVerifyCommand:

@@ -1032,6 +1032,13 @@ class TestDescriptorCache:
         with pytest.raises(ParseError, match="cannot rebuild descriptor"):
             ms.parse_state(json.dumps(blob))
 
+    def test_a_param_the_family_does_not_take_is_a_parse_error(self):
+        # witness: a power blob whose params also held "q" parsed as power(1)
+        own = power_blob(1.0).replace(b'{"p": 1.0}', b'{"p": 1.0, "q": 2.0}')
+        for blob in (own, own.replace(b'"k": 1', b'"k":1')):  # both parses
+            with pytest.raises(ParseError, match="takes no parameter 'q'"):
+                ms.parse_state(blob)
+
 
 def builtin_blobs() -> list:
     """serialize_state's bytes for the built-ins: each empty, with 1, 3 or
@@ -1200,20 +1207,25 @@ class TestDescriptorCopy:
     @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy],
                              ids=["copy", "deepcopy"])
     def test_copy_keeps_the_block_table(self, make, how):
+        # a copy is the descriptor itself, so it keeps the table and shares
+        # the kernels, stand-ins or compiled
         d = make()
         stand_ins = d.kernels
-        twin = how(d)
-        assert twin == d
-        assert twin.blocks == d.blocks and twin.blocks is not None
-        assert twin.block_env.keys() == d.block_env.keys()
-        assert (twin.k, twin.identity) == (d.k, d.identity)
+        assert how(d) is d and d.kernels is stand_ins
         xs = [0.5, 3.0, 7.25]
-        many, one = ms.absorb_many(ms.init(twin), xs), ms.init(twin).absorb(2.0)
-        # the twin compiled its own kernels from the table, not d's
-        assert twin.kernels[1].__name__ == "fold"
-        assert d.kernels is stand_ins
-        assert many.reals == ms.absorb_many(ms.init(d), xs).reals
-        assert one.reals == ms.init(d).absorb(2.0).reals
+        ms.absorb_many(ms.init(d), xs)
+        assert d.kernels[1].__name__ == "fold" and how(d).kernels is d.kernels
+
+    @pytest.mark.parametrize("d", all_families() + [
+        ms.piecewise_counterexample(), ms.cube_over_square()],
+        ids=lambda d: d.name)
+    def test_a_copy_is_the_descriptor(self, d):
+        assert copy.copy(d) is d and copy.deepcopy(d) is d
+        xs = d.domain.sample_grid(4)[1:]
+        state = ms.absorb_many(ms.init(d), xs)
+        twin = copy.deepcopy(state)
+        assert twin.descriptor is d
+        assert ms.merge(state, twin) == ms.absorb_many(state, xs)
 
     def test_copy_keeps_the_median_fold(self):
         d = ms.median_mean("lower")

@@ -5,7 +5,7 @@ import random
 import struct
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -310,8 +310,24 @@ class TestBiplanar:
         params = ms.BiplanarParams(2.0, 3.0, 3, 3)
         assert params.k == 5
         d = ms.biplanar(2, 3, 3, 3)
-        assert d.paper_k == 5
         assert d.ctype.label == "T5+"
+
+    def test_type_counts_the_exponent_set_less_a_zero_q(self):
+        # ctype.k is the exponent-set size, less one exactly when q = 0 and
+        # p != 0: that set then holds the exponent 0, whose column is the
+        # count, which the "+" of the type holds
+        grid = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+        built = 0
+        for p, q, c, d in product(grid, grid, range(1, 5), range(1, 5)):
+            if c * p == d * q:  # degenerate
+                continue
+            size = ms.BiplanarParams(p, q, c, d).k
+            assert ms.biplanar(p, q, c, d).ctype.k == (
+                size - (q == 0 and p != 0)), (p, q, c, d)
+            built += 1
+        assert built == 726
+        assert ms.BiplanarParams(2, 0, 2, 1).k == 3
+        assert ms.biplanar(2, 0, 2, 1).type_label == "T2+"
 
     def test_c1_d1_matches_gini(self):
         d = ms.biplanar(2, 1, 1, 1)
@@ -670,6 +686,10 @@ class TestDescriptorFromParams:
         ("biplanar", {"p": 2, "q": 3, "c": 1, "d": math.inf}),
         ("quasiarithmetic", {"f": 5}), ("bajraktarevic", {"f": "identity", "g": 1}),
         ("power", [1]), ("power", "x"),
+        # witness: a key the family does not take was ignored
+        ("sympoly", {"r": 2, "p": 5}), ("hamy", {"r": 3, "p": 2}),
+        ("power", {"p": 1, "kind": "lower"}), ("median", {"r": 2}),
+        ("piecewise_h", {"p": 1}), ("gini", {"p": 2, "q": 1, "c": 1}),
     ])
     def test_malformed_params_are_invalid(self, family, params):
         with pytest.raises(InvalidDescriptor):

@@ -35,8 +35,10 @@ BUILT_IN = [
 ]
 
 # every SPECS family through the state operations, then the CLI's eval,
-# merge and classify; run after the imports of a probe below
+# merge and classify, an eval with a flag its family does not take, and the
+# median's classify JSON; run after the imports of a probe below
 PIPELINE = """
+import contextlib, io
 for i, (family, params) in enumerate(SPECS):
     d = ms.descriptor_from_params(family, params)
     a = ms.absorb(ms.init(d), 3.25)
@@ -51,6 +53,11 @@ with open("values.txt", "w") as fh:
 for family in (["power", "--p", "1"], ["hamy", "--r", "4"], ["median"],
                ["quasiarithmetic", "--f", "ln"]):
     assert cli.main(["eval", "--family", *family, "--input", "values.txt"]) == 0
+assert cli.main(["eval", "--family", "sympoly", "--r", "2", "--p", "5",
+                 "--input", "values.txt"]) == 2
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["classify", "--family", "median", "--format", "json"]) == 0
+assert '"state_dimension": null' in out.getvalue(), out.getvalue()
 """
 
 NUMPY_PROBE = """

@@ -66,8 +66,7 @@ INSTANCES = [
     (TWINS["DomainInterval"][0], ["lo", "hi", "lo_closed", "hi_closed"]),
     (TWINS["ComplexityType"][0], ["k", "plus_counter"]),
     (ms.power_mean(1.0), ["family", "params", "domain", "ctype", "step",
-                          "finalizer", "combine", "ctype_is_upper_bound",
-                          "paper_k"]),
+                          "finalizer", "combine", "ctype_is_upper_bound"]),
     (_gen(), ["name", "forward", "inverse", "domain", "increasing"]),
     (_pair(), ["f", "g", "ratio_inverse", "domain", "f_name", "g_name"]),
     (TWINS["BiplanarParams"][0], ["p", "q", "c", "d"]),
@@ -109,14 +108,13 @@ class TestConstruction:
         d = ms.MeanDescriptor("sum", {}, ms.DomainInterval.reals(),
                               ms.ComplexityType(1, True), step, fin)
         assert (d.step, d.finalizer, d.combine) == (step, fin, core._vector_add)
-        assert (d.ctype_is_upper_bound, d.paper_k, d.k, d.identity) == (
-            False, None, 1, (0.0,))
+        assert (d.ctype_is_upper_bound, d.k, d.identity) == (False, 1, (0.0,))
         keyed = ms.MeanDescriptor(
             family="sum", params={}, domain=ms.DomainInterval.reals(),
             ctype=None, step=step, finalizer=fin, combine=max,
-            ctype_is_upper_bound=True, paper_k=4)
-        assert (keyed.combine, keyed.ctype_is_upper_bound, keyed.paper_k,
-                keyed.k, keyed.identity) == (max, True, 4, 0, ())
+            ctype_is_upper_bound=True)
+        assert (keyed.combine, keyed.ctype_is_upper_bound, keyed.k,
+                keyed.identity) == (max, True, 0, ())
         assert ms.evaluate_stream(d, [1.0, 2.0]) == 1.5
 
     def test_exponent_multiset_sorts(self):
