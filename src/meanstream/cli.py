@@ -8,7 +8,10 @@ first cell is "#") terminates the stream early.  eval reads its input in
 blocks of BLOCK_LINES lines, absorbs each with ``absorb_many``, in pure
 Python, and merges the blocks' states in ``merge_tree``, so its memory does
 not grow with the input (except for the median, whose state is the multiset
-itself).
+itself).  merge reads its state files one at a time and joins them in
+``merge_tree``'s balanced tree too.  An error that waits for the end of the
+input (eval's domain error, merge's family mismatch) gives way to a later
+parse error or unreadable file.
 
 Exit codes: 0 ok, 2 parse error (also a bad argument, an input file that
 cannot be read or is not UTF-8, an output file that cannot be written, or a
@@ -107,8 +110,6 @@ def _parse_lines(lines: list, lineno: int) -> tuple:
     """(values, ended) of plain lines, the first of them line lineno + 1."""
     values = []
     for lineno, line in enumerate(lines, start=lineno + 1):
-        if line.strip() == "#":
-            return values, True
         for token in line.split(","):
             token = token.strip()
             if token == "#":
@@ -202,28 +203,28 @@ def _value_blocks(args):
             raise CliError(f"line {reader.line_num}: {e}") from None
 
 
-def _block_states(args, empty):
-    """Each input block absorbed into empty.  After a DomainError it reads
-    on, yielding nothing, and raises the error at the end of the input: a
-    later parse error takes precedence."""
-    domain_error = None
-    for values in _value_blocks(args):
-        if domain_error is None:
-            try:
-                state = absorb_many(empty, values)
-            except DomainError as e:
-                domain_error = e
-                continue
-            yield state
-    if domain_error is not None:
-        raise domain_error
+def _read_state(path: str):
+    """The state in the file at path; a parse error names the file."""
+    with _open_input(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_state(data)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def cmd_eval(args) -> int:
     empty = init(_build_descriptor(args))
-    # a tree of block states, not one running state: the median's merge
-    # copies both multisets
-    state = merge_tree(merge, _block_states(args, empty))
+    blocks = _value_blocks(args)
+    try:
+        # a tree of block states, not one running state: the median's merge
+        # copies both multisets
+        state = merge_tree(merge, (absorb_many(empty, values)
+                                   for values in blocks))
+    except DomainError:
+        for _ in blocks:  # read on: a later parse error takes precedence
+            pass
+        raise
     if state is None or state.is_empty():
         raise EmptyStateError("empty input")
     value = finalize(state)
@@ -234,21 +235,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    merged = mismatch = None
-    for path in args.state_files:
-        with _open_input(path, "rb") as fh:
-            data = fh.read()
-        try:
-            state = parse_state(data)
-        except ParseError as e:
-            raise ParseError(f"{path}: {e}") from None
-        if mismatch is None:
-            try:
-                merged = state if merged is None else merge(merged, state)
-            except FamilyMismatch as e:
-                mismatch = e  # read on: a later parse error takes precedence
-    if mismatch is not None:
-        raise mismatch
+    states = map(_read_state, args.state_files)
+    try:
+        merged = merge_tree(merge, states)
+    except FamilyMismatch:
+        for _ in states:  # read on: a later parse error takes precedence
+            pass
+        raise
     payload = serialize_state(merged)
     if args.out:
         _write_output(args.out, payload)

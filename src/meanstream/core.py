@@ -215,7 +215,8 @@ class MeanDescriptor(Record):
     ``leaf_fold`` and ``combine``.
 
     A descriptor is one shared value, as ``parse_state`` shares it: a copy
-    or a deep copy of one is the descriptor itself.
+    or a deep copy of one is the descriptor itself, and it equals and
+    hashes as itself alone.
     """
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
@@ -233,6 +234,8 @@ class MeanDescriptor(Record):
         super().__init__(family, params, domain, ctype, step, finalizer,
                          combine, ctype_is_upper_bound)
         object.__setattr__(self, "kernels", _first_use(self))
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __copy__(self):
         return self
@@ -488,8 +491,10 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
 
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
     """The combine of two states of one family.  A result with a non-finite
-    component is every component inf, as absorb's is, so an overflowed state
-    does not depend on the merge tree (the median's multiset is finite)."""
+    component is every component inf; absorb's need not be (it may keep a
+    finite component), so an overflowed state's reals depend on its route.
+    Its ``serialize_state`` bytes and finalize's NumericalFailure do not
+    (the median's multiset is finite)."""
     d, reals_a, count_a = a
     db, reals_b, count_b = b
     if d is not db and d.family_id != db.family_id:
@@ -599,7 +604,8 @@ def parse_state(data) -> AccumulatorState:
 
     Version 1 blobs are read where the layout did not change (vector sums
     and the median's multiset); a version 1 state of another combine held
-    power sums and raises ParseError.
+    power sums and raises ParseError.  Only a version 1 blob of a
+    counterless family may have a null counter.
 
     States parsed with the same head (serialize_state's text up to "k",
     which holds the family and params) share one descriptor (the last
@@ -701,23 +707,22 @@ def _parse_json(text) -> AccumulatorState:
         reals = tuple(map(float.fromhex, payload["reals"]))
     except (ValueError, TypeError, OverflowError) as e:
         raise ParseError(f"bad hex float: {e}") from e
-    return _checked_state(descriptor, payload["k"], reals, payload["counter"],
+    counter = payload["counter"]
+    if counter is None and version == 1 and not descriptor.has_counter:
+        # files written before every family stored its count: counterless
+        # families used the all-zero vector as the empty sentinel
+        counter = 0 if all(v == 0.0 for v in reals) else 1
+    return _checked_state(descriptor, payload["k"], reals, counter,
                           payload["overflow"])
 
 
-def _checked_state(descriptor, k, reals, counter, overflow) -> AccumulatorState:
+def _checked_state(descriptor, k, reals, count, overflow) -> AccumulatorState:
     """The state of a blob's fields, after the checks that both parses
     run once they hold the descriptor and the reals."""
     if type(k) is not int or k != len(reals):
         raise ParseError(f"k {k!r} disagrees with {len(reals)} reals")
-    if counter is None and not descriptor.has_counter:
-        # files written before every family stored its count: counterless
-        # families used the all-zero vector as the empty sentinel
-        count = 0 if all(v == 0.0 for v in reals) else 1
-    elif type(counter) is not int or counter < 0:
-        raise ParseError(f"bad counter {counter!r}")
-    else:
-        count = counter
+    if type(count) is not int or count < 0:
+        raise ParseError(f"bad counter {count!r}")
     state = AccumulatorState(descriptor, reals, count)
     if descriptor.ctype is None:
         # no finite type: the state is the sorted multiset of the inputs

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -378,6 +379,71 @@ class TestMerge:
         capsys.readouterr()
         assert events == ["parse_state", "parse_state", "merge",
                           "parse_state", "merge"]
+
+    def test_median_files_merge_in_a_tree(self, monkeypatch, capsys,
+                                          tmp_path):
+        # witness: merge folded each file into the running multiset, so the
+        # median's sorted merges took in 33,264 elements here, and merge's
+        # time grew with the square of its input
+        lengths, sorted_merge = [], families._sorted_merge
+
+        def counted(a, b):
+            lengths.append(len(a) + len(b))
+            return sorted_merge(a, b)
+
+        monkeypatch.setattr(families, "_sorted_merge", counted)
+        n, files = 1024, 64
+        values = [float(i * 7919 % n) for i in range(n)]
+        d, paths = ms.median_mean("lower"), []
+        for i in range(files):
+            paths.append(tmp_path / f"s{i}.state")
+            paths[-1].write_bytes(ms.serialize_state(
+                ms.absorb_many(ms.init(d), values[i::files])))
+        out_path = tmp_path / "merged.state"
+        core._descriptor.cache_clear()  # parse builds it with counted
+        try:
+            assert main(["merge", *map(str, paths), "--out",
+                         str(out_path)]) == 0
+        finally:
+            core._descriptor.cache_clear()
+        capsys.readouterr()
+        assert ms.parse_state(out_path.read_bytes()).reals == tuple(
+            sorted(values))
+        assert sum(lengths) <= n * (math.log2(files) + 1)
+
+    def test_merged_bytes_are_the_tree_of_the_files(self, capsys, tmp_path):
+        d, paths = ms.gini(2, 1), []
+        for i in range(1, 9):
+            paths.append(tmp_path / f"s{i}.state")
+            paths[-1].write_bytes(ms.serialize_state(
+                ms.init(d).absorb(0.1 * i)))
+        out_path = tmp_path / "merged.state"
+        assert main(["merge", *map(str, paths), "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        parsed = [ms.parse_state(path.read_bytes()) for path in paths]
+        tree = ms.serialize_state(core.merge_tree(core.merge, parsed))
+        assert out_path.read_bytes() == tree
+        # a left fold rounds these sums otherwise
+        assert tree != ms.serialize_state(functools.reduce(core.merge, parsed))
+
+    @pytest.mark.parametrize("fifth", ["absent", "gini"])
+    def test_mismatch_after_a_carry_waits_for_the_last_file(
+            self, monkeypatch, capsys, tmp_path, fifth):
+        paths = [self._state_file(tmp_path, f"s{i}.state", [3 + i],
+                                  monkeypatch, capsys) for i in range(3)]
+        paths.append(tmp_path / "p.state")  # merged into the third's subtree
+        paths[-1].write_bytes(ms.serialize_state(
+            ms.init(ms.power_mean(1.0)).absorb(3.0)))
+        paths.append(tmp_path / "last.state")
+        if fifth == "gini":
+            self._state_file(tmp_path, "last.state", [7], monkeypatch, capsys)
+        code = main(["merge", *map(str, paths)])
+        out, err = capsys.readouterr()
+        if fifth == "absent":
+            assert (code, out) == (2, "")
+            assert err == f"error: {paths[-1]}: No such file or directory\n"
+        else:
+            assert (code, out) == (5, "")
 
     def test_missing_state_file(self, tmp_path, capsys):
         # witness: `meanstream merge /nonexistent` exited 1 with a

@@ -434,6 +434,26 @@ def test_overflowed_bytes_do_not_depend_on_the_route(us, data):
     assert "gini(p=2.0,q=1.0)" in overflowed  # 1e200 ** 2 overflows
 
 
+def test_overflowed_reals_depend_on_the_route_but_not_the_bytes():
+    """absorb may keep a finite component of an overflowed state, where
+    merge makes every component inf: only the bytes and finalize's failure
+    are the same on every route."""
+    d, xs = ms.cube_over_square(), [1e102] * 200
+    one = ms.init(d)
+    for x in xs:
+        one = ms.absorb(one, x)
+    many = ms.absorb_many(ms.init(d), xs)
+    halves = ms.merge(ms.absorb_many(ms.init(d), xs[:100]),
+                      ms.absorb_many(ms.init(d), xs[100:]))
+    assert one.reals == many.reals == (math.inf, 2.0000000000000033e+206)
+    assert halves.reals == (math.inf, math.inf)
+    routes = (one, many, halves)
+    assert len({ms.serialize_state(s) for s in routes}) == 1
+    for s in routes:
+        with pytest.raises(NumericalFailure):
+            ms.finalize(s)
+
+
 def kernel_subjects():
     """Every family of all_families, the three beyond it, and a user-built
     descriptor, whose kernels are derived from its step."""
@@ -740,6 +760,15 @@ class TestSerialization:
         assert back.count == 1 and back.finalize() == 3.0
         blob["reals"] = [(0.0).hex()] * 2
         assert ms.parse_state(json.dumps(blob)).is_empty()
+
+    def test_v2_null_counter_is_a_parse_error(self):
+        # witness: parse_state read this blob with count 1, and merging it
+        # with itself gave count 2; a null counter is version 1 text only
+        s = ms.init(ms.gini(2, 1)).absorb(1.0).absorb(2.0).absorb(3.0)
+        blob = ms.serialize_state(s).replace(b'"counter": 3', b'"counter": null')
+        assert b'"counter": null' in blob
+        with pytest.raises(ParseError, match="bad counter None"):
+            ms.parse_state(blob)
 
     def test_v1_additive_state_still_parses(self):
         blob = {"version": 1, "family": "gini", "params": {"p": 2.0, "q": 1.0},

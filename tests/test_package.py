@@ -35,8 +35,9 @@ BUILT_IN = [
 ]
 
 # every SPECS family through the state operations, then the CLI's eval,
-# merge and classify, an eval with a flag its family does not take, and the
-# median's classify JSON; run after the imports of a probe below
+# merge (of five files, so that merge_tree carries) and classify, an eval
+# with a flag its family does not take, and the median's classify JSON; run
+# after the imports of a probe below
 PIPELINE = """
 import contextlib, io
 for i, (family, params) in enumerate(SPECS):
@@ -47,7 +48,14 @@ for i, (family, params) in enumerate(SPECS):
     with open(f"{i}.json", "wb") as fh:
         fh.write(ms.serialize_state(a))
 assert cli.main(["classify", "--family", "hamy", "--r", "3"]) == 0
-assert cli.main(["merge", "--out", "merged.json", "0.json", "0.json"]) == 0
+d = ms.descriptor_from_params(*SPECS[0])
+shards = [f"shard{j}.json" for j in range(5)]
+for j, name in enumerate(shards):
+    with open(name, "wb") as fh:
+        fh.write(ms.serialize_state(ms.absorb(ms.init(d), 3.25 + j)))
+assert cli.main(["merge", "--out", "merged.json", *shards]) == 0
+with open("merged.json", "rb") as fh:
+    assert ms.parse_state(fh.read()).count == 5
 with open("values.txt", "w") as fh:
     fh.writelines(f"{1 + i % 97}\\n" for i in range(2 * cli.BLOCK_LINES + 3))
 for family in (["power", "--p", "1"], ["hamy", "--r", "4"], ["median"],

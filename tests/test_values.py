@@ -197,6 +197,23 @@ class TestEquality:
         # each build has its own step and finalizer
         assert ms.power_mean(1.0) != ms.power_mean(1.0)
 
+    def test_descriptors_and_states_hash(self):
+        # witness: hash(ms.power_mean(2)) raised "unhashable type: 'dict'"
+        # from params, so no state went into a set
+        built = [ms.power_mean(2.0), ms.quasi_arithmetic("ln"), ms.gini(2, 1),
+                 ms.bajraktarevic(ms.pair_power(2.0, 1.0)), ms.hamy(3),
+                 ms.sympoly(2), ms.biplanar(2.0, 3.0, 3, 3),
+                 ms.median_mean("lower"), ms.piecewise_counterexample(),
+                 ms.cube_over_square()]
+        assert len({d: d.name for d in built}) == len(built)
+        for d in built:
+            s = ms.init(d).absorb(3.5)
+            assert hash(d) == hash(copy.copy(d)) and d == copy.deepcopy(d)
+            assert {s, ms.init(d).absorb(3.5)} == {s} and s not in {ms.init(d)}
+            # states parsed from one text share their descriptor
+            blob = ms.serialize_state(s)
+            assert len({ms.parse_state(blob), ms.parse_state(blob)}) == 1
+
     def test_type_order(self):
         chain = [ms.ComplexityType(1, False), ms.ComplexityType(1, True),
                  ms.ComplexityType(2, False), ms.ComplexityType(2, True)]
