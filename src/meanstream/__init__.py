@@ -13,14 +13,17 @@ engine, a property-based verification harness, and an empirical Myhill-type
 state-complexity probe.
 
 ``import meanstream`` loads the streaming core and the families of fixed
-form, and neither ``dataclasses``, ``fractions``, ``json`` nor ``numbers``.
-``fractions`` loads with the first biplanar descriptor, for its exact
-exponent check, or with ``myhill``, and ``json`` with the first state
-serialized or parsed, or merge of two distinct descriptors.  The generator
-registry and the Bajraktarevic pairs (``generators``, which builds the
-quasi-arithmetic and Bajraktarevic means), the power-sum engine
-(``symfun``), the verification harness (``verify``) and the probe
-(``myhill``) load on first use of one of their names.
+form, and neither ``dataclasses``, ``fractions``, ``json``, ``numbers`` nor
+``__future__``.  A biplanar descriptor checks its exponents on exact
+integer ratios, so it loads none of them either; ``fractions`` loads with
+``BiplanarParams.exponent_set`` or ``myhill``.  The state format
+(``state_io``: ``serialize_state`` and ``parse_state``) loads, with
+``json``, on the first serialize or parse, and ``json`` also with a merge
+of two distinct descriptors.  The generator registry and the
+Bajraktarevic pairs (``generators``, which builds the quasi-arithmetic and
+Bajraktarevic means), the power-sum engine (``symfun``), the verification
+harness (``verify``) and the probe (``myhill``) load on first use of one of
+their names.
 """
 
 import importlib
@@ -36,8 +39,6 @@ from .core import (
     finalize,
     init,
     merge,
-    parse_state,
-    serialize_state,
 )
 from .families import (
     _GENERATOR_NAMES,
@@ -68,6 +69,7 @@ __version__ = "0.1.0"
 # the names of the modules loaded on first use, and the names they export
 _LAZY = {
     "generators": _GENERATOR_NAMES,
+    "state_io": ("parse_state", "serialize_state"),
     "verify": ("FunctionMean", "PropertyReport",
                "check_concatenation_betweenness", "check_g23_inequality",
                "check_homogeneity", "check_mean_property",

@@ -5,27 +5,28 @@ Subcommands: eval (stream -> value), merge (partial state files), classify
 profile).  Input streams are newline- or comma-separated decimals on stdin
 or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
 first cell is "#") terminates the stream early.  eval reads its input in
-blocks of BLOCK_LINES lines, absorbs each with ``absorb_many``, in pure
-Python, and merges the blocks' states in ``merge_tree``, so its memory does
-not grow with the input (except for the median, whose state is the multiset
-itself).  merge reads its state files one at a time and joins them in
-``merge_tree``'s balanced tree too.  An error that waits for the end of the
-input (eval's domain error, merge's family mismatch) gives way to a later
-parse error or unreadable file.
+blocks of BLOCK_LINES lines, one block at a time, absorbs each with
+``absorb_many``, in pure Python, and merges the blocks' states in
+``merge_tree``, so its memory does not grow with the input (except for the
+median, whose state is the multiset itself).  merge reads its state files
+one at a time and joins them in ``merge_tree``'s balanced tree too.  An
+error that waits for the end of the input (eval's domain error, merge's
+family mismatch) gives way to a later parse error or unreadable file.
 
 Exit codes: 0 ok, 2 parse error (also a bad argument, an input file that
 cannot be read or is not UTF-8, an output file that cannot be written, or a
 myhill --max-len below 4, a negative --probe-len, or a probe or evaluation
 count over myhill's budget), 3 domain error, 4 empty input, 5 family
-mismatch, 1 any other library error; EXIT_CODES decides them all.  It imports
-json only for --family-json, ``classify --format json`` and myhill.
-"""
+mismatch, 1 any other library error; EXIT_CODES decides them all.
 
-from __future__ import annotations
+eval imports only what its flags need: csv for --column, the state format
+(``state_io``, with json) for --state-out, and json for --family-json.
+merge loads the state format too, and ``classify --format json`` and myhill
+load json.
+"""
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
 from functools import partial
@@ -36,7 +37,7 @@ from . import families
 # absorb is not called here; it stays importable as cli.absorb beside the
 # other core operations, which bench/job.py wraps by attribute
 from .core import (absorb, absorb_many, finalize, init, merge,  # noqa: F401
-                   merge_tree, parse_state, serialize_state)
+                   merge_tree)
 from .errors import (BudgetExceeded, DomainError, EmptyStateError,
                      FamilyMismatch, InsufficientData, InvalidDescriptor,
                      MeanStreamError, ParseError)
@@ -148,59 +149,76 @@ def _column_floats(rows: list, idx: int) -> list:
 
 
 def _chunks(items):
-    while chunk := list(islice(items, BLOCK_LINES)):
-        yield chunk
+    """Lists of BLOCK_LINES items: a list is built only once the one before
+    it is dropped."""
+    return iter(lambda: list(islice(items, BLOCK_LINES)), [])
 
 
 def _blocks(chunks, fast, careful, lineno: int):
     """Each chunk's values, up to a "#": fast(chunk) when it takes the whole
     chunk, else careful(chunk, lineno) -> (values, ended), which applies
-    every rule and numbers the lines; lineno lines precede the chunk."""
+    every rule and numbers the lines; lineno lines precede the chunk.  A
+    chunk is dropped before its values are yielded, and the values before
+    the next chunk is read, so that one block of input is held at a time."""
     for chunk in chunks:
         try:
             values, ended = fast(chunk), False
         except (ValueError, IndexError):  # a blank, "#", comma or bad line
             values, ended = careful(chunk, lineno)
+        lineno += len(chunk)
+        del chunk
         yield values
+        del values
         if ended:
             return
-        lineno += len(chunk)
+
+
+def _split_lines(chunk: list) -> list:
+    """A chunk of lines re-split as str.splitlines does: the line numbers
+    count its breaks."""
+    return "".join(chunk).splitlines()
+
+
+def _row_blocks(fh, column: str):
+    """The values of a CSV column, BLOCK_LINES rows at a time; csv loads
+    here, for --column only.  A row the reader refuses is a parse error."""
+    import csv
+
+    rows = reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None:
+            return
+        if column in header:
+            idx, lineno = header.index(column), 1
+        else:
+            try:
+                idx = int(column)
+            except ValueError:
+                raise CliError(f"column {column!r} not found")
+            rows, lineno = chain([header], reader), 0
+        yield from _blocks(_chunks(rows), partial(_column_floats, idx=idx),
+                           partial(_parse_rows, idx=idx), lineno)
+    except csv.Error as e:  # only the reader raises it
+        raise CliError(f"line {reader.line_num}: {e}") from None
 
 
 def _value_blocks(args):
     """The input's values, BLOCK_LINES lines at a time.  Input that is not
-    UTF-8, or a CSV row the reader refuses, is a parse error."""
+    UTF-8 is a parse error."""
     name = args.input if args.input and args.input != "-" else None
     with (_open_input(name, "r", encoding="utf-8") if name
           else contextlib.nullcontext(sys.stdin)) as fh:
         try:
             if args.column is None:
-                # re-split as str.splitlines does: the line numbers count
-                # its breaks
-                lines = ("".join(c).splitlines() for c in _chunks(fh))
-                yield from _blocks(lines, lambda c: list(map(float, c)),
+                yield from _blocks(map(_split_lines, _chunks(fh)),
+                                   lambda c: list(map(float, c)),
                                    _parse_lines, 0)
-                return
-            rows = reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                return
-            if args.column in header:
-                idx, lineno = header.index(args.column), 1
             else:
-                try:
-                    idx = int(args.column)
-                except ValueError:
-                    raise CliError(f"column {args.column!r} not found")
-                rows, lineno = chain([header], reader), 0
-            yield from _blocks(_chunks(rows),
-                               partial(_column_floats, idx=idx),
-                               partial(_parse_rows, idx=idx), lineno)
+                yield from _row_blocks(fh, args.column)
         except UnicodeDecodeError as e:
             raise CliError(f"{name or '<stdin>'}: not UTF-8 text "
                            f"({e.reason})") from None
-        except csv.Error as e:  # only the reader raises it
-            raise CliError(f"line {reader.line_num}: {e}") from None
 
 
 def _read_state(path: str):
@@ -208,7 +226,7 @@ def _read_state(path: str):
     with _open_input(path, "rb") as fh:
         data = fh.read()
     try:
-        return parse_state(data)
+        return _this.parse_state(data)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
 
@@ -218,9 +236,8 @@ def cmd_eval(args) -> int:
     blocks = _value_blocks(args)
     try:
         # a tree of block states, not one running state: the median's merge
-        # copies both multisets
-        state = merge_tree(merge, (absorb_many(empty, values)
-                                   for values in blocks))
+        # copies both multisets.  map keeps no block's values once absorbed
+        state = merge_tree(merge, map(partial(absorb_many, empty), blocks))
     except DomainError:
         for _ in blocks:  # read on: a later parse error takes precedence
             pass
@@ -229,7 +246,7 @@ def cmd_eval(args) -> int:
         raise EmptyStateError("empty input")
     value = finalize(state)
     if args.state_out:
-        _write_output(args.state_out, serialize_state(state))
+        _write_output(args.state_out, _this.serialize_state(state))
     print(f"{value:.17g}")
     return EXIT_OK
 
@@ -242,7 +259,7 @@ def cmd_merge(args) -> int:
         for _ in states:  # read on: a later parse error takes precedence
             pass
         raise
-    payload = serialize_state(merged)
+    payload = _this.serialize_state(merged)
     if args.out:
         _write_output(args.out, payload)
     else:
@@ -376,6 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_myhill.set_defaults(func=cmd_myhill)
 
     return parser
+
+
+def __getattr__(name):
+    # parse_state and serialize_state load state_io on their first lookup,
+    # for merge and --state-out only.  This module calls them as
+    # _this.<name>, where bench/job.py's wrappers, set by attribute, apply
+    if name in ("parse_state", "serialize_state"):
+        from . import state_io
+        return getattr(state_io, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_this = sys.modules[__name__]
 
 
 def main(argv=None) -> int:

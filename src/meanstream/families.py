@@ -18,8 +18,6 @@ of the generators is ``GeneratorFunction`` and the power generator, whose
 inverse ``power_mean`` finalizes with.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 import sys
@@ -190,32 +188,41 @@ def sympoly(r: int) -> MeanDescriptor:
 
 class BiplanarParams(Record):
     """biplanar's exponents p and q and degrees c and d, where c*p != d*q
-    exactly: the exponents are compared as Fractions, imported on use, so
-    that ``import meanstream`` does not load fractions and decimal."""
+    exactly.  The check and the count ``k`` of the exponent set run on the
+    exponents' exact integer ratios (``as_integer_ratio``): with p = a/b and
+    q = e/f, c*p != d*q is c*a*f != d*e*b.  So building one loads neither
+    fractions nor decimal; ``exponent_set`` imports Fraction when called."""
 
     __slots__ = _fields = ("p", "q", "c", "d")
 
     def __init__(self, p: float, q: float, c: int, d: int):
-        from fractions import Fraction
-
         _degree("biplanar", "c", c)
         _degree("biplanar", "d", d)
-        if c * Fraction(p) == d * Fraction(q):
+        (a, b), (e, f) = p.as_integer_ratio(), q.as_integer_ratio()
+        if c * a * f == d * e * b:
             raise DegenerateExponents(f"c*p == d*q == {c * p}")
         super().__init__(p, q, c, d)
+
+    def _ratios(self) -> set:
+        """The exponents j*p (j = 1..c) and j*q (j = 1..d), as distinct
+        (numerator, denominator) pairs in lowest terms."""
+        ratios = set()
+        for exponent, degree in ((self.p, self.c), (self.q, self.d)):
+            a, b = exponent.as_integer_ratio()
+            for j in range(1, degree + 1):
+                g = math.gcd(j * a, b)
+                ratios.add((j * a // g, b // g))
+        return ratios
 
     @property
     def exponent_set(self) -> list:
         from fractions import Fraction
 
-        P, Q = Fraction(self.p), Fraction(self.q)
-        exps = {j * P for j in range(1, self.c + 1)}
-        exps |= {j * Q for j in range(1, self.d + 1)}
-        return sorted(exps)
+        return sorted(Fraction(*ratio) for ratio in self._ratios())
 
     @property
     def k(self) -> int:
-        return len(self.exponent_set)
+        return len(self._ratios())
 
 
 def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
@@ -230,7 +237,8 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
                             _exponent("biplanar", "q", q), c, d)
     p, q, c, d = params.p, params.q, params.c, params.d
     ln = p == 0  # the fallback is then the geometric mean
-    ctype = ComplexityType(sum(e != 0 for e in params.exponent_set) + ln, True)
+    ctype = ComplexityType(sum(a != 0 for a, _ in params._ratios()) + ln,
+                           True)
     n_min = max(c, d)
     exponent = 1.0 / (c * p - d * q)
 

@@ -14,8 +14,6 @@ on the first lookup of one of its names through ``meanstream`` or
 two families, or when a ``GeneratorFunction`` is validated.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable
 

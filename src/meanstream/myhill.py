@@ -7,8 +7,6 @@ are the connected components of the "within tolerance" graph (union-find);
 counts are therefore lower bounds on the exact class counts.
 """
 
-from __future__ import annotations
-
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb

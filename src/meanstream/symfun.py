@@ -20,8 +20,6 @@ exponent multisets too.  ``import meanstream`` does not load it: its names
 load on first use.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Mapping, Sequence
 

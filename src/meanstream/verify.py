@@ -8,8 +8,6 @@ Sampling is seeded, so reports are reproducible: a ``seed`` is None (for
 DEFAULT_SEED), an int, or a ``random.Random`` to draw from.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import random

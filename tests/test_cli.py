@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,31 @@ class TestEval:
                                  "", monkeypatch, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_eval_holds_one_input_block(self, monkeypatch, capsys, tmp_path):
+        # witness: a 100k-row CSV peaked at 3.85 MB while _value_blocks
+        # was drained, and eval at 3.87 MB: the next block was read while
+        # the last one's rows, and its values, were still held
+        path = tmp_path / "values.csv"
+        path.write_text("id,value\n" + "".join(
+            f"{i},{0.5 + i * 0.0123456789!r}\n" for i in range(100_000)))
+        args = ["eval", "--family", "hamy", "--r", "4", "--input", str(path),
+                "--column", "value"]
+        assert main(args) == 0  # compiles the kernels outside the trace
+        expected, _ = capsys.readouterr()
+        blocks = cli._value_blocks(cli.build_parser().parse_args(args))
+        tracemalloc.start()
+        try:
+            for _ in blocks:
+                pass
+            drained = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(args) == 0
+            evaluated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == expected
+        assert drained < 3e6 and evaluated < 3e6, (drained, evaluated)
 
     def test_unwritable_state_out(self, monkeypatch, capsys, tmp_path):
         # witness: a FileNotFoundError traceback, exit 1

@@ -1,11 +1,13 @@
 """The package surface: every exported name resolves, every demo runs,
 numpy never loads, not even in verify and myhill, neither dataclasses nor
-fractions loads at start-up, symfun stays off the streaming paths, the start
-path loads neither json, numbers nor the generators, verify and myhill load
-only on first use and build their records without dataclasses, eval's
-memory does not grow with its input, every source file parses as the
-oldest Python that pyproject.toml admits, and the streaming pipeline, verify
-and myhill run under every other Python 3.10-3.13 that can be started."""
+fractions loads at start-up or with any family, symfun stays off the
+streaming paths, the start path loads neither json, numbers, csv, the state
+format nor the generators, the names the benchmark wraps resolve and see
+their calls, verify and myhill load only on first use and build their
+records without dataclasses, eval's memory does not grow with its input,
+every source file parses as the oldest Python that pyproject.toml admits,
+and the streaming pipeline, verify and myhill run under every other Python
+3.10-3.13 that can be started."""
 
 import ast
 import os
@@ -82,8 +84,9 @@ print("no numpy")
 """
 
 # modules that `import meanstream` and its streaming paths must not load:
-# dataclasses pulls in inspect (and ast, dis, tokenize), fractions decimal
-HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+# dataclasses pulls in inspect (and ast, dis, tokenize), fractions decimal,
+# and a `from __future__` import loads __future__
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "__future__")
 
 HEAVY_PROBE = """
 import sys
@@ -93,7 +96,6 @@ from meanstream import cli
 """ + PIPELINE + """
 loaded = sorted(m for m in HEAVY if m in sys.modules and m not in before)
 assert loaded == [], loaded
-ms.biplanar(2.0, 3.0, 3, 3)  # its exponent check loads fractions
 assert callable(ms.run_suite)  # verify resolves
 print("light")
 """
@@ -124,10 +126,10 @@ with open("values.txt", "w") as fh:
 for family in (["power", "--p", "1"], ["hamy", "--r", "4"], ["median"]):
     assert cli.main(["eval", "--family", *family, "--input", "values.txt"]) == 0
 assert loaded(LIGHT) == [], loaded(LIGHT)
-ms.biplanar(2.0, 3.0, 3, 3)  # its exponent check loads fractions, with numbers
-assert loaded(LIGHT) == ["numbers"], loaded(LIGHT)
+ms.biplanar(2.0, 3.0, 3, 3)  # its exponent check runs on integer ratios
+assert loaded(LIGHT) == [], loaded(LIGHT)
 ms.quasi_arithmetic("ln")
-assert loaded(LIGHT) == ["meanstream.generators", "numbers"], loaded(LIGHT)
+assert loaded(LIGHT) == ["meanstream.generators"], loaded(LIGHT)
 assert families.generator_by_name is ms.generator_by_name
 from meanstream.families import GeneratorFunction, pair_from_names
 assert pair_from_names is ms.generators.pair_from_names
@@ -160,6 +162,42 @@ for name in ms.__all__:
     getattr(ms, name)
 assert ms.verify.run_suite is ms.run_suite and ms.myhill.ClassProfile is ms.ClassProfile
 print("lazy")
+"""
+
+# the (module, attribute) names the benchmark's tracer (bench/job.py) looks
+# up and replaces with timing wrappers
+BENCH_ATTRIBUTES = [
+    ("core", "parse_state"), ("core", "serialize_state"),
+    ("cli", "parse_state"), ("cli", "serialize_state"), ("cli", "absorb"),
+    ("cli", "finalize"), ("cli", "merge"),
+    ("families", "descriptor_from_params"), ("families", "sigma_from_power"),
+]
+
+BENCH_PROBE = """
+import sys
+import meanstream
+from meanstream import cli, core, families
+
+assert "meanstream.state_io" not in sys.modules
+modules = {"core": core, "cli": cli, "families": families}
+calls = []
+for module, name in ATTRIBUTES:
+    fn = getattr(modules[module], name)
+    assert callable(fn), (module, name)
+    def shim(*args, fn=fn, key=f"{module}.{name}"):
+        calls.append(key)
+        return fn(*args)
+    setattr(modules[module], name, shim)
+with open("values.txt", "w") as fh:
+    fh.write("1\\n2\\n4\\n")
+assert cli.main(["eval", "--family", "power", "--p", "1",
+                 "--input", "values.txt", "--state-out", "s.json"]) == 0
+assert cli.main(["merge", "--out", "m.json", "s.json", "s.json"]) == 0
+d = families.descriptor_from_params("hamy", {"r": 2})
+state = core.parse_state(core.serialize_state(core.init(d)))
+table = meanstream.power_sums([1.0, 2.0, 3.0], [1, 2])
+assert families.sigma_from_power(2, 1, table) == 11.0
+print(" ".join(sorted(set(calls))))
 """
 
 # runs argv as a grandchild and prints its exit code and peak RSS (KiB): a
@@ -208,10 +246,10 @@ def test_numpy_never_loads_on_a_streaming_path(tmp_path):
 
 
 def test_start_up_loads_neither_dataclasses_nor_fractions(tmp_path):
-    # witness: core, families and symfun imported dataclasses (9 ms with
-    # inspect) and fractions (3 ms with decimal) at import
-    specs = [spec for spec in BUILT_IN if spec[0] != "biplanar"]
-    probe = f"SPECS = {specs!r}\nHEAVY = {HEAVY!r}\n{HEAVY_PROBE}"
+    # witnesses: core, families and symfun imported dataclasses (9 ms with
+    # inspect) and fractions (3 ms with decimal) at import; a biplanar's
+    # exponent check imported fractions
+    probe = f"SPECS = {BUILT_IN!r}\nHEAVY = {HEAVY!r}\n{HEAVY_PROBE}"
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
@@ -234,14 +272,32 @@ def test_start_path_loads_only_the_streaming_core(tmp_path):
     # witness: import meanstream loaded json (with json.decoder,
     # json.scanner, json.encoder and _json), numbers, and the generator
     # registry and pair builders, which no power, hamy, median, gini or
-    # biplanar mean runs
-    light = ("json", "numbers", "meanstream.generators")
+    # biplanar mean runs; a biplanar's exponent check loaded numbers (with
+    # fractions); the state format and csv loaded with the package and the
+    # CLI, though only a serialize or parse, and --column, use them
+    light = ("json", "numbers", "meanstream.generators", "meanstream.state_io",
+             "csv")
     probe = f"LIGHT = {light!r}\n{START_PROBE}"
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "streaming core"
+
+
+def test_the_names_the_bench_wraps_resolve_and_are_called(tmp_path):
+    # the state format loads on first use, so core and cli resolve
+    # parse_state and serialize_state through a module __getattr__; the
+    # CLI calls them, and merge, through its own attributes, so that the
+    # tracer's wrappers see its calls
+    probe = f"ATTRIBUTES = {BENCH_ATTRIBUTES!r}\n{BENCH_PROBE}"
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    wrapped = {f"{module}.{name}" for module, name in BENCH_ATTRIBUTES}
+    assert done.stdout.splitlines()[-1].split() == sorted(
+        wrapped - {"cli.absorb"})
 
 
 def test_verify_and_myhill_records_load_no_dataclasses(tmp_path):
