@@ -98,10 +98,14 @@ __all__ = [
 
 
 def __getattr__(name):
+    # a resolved name is stored in the globals, so only its first lookup
+    # gets here
     for module, names in _LAZY.items():
         if name == module or name in names:
             loaded = importlib.import_module(f".{module}", __name__)
-            return loaded if name == module else getattr(loaded, name)
+            value = globals()[name] = (
+                loaded if name == module else getattr(loaded, name))
+            return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

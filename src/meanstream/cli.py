@@ -397,11 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def __getattr__(name):
     # parse_state and serialize_state load state_io on their first lookup,
-    # for merge and --state-out only.  This module calls them as
-    # _this.<name>, where bench/job.py's wrappers, set by attribute, apply
+    # for merge and --state-out only, and are then stored in the globals.
+    # This module calls them as _this.<name>, where bench/job.py's
+    # wrappers, set by attribute, apply
     if name in ("parse_state", "serialize_state"):
         from . import state_io
-        return getattr(state_io, name)
+        value = globals()[name] = getattr(state_io, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -4,13 +4,15 @@ Every mean in this package is evaluated as ``finalize(fold(absorb, init, xs))``
 where the state lives in a commutative semigroup: the descriptor's
 ``step`` pushes one element into a state's reals, and its ``combine`` merges
 two states.  Core calls each descriptor through three kernels
-(``MeanDescriptor.kernels``): ``absorb`` a checked step, ``absorb_many`` a
+(``MeanDescriptor.kernels``): ``absorb`` calls a generated absorb, which
+takes a state and an element and returns the next state, ``absorb_many`` a
 checked leaf fold over runs of LEAF elements, which a pairwise tree of the
 combine joins, and ``merge`` the combine; absorb decides every overflow.
 ``table_mean`` compiles all three from a block table; any other descriptor
 derives them from its ``step``.  A state is an immutable ``NamedTuple``
-(descriptor, reals, count); absorb and merge return new states, so
-shard-parallel accumulation followed by a merge tree needs no locking.
+(descriptor, reals, count); absorb and merge return new states, and
+``init`` returns the descriptor's one empty state, so shard-parallel
+accumulation followed by a merge tree needs no locking.
 """
 
 # json and numbers are imported where they are used, and the state format
@@ -25,6 +27,7 @@ from .errors import (
     DomainError,
     EmptyStateError,
     FamilyMismatch,
+    InvalidDescriptor,
     NumericalFailure,
 )
 
@@ -203,8 +206,9 @@ class MeanDescriptor(Record):
     block table that ``table_mean`` gives a descriptor, its state layout,
     with ``block_env``, and ``leaf_fold``, a family's own fold (such as the
     median's sort).  ``identity`` is ``init``'s reals, and ``kernels`` what
-    core calls: (checked step, leaf fold, combine), compiled on the first
-    call of any of them.  The checked step and the leaf fold raise absorb's
+    core calls: (absorb, leaf fold, combine), compiled on the first call of
+    any of them.  The absorb maps (state, x) to the next state, whose reals
+    are ``step(reals, float(x))``; it and the leaf fold raise absorb's
     DomainError at the first element outside the domain; else the fold maps
     (xs, reals) to ``reduce(step, xs, reals)``, bit for bit.  They are
     compiled from ``blocks`` and ``block_env``, else from ``step``,
@@ -212,7 +216,9 @@ class MeanDescriptor(Record):
 
     A descriptor is one shared value, as ``parse_state`` shares it: a copy
     or a deep copy of one is the descriptor itself, and it equals and
-    hashes as itself alone.
+    hashes as itself alone.  A pickle rebuilds it with
+    ``descriptor_from_params`` from its family and params, so only a
+    descriptor that this rebuilds (every built-in) pickles.
     """
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
@@ -239,6 +245,18 @@ class MeanDescriptor(Record):
     def __deepcopy__(self, memo):
         return self
 
+    def __reduce__(self):
+        from .families import descriptor_from_params
+
+        try:
+            rebuilt = descriptor_from_params(self.family, self.params)
+        except InvalidDescriptor as e:
+            raise InvalidDescriptor(f"cannot pickle {self.name}: {e}") from e
+        if rebuilt.family_id != self.family_id:
+            raise InvalidDescriptor(f"cannot pickle {self.name}: its family "
+                                    f"and params rebuild {rebuilt.name}")
+        return descriptor_from_params, (self.family, self.params)
+
     @_cached
     def k(self) -> int:
         """The state's length: its blocks' total size, else ``ctype.k``."""
@@ -249,6 +267,12 @@ class MeanDescriptor(Record):
     @_cached
     def identity(self) -> tuple:
         return (0.0,) * self.k
+
+    @_cached
+    def _empty(self) -> "AccumulatorState":
+        """``init``'s state, shared by every stream of the descriptor."""
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple.__new__(AccumulatorState, (self, self.identity, 0))
 
     @property
     def has_counter(self) -> bool:
@@ -308,8 +332,8 @@ def table_mean(family: str, params: dict, domain: DomainInterval,
 
 
 def _first_use(d: MeanDescriptor) -> tuple:
-    """Stand-ins for d's kernels: the first call of one compiles all three
-    into ``d.kernels``, then runs its own.
+    """Stand-ins for d's kernels (absorb, leaf fold, combine): the first
+    call of one compiles all three into ``d.kernels``, then runs its own.
 
     ``kernels`` is a plain attribute set in ``__init__``, not a ``_cached``:
     absorb reads it once per element, and a ``_cached`` load took 37-42 ns
@@ -330,35 +354,47 @@ def _first_use(d: MeanDescriptor) -> tuple:
 
 
 def _kernels(d: MeanDescriptor) -> tuple:
-    """d's (checked step, leaf fold, combine), from one ``exec``.
+    """d's (absorb, leaf fold, combine), from one ``exec``.
 
-    The checked step and the fold test each x before they encode it, by one
-    generated line that raises absorb's DomainError unless ``lo < x < hi``
-    (``<=`` at a closed end; NaN fails).  Without a block table they then
-    call ``step``, and ``leaf_fold`` or ``partial(reduce, step)``.  A block
-    table's kernels are straight-line code over the locals a<i>_<j> (e_j of
-    block i) and y<i> (block i's encoded x).  The step pushes y by e_j +=
-    y e_{j-1}; the fold does the same for each x, from j = m down to 1, so
-    it has the step's bits; the combine multiplies two states' polynomials
+    The generated ``absorb(state, x)`` returns the next state: it unpacks
+    the state, runs ``x = float(x)``, then the domain check, then encodes
+    and pushes x under ``try``, where an OverflowError gives k infs.  It
+    and the fold test each x before they encode it, by one generated line
+    that raises absorb's DomainError unless ``lo < x < hi`` (``<=`` at a
+    closed end; NaN fails).  Without a block table they then call ``step``,
+    and ``leaf_fold`` or ``partial(reduce, step)``.  A block table's
+    kernels are straight-line code over the locals a<i>_<j> (e_j of block
+    i) and y<i> (block i's encoded x).  Absorb pushes y by e_j += y e_{j-1};
+    the fold does the same for each x, from j = m down to 1, so it has
+    absorb's bits; the combine multiplies two states' polynomials
     prod(1 + y t), truncated at t^m, left to right.  The sizes are ints,
     and values reach the code through its globals, never through its text.
     """
-    # blocks (("esym", 2, "x ** p"), ("sum", 1, "x")) give the step's body
-    #     a0_1, a0_2, a1_1, = reals; y0 = x ** p; y1 = x
-    #     return (a0_1 + y0, a0_2 + y0 * a0_1, a1_1 + y1,)
+    # blocks (("esym", 2, "x ** p"), ("sum", 1, "x")) give absorb's body
+    #     d, (a0_1, a0_2, a1_1,), n = state; x = float(x); <check>
+    #     try: y0 = x ** p; y1 = x
+    #          return new(State, (d, (a0_1 + y0, a0_2 + y0 * a0_1,
+    #                                 a1_1 + y1,), n + 1))
+    #     except OverflowError: return new(State, (d, infs, n + 1))
     domain = d.domain
     env = {"DomainError": DomainError, "lo": domain.lo, "hi": domain.hi,
-           "name": d.name}
+           "name": d.name, "new": tuple.__new__, "State": AccumulatorState,
+           "infs": (math.inf,) * d.k}
     check = ("if not lo %s x %s hi: "
              "raise DomainError(f'{x} outside domain of {name}')"
              % ("<=" if domain.lo_closed else "<",
                 "<=" if domain.hi_closed else "<"))
+    absorb = ("def absorb(state, x):\n    d, %s, n = state\n"
+              "    x = float(x)\n    %s\n    try:\n        %s\n"
+              "    except OverflowError:\n"
+              "        return new(State, (d, infs, n + 1))\n")
     if d.blocks is None:
         env.update(step=d.step, leaf=d.leaf_fold or partial(reduce, d.step))
-        exec("def checked(reals, x):\n    %s\n    return step(reals, x)\n"
-             "def fold(xs, reals):\n    for x in xs:\n        %s\n"
-             "    return leaf(xs, reals)\n" % (check, check), env)
-        return env["checked"], env["fold"], d.combine
+        exec(absorb % ("reals", check,
+                       "return new(State, (d, step(reals, x), n + 1))")
+             + "def fold(xs, reals):\n    for x in xs:\n        %s\n"
+               "    return leaf(xs, reals)\n" % check, env)
+        return env["absorb"], env["fold"], d.combine
     suffixes, encoded, pushed, folded, merged = [], [], [], [], []
     for i, (_, m, expression) in enumerate(d.blocks):
         encoded.append("y%d = %s" % (i, expression))
@@ -374,15 +410,15 @@ def _kernels(d: MeanDescriptor) -> tuple:
         folded += reversed(block)
     a, b = (", ".join(side + suffix for suffix in suffixes) for side in "ab")
     env.update(d.block_env)
-    exec("def checked(reals, x):\n    %s\n    %s, = reals\n    %s\n"
-         "    return (%s,)\n" % (check, a, "\n    ".join(encoded),
-                                 ", ".join(pushed))
+    exec(absorb % ("(%s,)" % a, check, "\n        ".join(
+            encoded + ["return new(State, (d, (%s,), n + 1))"
+                       % ", ".join(pushed)]))
          + "def fold(xs, reals):\n    %s, = reals\n    for x in xs:\n"
            "        %s\n    return (%s,)\n" % (
              a, "\n        ".join([check] + encoded + folded), a)
          + "def combine(a, b):\n    %s, = a\n    %s, = b\n    return (%s,)\n"
          % (a, b, ", ".join(merged)), env)
-    return env["checked"], env["fold"], env["combine"]
+    return env["absorb"], env["fold"], env["combine"]
 
 
 class AccumulatorState(NamedTuple):
@@ -425,19 +461,18 @@ class AccumulatorState(NamedTuple):
 
 
 def init(descriptor: MeanDescriptor) -> AccumulatorState:
-    """The empty state: k zero reals (none for the median), count 0."""
-    # tuple.__new__ skips the NamedTuple's Python-level __new__
-    return tuple.__new__(AccumulatorState, (descriptor, descriptor.identity, 0))
+    """The empty state: k zero reals (none for the median), count 0.  It is
+    the descriptor's one empty state, built once: states are immutable, so
+    every stream can start from it."""
+    return descriptor._empty
 
 
 def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
-    d, reals, count = state
-    x = float(x)  # an int past the float range raises OverflowError here
-    try:
-        reals = d.kernels[0](reals, x)
-    except OverflowError:  # every component inf, surfaced at finalize
-        reals = (math.inf,) * d.k
-    return tuple.__new__(AccumulatorState, (d, reals, count + 1))
+    """The state with x absorbed, by the descriptor's generated absorb
+    (``_kernels``).  An OverflowError of float(x), an int past the float
+    range, is the caller's; one of the step makes every component inf,
+    surfaced at finalize."""
+    return state[0].kernels[0](state, x)
 
 
 def merge_tree(combine, nodes):
@@ -538,7 +573,8 @@ def evaluate_stream(descriptor: MeanDescriptor, xs: Iterable[float]) -> float:
 
 
 # the state format's names, which state_io defines and loads on their first
-# lookup here (bench/job.py wraps core.parse_state and core.serialize_state)
+# lookup here, then stored in the globals (bench/job.py wraps
+# core.parse_state and core.serialize_state)
 _STATE_IO_NAMES = ("parse_state", "serialize_state", "STATE_FORMAT_VERSION",
                    "DESCRIPTOR_CACHE_SIZE", "_descriptor", "_parse_json")
 
@@ -546,5 +582,6 @@ _STATE_IO_NAMES = ("parse_state", "serialize_state", "STATE_FORMAT_VERSION",
 def __getattr__(name):
     if name in _STATE_IO_NAMES:
         from . import state_io
-        return getattr(state_io, name)
+        value = globals()[name] = getattr(state_io, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

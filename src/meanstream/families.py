@@ -397,11 +397,14 @@ def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
 def __getattr__(name):
     # sigma_from_power loads symfun on its first lookup here (bench/job.py
     # traces it as families.sigma_from_power), and a public name of
-    # generators loads generators (verify looks them up here)
+    # generators loads generators (verify looks them up here); either is
+    # then stored in the globals
     if name == "sigma_from_power":
-        from .symfun import sigma_from_power
-        return sigma_from_power
-    if name in _GENERATOR_NAMES:
-        from . import generators
-        return getattr(generators, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import symfun as module
+    elif name in _GENERATOR_NAMES:
+        from . import generators as module
+    else:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(module, name)
+    return value

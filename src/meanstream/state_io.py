@@ -30,10 +30,13 @@ def serialize_state(state: AccumulatorState) -> bytes:
     the order, batching or merge tree that built it.
     """
     d, reals, count = state
-    overflow = "false"
-    if state.overflow:
+    if all(map(math.isfinite, reals)):
+        overflow = "false"
+    else:
         reals, overflow = (math.inf,) * len(reals), "true"
-    hexes = ", ".join([f'"{float(v).hex()}"' for v in reals])
+    hexes = '", "'.join(map(float.hex, map(float, reals)))
+    if reals:
+        hexes = f'"{hexes}"'
     return (f'{d._blob_head}{len(reals)}, "reals": [{hexes}], '
             f'"counter": {count}, "overflow": {overflow}}}').encode()
 
@@ -196,10 +199,10 @@ def _checked_state(descriptor, k, reals, count, overflow) -> AccumulatorState:
         raise ParseError(f"k {k!r} disagrees with {len(reals)} reals")
     if type(count) is not int or count < 0:
         raise ParseError(f"bad counter {count!r}")
-    state = AccumulatorState(descriptor, reals, count)
+    finite = all(map(math.isfinite, reals))
     if descriptor.ctype is None:
         # no finite type: the state is the sorted multiset of the inputs
-        if (count != len(reals) or state.overflow
+        if (count != len(reals) or not finite
                 or list(reals) != sorted(reals)):
             raise ParseError(
                 f"expected {count} sorted finite components, one per element")
@@ -208,7 +211,9 @@ def _checked_state(descriptor, k, reals, count, overflow) -> AccumulatorState:
             f"expected {descriptor.k} components, got {len(reals)}")
     if count == 0 and reals != descriptor.identity:
         raise ParseError("an empty state must hold the identity reals")
-    if overflow is not state.overflow:
+    # an identity test: a flag that is not a bool (0, null, "false") fails
+    if overflow is not (not finite):
         raise ParseError(
             f"overflow flag {overflow!r} disagrees with the reals")
-    return state
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(AccumulatorState, (descriptor, reals, count))

@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import math
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -14,7 +15,7 @@ import meanstream as ms
 from meanstream import core, families
 from meanstream.cli import BLOCK_LINES
 from meanstream.errors import (DomainError, EmptyStateError, FamilyMismatch,
-                               NumericalFailure, ParseError)
+                               InvalidDescriptor, NumericalFailure, ParseError)
 
 
 def all_families():
@@ -70,6 +71,11 @@ class TestInit:
         labels = [d.type_label for d in all_families()]
         assert labels == (["T1+"] * 4 + ["T2"] * 3 + ["T2+", "T3+"] * 2
                           + ["T5+", "T2+"] + ["no finite type"] * 2)
+
+    def test_init_is_the_descriptors_one_empty_state(self):
+        for d in kernel_subjects():
+            assert ms.init(d) is ms.init(d)
+            assert ms.init(d) == ms.AccumulatorState(d, d.identity, 0)
 
 
 class TestAccumulatorState:
@@ -483,13 +489,17 @@ class TestKernels:
         """Bit for bit, from the identity and from a state with elements
         in it; the median's -0.0 and 0.0 keep insort's order.  A table's
         ``step`` is its fold of one element, so the fold is checked against
-        the checked step, whose code is generated apart."""
+        the generated absorb, whose code is generated apart."""
         for d in kernel_subjects():
             xs = [x for x in (_in_domain(d, u) if u else u for u in us)
                   if d.domain.contains(x)]  # the median keeps the zeros
-            checked, fold, _ = d.kernels
+            absorb, fold, _ = d.kernels
             head, tail = xs[:cut], xs[cut:]
             start = fold(head, d.identity)
+
+            def checked(reals, x):
+                return absorb(ms.AccumulatorState(d, reals, 0), x).reals
+
             for step in (checked, d.step):
                 assert _hexes(start) == _hexes(
                     functools.reduce(step, head, d.identity)), d.name
@@ -497,7 +507,9 @@ class TestKernels:
                     functools.reduce(step, tail, start)), d.name
 
     def test_checked_step_raises_absorbs_domain_error(self):
-        """Outside the domain, with absorb's message; inside, the step."""
+        """Outside the domain, with absorb's message; inside, the step.  The
+        checked step is the generated absorb, which maps a state to the
+        next."""
         outside = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
                    math.nextafter(3.0, -math.inf), math.nextafter(4.0, math.inf),
                    math.nextafter(1e3, math.inf), 1e3, -1e3]
@@ -507,14 +519,14 @@ class TestKernels:
             tested = 0
             for x in outside + [3.0, 4.0, 1.0, 0.5]:
                 if d.domain.contains(x):
-                    assert _hexes(checked(state.reals, x)) == _hexes(
+                    assert _hexes(checked(state, x).reals) == _hexes(
                         d.step(state.reals, x)), (d.name, x)
                     continue
                 with pytest.raises(DomainError) as raised:
                     ms.absorb(state, x)
                 assert str(raised.value) == f"{x} outside domain of {d.name}"
                 with pytest.raises(DomainError) as kernel:
-                    checked(state.reals, x)
+                    checked(state, x)
                 assert str(kernel.value) == str(raised.value)
                 tested += 1
             assert tested >= 3, d.name
@@ -552,6 +564,28 @@ class TestKernels:
         for d in kernel_subjects():
             with pytest.raises(OverflowError):
                 ms.absorb(ms.init(d), 10 ** 400)
+
+    def test_an_int_absorbs_as_its_float(self):
+        for d in kernel_subjects():
+            s = ms.absorb(ms.init(d), _in_domain(d, 0.5))
+            if d.domain.contains(3.0):
+                assert ms.serialize_state(ms.absorb(s, 3)) == (
+                    ms.serialize_state(ms.absorb(s, 3.0))), d.name
+                continue
+            with pytest.raises(DomainError) as as_int:
+                ms.absorb(s, 3)
+            with pytest.raises(DomainError) as as_float:
+                ms.absorb(s, 3.0)
+            assert str(as_int.value) == str(as_float.value), d.name
+
+    def test_an_overflowing_user_step_gives_k_infs(self):
+        d = ms.MeanDescriptor(
+            "user_exp", {}, ms.DomainInterval(), ms.ComplexityType(2, False),
+            lambda r, x: (r[0] + math.exp(x), r[1] + 1.0),
+            lambda reals, n: math.log(reals[0] / reals[1]))
+        s = ms.absorb(ms.absorb(ms.init(d), 1.0), 1000.0)  # exp overflows
+        assert s.reals == (math.inf, math.inf) and s.count == 2
+        assert ms.absorb(s, 1.0).reals == (math.inf, math.inf)
 
     def test_kernels_compile_on_first_use(self):
         d = ms.hamy(3)
@@ -933,6 +967,18 @@ class TestSerialization:
         with pytest.raises(ParseError, match=match):
             ms.parse_state(blob)
 
+    @pytest.mark.parametrize("flag", ["0", "1", "null", '"false"'])
+    def test_a_flag_that_is_not_a_bool_is_a_parse_error(self, flag):
+        # witness: a flag check written `overflow is finite` accepted all
+        # four, on both parses, which share _checked_state
+        blob = power_blob(2.0).replace(b'"overflow": false',
+                                       b'"overflow": ' + flag.encode())
+        for parse in (ms.parse_state, core._parse_json):
+            with pytest.raises(ParseError) as raised:
+                parse(blob)
+            assert str(raised.value) == (
+                f"overflow flag {json.loads(flag)!r} disagrees with the reals")
+
 
 def count_builds(monkeypatch) -> list:
     """Record each family and params parse_state builds a descriptor for,
@@ -1225,6 +1271,36 @@ class TestTwoParses:
                          ("gini", {"q": 1.0, "p": 2.0})]
         assert reordered.family_id == own.family_id
         assert ms.merge(own, reordered).reals == (25.0, 7.0)
+
+
+class TestPickle:
+    # witness: pickle.dumps(init(power_mean(2))) raised AttributeError: Can't
+    # pickle local object 'table_mean.<locals>.step'
+    @pytest.mark.parametrize("d", all_families() + [
+        ms.piecewise_counterexample(), ms.cube_over_square(),
+        ms.quasi_arithmetic("exp"), ms.biplanar(0.0, 2.0, 2, 3)],
+        ids=lambda d: d.name)
+    def test_a_built_in_state_pickles(self, d):
+        xs = d.domain.sample_grid(5)[1:]
+        for state in (ms.init(d), ms.absorb_many(ms.init(d), xs)):
+            twin = pickle.loads(pickle.dumps(state))
+            assert ms.serialize_state(twin) == ms.serialize_state(state)
+            assert ms.serialize_state(ms.merge(state, twin)) == (
+                ms.serialize_state(ms.merge(state, state)))
+            assert ms.serialize_state(ms.merge(twin, state)) == (
+                ms.serialize_state(ms.merge(state, state)))
+
+    @pytest.mark.parametrize("family, params", [
+        ("user_sum_of_squares", {}),  # no built-in family
+        ("power", {"p": 1.0, "q": 2.0}),  # a key power does not take
+        ("median", {})],  # rebuilds median(kind=lower), another family_id
+        ids=["unknown", "extra-key", "other-params"])
+    def test_a_user_built_descriptor_does_not(self, family, params):
+        d = ms.MeanDescriptor(
+            family, params, ms.DomainInterval(), ms.ComplexityType(1, True),
+            lambda r, x: (r[0] + x,), lambda reals, n: reals[0] / n)
+        with pytest.raises(InvalidDescriptor, match="cannot pickle"):
+            pickle.dumps(ms.absorb(ms.init(d), 2.0))
 
 
 class TestDescriptorCopy:
