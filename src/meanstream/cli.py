@@ -4,11 +4,17 @@ Subcommands: eval (stream -> value), merge (partial state files), classify
 (type-hierarchy report), verify (axiom suite), myhill (state-complexity
 profile).  Input streams are newline- or comma-separated decimals on stdin
 or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
-first cell is "#") terminates the stream early.  eval reads its input in
-blocks of BLOCK_LINES lines, one block at a time, absorbs each with
-``absorb_many``, in pure Python, and merges the blocks' states in
-``merge_tree``, so its memory does not grow with the input (except for the
-median, whose state is the multiset itself).  merge reads its state files
+first cell is "#") terminates the stream early, and a leading UTF-8
+byte-order mark is dropped.  eval reads its input in blocks of BLOCK_LINES
+lines, one block at a time, absorbs each with ``absorb_many``, in pure
+Python, and merges the blocks' states in ``merge_tree``, so its memory does
+not grow with the input (except for the median, whose state is the
+multiset itself).  Each block is parsed in a few C-level passes when it
+can be: a quote-free CSV block whose lines are rows of the header's width
+by one split of its text and a slice of its column (_csv_values), and a
+plain ASCII block with no line break but "\n" by one float() per line as
+read (_split_lines); any other block by csv.reader or _parse_lines, with
+the same values, errors and line numbers.  merge reads its state files
 one at a time and joins them in ``merge_tree``'s balanced tree too.  An
 error that waits for the end of the input (eval's domain error, merge's
 family mismatch) gives way to a later parse error or unreadable file.
@@ -139,13 +145,65 @@ def _parse_rows(rows: list, lineno: int, idx: int) -> tuple:
     return values, False
 
 
-def _column_floats(rows: list, idx: int) -> list:
-    """Column idx of well-formed rows; raises on any other row, and on any
-    "#" in a first cell, so that the careful path decides whether it ends
-    the stream."""
-    if "#" in "".join(map(itemgetter(0), rows)):
-        raise ValueError("a '#' row may end the stream")
-    return list(map(float, map(itemgetter(idx), rows)))
+def _line_values(lines: list, lineno: int) -> tuple:
+    """(values, ended) of plain lines: by one float() per line, unless one
+    is blank, "#", holds a comma or does not parse."""
+    try:
+        return list(map(float, lines)), False
+    except ValueError:
+        return _parse_lines(lines, lineno)
+
+
+def _row_values(rows: list, lineno: int, idx: int) -> tuple:
+    """(values, ended) of CSV rows: column idx by one float() per row,
+    unless one is blank, short or does not parse, or a first cell holds a
+    "#", which may end the stream."""
+    try:
+        if "#" not in "".join(map(itemgetter(0), rows)):
+            return list(map(float, map(itemgetter(idx), rows))), False
+    except (ValueError, IndexError):  # a blank, short or bad row
+        pass
+    return _parse_rows(rows, lineno, idx)
+
+
+# every byte but "," and "\n", and the bytes that make csv.reader cut or
+# join cells otherwise (the quote, NUL, "\r") or may end the stream ("#")
+_CELL_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\0\r#')))
+
+
+def _csv_values(block: list, lineno: int, width: int, idx: int,
+                limit: int):
+    """(values, ended) of a block of CSV lines, or None for a block that
+    holds a '"', whose quoted cells may run on into the next block.
+
+    A block whose lines are rows of width cells that csv.reader would cut
+    at each "," (no NUL, "\r" or "#", and no line over the reader's field
+    limit) is split without the reader: one split of its text, and a
+    slice of every width-th cell.  Any other block, or one with a cell
+    that float() refuses, goes through a csv.reader of its own."""
+    import csv
+
+    text = "".join(block)
+    if '"' in text:
+        return None
+    marks = (b"," * (width - 1) + b"\n") * len(block)
+    if not text.endswith("\n"):  # the input's last line
+        marks = marks[:-1]
+    if (-width <= idx < width and marks == text.encode(
+            "utf-8", "surrogatepass").translate(None, _CELL_BYTES)
+            and not (len(text) > limit and max(map(len, block)) > limit)):
+        cells = text.replace("\n", ",").split(",")[
+            idx % width:len(block) * width:width]
+        try:
+            return list(map(float, cells)), False
+        except ValueError:  # a blank or bad cell
+            pass
+    reader = csv.reader(block)
+    try:
+        rows = list(reader)
+    except csv.Error as e:
+        raise CliError(f"line {lineno + reader.line_num}: {e}") from None
+    return _row_values(rows, lineno, idx)
 
 
 def _chunks(items):
@@ -154,41 +212,60 @@ def _chunks(items):
     return iter(lambda: list(islice(items, BLOCK_LINES)), [])
 
 
-def _blocks(chunks, fast, careful, lineno: int):
-    """Each chunk's values, up to a "#": fast(chunk) when it takes the whole
-    chunk, else careful(chunk, lineno) -> (values, ended), which applies
-    every rule and numbers the lines; lineno lines precede the chunk.  A
-    chunk is dropped before its values are yielded, and the values before
-    the next chunk is read, so that one block of input is held at a time."""
+def _blocks(chunks, parse, lineno: int):
+    """Each chunk's values, up to a "#", by parse(chunk, lineno) ->
+    (values, ended); lineno lines precede the chunk.  A parse that returns
+    None leaves the chunk, and the rest of the input, to the caller: the
+    generator returns (iter(chunk), lineno), an iterator that drops the
+    chunk once it is read.  A chunk is dropped before its values are
+    yielded, and the values before the next chunk is read, so that one
+    block of input is held at a time."""
     for chunk in chunks:
-        try:
-            values, ended = fast(chunk), False
-        except (ValueError, IndexError):  # a blank, "#", comma or bad line
-            values, ended = careful(chunk, lineno)
+        parsed = parse(chunk, lineno)
+        if parsed is None:
+            return iter(chunk), lineno
+        values, ended = parsed
         lineno += len(chunk)
-        del chunk
+        del chunk, parsed
         yield values
         del values
         if ended:
             return
 
 
+# the line breaks of str.splitlines besides "\n" and the non-ASCII ones
+_OTHER_BREAKS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
+
+
 def _split_lines(chunk: list) -> list:
-    """A chunk of lines re-split as str.splitlines does: the line numbers
-    count its breaks."""
-    return "".join(chunk).splitlines()
+    """A chunk of lines split as str.splitlines does, so that the line
+    numbers count its breaks.  An ASCII chunk with no break but "\n" is
+    returned as it is: its lines are already split, and float() and
+    _parse_lines strip their "\n"."""
+    text = "".join(chunk)
+    if text.isascii() and not any(map(text.__contains__, _OTHER_BREAKS)):
+        return chunk
+    return text.splitlines()
 
 
-def _row_blocks(fh, column: str):
-    """The values of a CSV column, BLOCK_LINES rows at a time; csv loads
-    here, for --column only.  A row the reader refuses is a parse error."""
+def _row_blocks(first: str, fh, column: str):
+    """The values of a CSV column, BLOCK_LINES rows at a time, from its
+    first line and the lines of fh that follow; csv loads here, for
+    --column only.  A row the reader refuses is a parse error.
+
+    While no cell is quoted, each line is one row, so the lines are read
+    as they are, a block at a time, and _csv_values splits each.  The
+    first block that holds a '"' goes with the rest of the input to one
+    csv.reader, as does all that follows a header whose quoted cells hold
+    a line end.  A csv.Error's line is the reader's line_num after the
+    start lines that the reader did not read."""
     import csv
 
-    rows = reader = csv.reader(fh)
+    if not first:
+        return
+    reader, start = csv.reader(chain([first], fh)), 0
     try:
-        header = next(reader, None)
-        if header is None:
-            return
+        header = next(reader)
         if column in header:
             idx, lineno = header.index(column), 1
         else:
@@ -196,26 +273,40 @@ def _row_blocks(fh, column: str):
                 idx = int(column)
             except ValueError:
                 raise CliError(f"column {column!r} not found")
-            rows, lineno = chain([header], reader), 0
-        yield from _blocks(_chunks(rows), partial(_column_floats, idx=idx),
-                           partial(_parse_rows, idx=idx), lineno)
+            lineno = 0
+        if reader.line_num == 1:  # no line end in a quoted header cell
+            left = yield from _blocks(
+                _chunks(fh if lineno else chain([first], fh)),
+                partial(_csv_values, width=len(header), idx=idx,
+                        limit=csv.field_size_limit()), lineno)
+            if left is None:
+                return
+            rest, lineno = left
+            rows = reader = csv.reader(chain(rest, fh))
+            start = lineno
+        else:
+            rows = reader if lineno else chain([header], reader)
+        yield from _blocks(_chunks(rows), partial(_row_values, idx=idx),
+                           lineno)
     except csv.Error as e:  # only the reader raises it
-        raise CliError(f"line {reader.line_num}: {e}") from None
+        raise CliError(f"line {start + reader.line_num}: {e}") from None
 
 
 def _value_blocks(args):
     """The input's values, BLOCK_LINES lines at a time.  Input that is not
-    UTF-8 is a parse error."""
+    UTF-8 is a parse error, and a U+FEFF that begins it, the byte-order
+    mark with which some programs begin UTF-8 text, is not data."""
     name = args.input if args.input and args.input != "-" else None
     with (_open_input(name, "r", encoding="utf-8") if name
           else contextlib.nullcontext(sys.stdin)) as fh:
         try:
+            first = next(fh, "").removeprefix("\ufeff")
             if args.column is None:
-                yield from _blocks(map(_split_lines, _chunks(fh)),
-                                   lambda c: list(map(float, c)),
-                                   _parse_lines, 0)
+                lines = chain([first] if first else [], fh)
+                yield from _blocks(map(_split_lines, _chunks(lines)),
+                                   _line_values, 0)
             else:
-                yield from _row_blocks(fh, args.column)
+                yield from _row_blocks(first, fh, args.column)
         except UnicodeDecodeError as e:
             raise CliError(f"{name or '<stdin>'}: not UTF-8 text "
                            f"({e.reason})") from None

@@ -216,9 +216,11 @@ class MeanDescriptor(Record):
 
     A descriptor is one shared value, as ``parse_state`` shares it: a copy
     or a deep copy of one is the descriptor itself, and it equals and
-    hashes as itself alone.  A pickle rebuilds it with
-    ``descriptor_from_params`` from its family and params, so only a
-    descriptor that this rebuilds (every built-in) pickles.
+    hashes as itself alone.  A pickle loads it as ``parse_state`` does,
+    from its family and params, through one shared descriptor per blob
+    head; so only a descriptor that these rebuild (every built-in)
+    pickles.  One whose family and params build another mean, such as a
+    user's step under a built-in's name, neither pickles nor serializes.
     """
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
@@ -246,16 +248,22 @@ class MeanDescriptor(Record):
         return self
 
     def __reduce__(self):
-        from .families import descriptor_from_params
+        _, why = self._twin
+        if why:
+            raise InvalidDescriptor(f"cannot pickle {self.name}: {why}")
+        from .state_io import _descriptor
 
-        try:
-            rebuilt = descriptor_from_params(self.family, self.params)
-        except InvalidDescriptor as e:
-            raise InvalidDescriptor(f"cannot pickle {self.name}: {e}") from e
-        if rebuilt.family_id != self.family_id:
-            raise InvalidDescriptor(f"cannot pickle {self.name}: its family "
-                                    f"and params rebuild {rebuilt.name}")
-        return descriptor_from_params, (self.family, self.params)
+        return _descriptor, (self._blob_head,)
+
+    @_cached
+    def _twin(self) -> tuple:
+        """(twin, why): the descriptor that ``parse_state`` and
+        ``pickle.loads`` build from this one's family and params, or None
+        when they build none, and why it is not this mean, or None; found
+        once (``state_io._twin``)."""
+        from .state_io import _twin
+
+        return _twin(self)
 
     @_cached
     def k(self) -> int:
@@ -289,9 +297,14 @@ class MeanDescriptor(Record):
     @_cached
     def _blob_head(self) -> str:
         """serialize_state's JSON text up to ``"k": ``, built once, so
-        ``params`` must not change afterwards."""
+        ``params`` must not change afterwards.  A descriptor whose family
+        and params build another mean has none: its blob would parse as
+        that mean."""
         from .state_io import _head
 
+        twin, why = self._twin
+        if twin is not None and why:
+            raise InvalidDescriptor(f"cannot serialize {self.name}: {why}")
         return _head(self.family, self.params)
 
     @property

@@ -2,9 +2,11 @@
 
 A state file is UTF-8 JSON, {version, family, params, k, reals, counter,
 overflow} in that order, with the reals as hex floats, so it round-trips
-bit-exactly.  This module loads on the first serialize or parse (through
-``meanstream``, ``core`` or ``cli``), so that neither ``import meanstream``
-nor a stream's absorb and finalize compiles it or loads ``json``.
+bit-exactly.  This module loads on the first serialize, parse or pickle
+(through ``meanstream``, ``core`` or ``cli``), so that neither ``import
+meanstream`` nor a stream's absorb and finalize compiles it or loads
+``json``.  A pickled descriptor loads as a parsed one does, through
+``_descriptor``.
 """
 
 import json
@@ -69,6 +71,41 @@ def _descriptor(head: str) -> Optional[MeanDescriptor]:
     if written != head:  # another version, key order, spacing or key
         return None
     return families.descriptor_from_params(family, params)
+
+
+def _code(value):
+    """A function's code, which two builds of one built-in share; any other
+    value as it is."""
+    return getattr(value, "__code__", value)
+
+
+def _parts(d: MeanDescriptor) -> tuple:
+    """What d's kernels and finalize run: its block table and block_env
+    values, finalizer, step and leaf fold, with each function's code in
+    its place."""
+    env = {name: _code(value) for name, value in (d.block_env or {}).items()}
+    return (d.blocks, env, *map(_code, (d.finalizer, d.step, d.leaf_fold)))
+
+
+def _twin(d: MeanDescriptor) -> tuple:
+    """(twin, why) of d: twin is the descriptor that ``parse_state`` and
+    ``pickle.loads`` build from d's family and params, shared through
+    ``_descriptor``, or None when they build none (why then says why); why
+    is None when twin is d's mean, that is, when their ``_parts`` match."""
+    try:
+        twin = _descriptor(_head(d.family, d.params))
+    except Exception as e:  # no built-in takes them, or not JSON
+        return None, str(e)
+    if twin is None:  # not expected: _head's own text reads back
+        return None, "its params do not read back"
+    if twin is d:
+        return twin, None
+    if twin.family_id != d.family_id:
+        return twin, f"its family and params rebuild {twin.name}"
+    if _parts(twin) != _parts(d):
+        return twin, (f"its family and params rebuild {twin.name}, with "
+                      f"other kernels")
+    return twin, None
 
 
 def parse_state(data) -> AccumulatorState:

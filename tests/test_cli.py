@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,213 @@ def run_cli(argv, stdin="", monkeypatch=None, capsys=None):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _rows(n, at=None, cell=None):
+    """CSV rows i,1.5i for i = 1..n, row number at replaced by cell."""
+    return "".join(cell if i == at else f"{i},{i * 1.5}\n"
+                   for i in range(1, n + 1))
+
+
+# csv.reader refuses NUL before Python 3.11, and from 3.13 on words its
+# refusal of a line end inside an unquoted cell otherwise
+_NUL_REFUSED = (2, "", "error: line 6: line contains NUL\n")
+_NUL_IN_VALUE = _NUL_REFUSED if sys.version_info < (3, 11) else (
+    2, "", "error: line 6: cannot parse ['5', '1\\x002']\n")
+_NUL_IN_OTHER_CELL = _NUL_REFUSED if sys.version_info < (3, 11) else (
+    0, "6.8888888888888893\n", "")
+_LONE_CR = (2, "", "error: line 6: new-line character seen in unquoted field"
+            " - do you need to open the file " + (
+                "with newline=''?\n" if sys.version_info >= (3, 13)
+                else "in universal-newline mode?\n"))
+
+# (id, --column, "file" or "stdin", input, (exit code, stdout, stderr)) of
+# power(1) with four lines per block.  The outcomes are those of reading
+# every CSV block with csv.reader and re-splitting every plain block with
+# str.splitlines, as eval did before it took quote-free CSV blocks and
+# plain ASCII blocks without them
+BLOCK_CASES = [
+    ("csv-quote-first-block", "value", "file",
+     "id,value\n" + _rows(10, 2, '"b",3\n'),
+     (0, '8.25\n', '')),
+    ("csv-quote-middle-block", "value", "file",
+     "id,value\n" + _rows(14, 6, 'x,"6.5"\n'),
+     (0, '11.071428571428571\n', '')),
+    ("csv-quote-last-block", "value", "file",
+     "id,value\n" + _rows(14, 13, '"m",7\n'),
+     (0, '10.357142857142858\n', '')),
+    ("csv-quoted-newline-across-blocks", "value", "file",
+     "id,value\n" + _rows(10, 4, '"a\nb",2\n'),
+     (0, '7.8499999999999996\n', '')),
+    ("csv-quoted-newline-then-bad-row", "value", "file",
+     "id,value\n" + _rows(3) + '"a\nb",2\n' + _rows(6, 5, "9,zz\n"),
+     (2, '', "error: line 10: cannot parse ['9', 'zz']\n")),
+    ("csv-quoted-header", "value", "file",
+     '"id","value"\n' + _rows(9),
+     (0, '7.5\n', '')),
+    ("csv-header-with-quoted-newline", "value", "file",
+     '"i\nd",value\n' + _rows(9, 7, "7,bad\n"),
+     (2, '', "error: line 8: cannot parse ['7', 'bad']\n")),
+    ("csv-quoted-first-row-index", "1", "stdin",
+     '"a",1\n' + _rows(9),
+     (0, '7.5\n', '')),
+    ("csv-unclosed-quote", "value", "file",
+     "id,value\n" + _rows(6) + '"open,1\n2,3\n',
+     (2, '', "error: line 8: cannot parse ['open,1\\n2,3\\n']\n")),
+    ("csv-hash-row-ends", "value", "file",
+     "id,value\n" + _rows(9, 6, " # ,5\n"),
+     (0, '4.5\n', '')),
+    ("csv-hash-in-cells", "value", "file",
+     "id,value\n" + _rows(9, 2, "a#b,2\n").replace("5,7.5", "5,7.5#"),
+     (2, '', "error: line 6: cannot parse ['5', '7.5#']\n")),
+    ("csv-hash-first-cell-later-block", "value", "stdin",
+     "id,value\n" + _rows(9, 8, "#,1\n"),
+     (0, '6\n', '')),
+    ("csv-blank-rows", "value", "file",
+     "id,value\n" + _rows(9, 3, "\n").replace("6,9.0\n", "6,9.0\n\n  \n"),
+     (0, '7.875\n', '')),
+    ("csv-blank-rows-one-column", "v", "file",
+     "v\n1\n\n2\n \n3\n4\n5\n\n6\n",
+     (0, '3.5\n', '')),
+    ("csv-short-row", "value", "file",
+     "id,value\n" + _rows(9, 7, "7\n"),
+     (2, '', "error: line 8: cannot parse ['7']\n")),
+    ("csv-long-rows", "value", "file",
+     "id,value\n" + _rows(9, 2, "2,3,4\n").replace("8,12.0", "8,12.0,x,y"),
+     (0, '7.5\n', '')),
+    ("csv-ragged-width-sum-equal", "value", "stdin",
+     "id,value\n1\n2,3,4\n5,6\n7,8\n9,10\n",
+     (2, '', "error: line 2: cannot parse ['1']\n")),
+    ("csv-bad-value", "value", "file",
+     "id,value\n" + _rows(9, 6, "6,abc\n"),
+     (2, '', "error: line 7: cannot parse ['6', 'abc']\n")),
+    ("csv-nul-in-value", "value", "file",
+     "id,value\n" + _rows(9, 5, "5,1\x002\n"),
+     _NUL_IN_VALUE),
+    ("csv-nul-in-other-cell", "value", "file",
+     "id,value\n" + _rows(9, 5, "\x00,2\n"),
+     _NUL_IN_OTHER_CELL),
+    ("csv-field-over-limit", "value", "file",
+     "id,value\n" + _rows(9, 6, "6," + "9" * 131073 + "\n"),
+     (2, '', 'error: line 7: field larger than field limit (131072)\n')),
+    ("csv-line-over-limit-fields-under", "value", "file",
+     "id,value\n" + _rows(6, 3, "1" * 70000 + "," + "2" * 70000 + "\n"),
+     (3, '', 'error: inf outside domain of power(p=1.0)\n')),
+    ("csv-crlf-file", "value", "file",
+     ("id,value\n" + _rows(9)).replace("\n", "\r\n"),
+     (0, '7.5\n', '')),
+    ("csv-crlf-stdin", "value", "stdin",
+     ("id,value\n" + _rows(9)).replace("\n", "\r\n"),
+     (0, '7.5\n', '')),
+    ("csv-lone-cr-stdin", "value", "stdin",
+     "id,value\n" + _rows(9, 5, "5,1\r6,2\n"),
+     _LONE_CR),
+    ("csv-cr-at-line-end-stdin", "value", "stdin",
+     "id,value\n" + _rows(9, 5, "5,1\r\n"),
+     (0, '6.7777777777777777\n', '')),
+    ("csv-form-feed", "value", "file",
+     "id,value\n" + _rows(9, 5, "5\x0c,\x0c2\n"),
+     (0, '6.8888888888888893\n', '')),
+    ("csv-non-ascii", "value", "file",
+     "id,value\n" + _rows(9, 5, "\xe9,\u0663\n").replace("7,10.5", "7,\u2028 10.5"),
+     (0, '7\n', '')),
+    ("csv-no-final-newline", "value", "file",
+     "id,value\n" + _rows(9)[:-1],
+     (0, '7.5\n', '')),
+    ("csv-no-final-newline-index-0", "0", "file",
+     _rows(8)[:-1],
+     (0, '4.5\n', '')),
+    ("csv-headerless-index-0", "0", "stdin",
+     _rows(9),
+     (0, '5\n', '')),
+    ("csv-headerless-index-minus-1", "-1", "stdin",
+     _rows(9),
+     (0, '7.5\n', '')),
+    ("csv-headerless-index-out-of-range", "5", "stdin",
+     _rows(9),
+     (2, '', "error: line 1: cannot parse ['1', '1.5']\n")),
+    ("csv-index-over-ragged", "2", "stdin",
+     "1,2,3\n4,5,6\n7,8\n9,10,11\n12,13,14\n",
+     (0, '9\n', '')),
+    ("csv-blank-first-line", "0", "stdin",
+     "\n1\n2\n",
+     (0, '1.5\n', '')),
+    ("csv-blank-first-line-named", "v", "stdin",
+     "\nv\n1\n",
+     (2, '', "error: column 'v' not found\n")),
+    ("csv-header-only", "value", "file",
+     "id,value\n",
+     (4, '', 'error: empty input\n')),
+    ("csv-empty", "value", "file",
+     "",
+     (4, '', 'error: empty input\n')),
+    ("csv-domain-then-parse-error", "value", "file",
+     "id,value\n" + _rows(9, 2, "2,-1\n").replace("8,12.0", "8,x"),
+     (2, '', "error: line 9: cannot parse ['8', 'x']\n")),
+    ("csv-domain-error", "value", "file",
+     "id,value\n" + _rows(9, 7, "7,-1\n"),
+     (3, '', 'error: -1.0 outside domain of power(p=1.0)\n')),
+    ("csv-exact-blocks", "value", "file",
+     "id,value\n" + _rows(8),
+     (0, '6.75\n', '')),
+    ("csv-width-3-middle", "b", "file",
+     "a,b,c\n" + "".join(f"{i},{i},{i}\n" for i in range(1, 11)),
+     (0, '5.5\n', '')),
+    ("csv-duplicate-header-name", "v", "file",
+     "v,v\n1,2\n3,4\n5,6\n7,8\n9,10\n",
+     (0, '5\n', '')),
+    ("csv-surrogate-like", "value", "stdin",
+     "id,value\n" + _rows(6, 2, "2,\udcff\n"),
+     (2, '', "error: line 3: cannot parse ['2', '\\udcff']\n")),
+    ("lines-quote", None, "file",
+     "1\n2\n3\n4\n5\n\"6\"\n7\n",
+     (2, '', 'error: line 6: cannot parse \'"6"\'\n')),
+    ("lines-hash-ends", None, "file",
+     "1\n2\n3\n4\n5\n#\n99\n",
+     (0, '3\n', '')),
+    ("lines-hash-in-token", None, "file",
+     "1\n2\n3\n4\n5\n6 #\n7\n",
+     (2, '', "error: line 6: cannot parse '6 #'\n")),
+    ("lines-commas-and-blanks", None, "file",
+     "1,2\n\n 3 , 4 \n5\n,\n6\n7\n8\n9\n",
+     (0, '5\n', '')),
+    ("lines-nul", None, "file",
+     "1\n2\n3\n4\n5\n6\x00\n7\n",
+     (2, '', "error: line 6: cannot parse '6\\x00'\n")),
+    ("lines-crlf-file", None, "file",
+     "1\r\n2\r\n\r\n3\r\n4\r\n5\r\nx\r\n",
+     (2, '', "error: line 7: cannot parse 'x'\n")),
+    ("lines-crlf-stdin", None, "stdin",
+     "1\r\n2\r\n\r\n3\r\n4\r\n5\r\nx\r\n",
+     (2, '', "error: line 7: cannot parse 'x'\n")),
+    ("lines-lone-cr-stdin", None, "stdin",
+     "1\r2\n3\n4\n5\r6\r7\nx\n",
+     (2, '', "error: line 8: cannot parse 'x'\n")),
+    ("lines-form-feed", None, "file",
+     "1\n2\x0c3\n4\n5\n6\n7\x0cbad\n",
+     (2, '', "error: line 8: cannot parse 'bad'\n")),
+    ("lines-vertical-tab-and-separators", None, "stdin",
+     "1\x0b2\n3\x1c4\n5\x1d6\x1e7\nq\n",
+     (2, '', "error: line 8: cannot parse 'q'\n")),
+    ("lines-non-ascii-breaks", None, "file",
+     "1\n2\u20283\n4\x855\n6\u20297\nbad\n",
+     (2, '', "error: line 8: cannot parse 'bad'\n")),
+    ("lines-non-ascii-digits", None, "file",
+     "\u0661\n\u0662\n\u0663\n\u0664\n\u0665\n",
+     (0, '3\n', '')),
+    ("lines-no-final-newline", None, "file",
+     "1\n2\n3\n4\n5\n6",
+     (0, '3.5\n', '')),
+    ("lines-whitespace", None, "stdin",
+     " 1 \n\t2\n3\x1f\n4\n5\n",
+     (0, '3\n', '')),
+    ("lines-parse-error-later-block", None, "file",
+     "1\n2\n3\n4\n5\n6\n7\n8\n9\nz\n",
+     (2, '', "error: line 10: cannot parse 'z'\n")),
+    ("lines-domain-then-parse-error", None, "stdin",
+     "1\n-2\n3\n4\n5\n6\n7\n8\nz\n",
+     (2, '', "error: line 9: cannot parse 'z'\n")),
+]
 
 
 class TestEval:
@@ -331,6 +539,48 @@ class TestEval:
             tracemalloc.stop()
         assert capsys.readouterr().out == expected
         assert drained < 3e6 and evaluated < 3e6, (drained, evaluated)
+
+    @pytest.mark.parametrize("column, source, text, outcome",
+                             [case[1:] for case in BLOCK_CASES],
+                             ids=[case[0] for case in BLOCK_CASES])
+    def test_block_reading_keeps_every_outcome(self, monkeypatch, capsys,
+                                               tmp_path, column, source,
+                                               text, outcome):
+        monkeypatch.setattr(cli, "BLOCK_LINES", 4)
+        argv = ["eval", "--family", "power", "--p", "1"]
+        if column is not None:
+            argv += ["--column", column]
+        if source == "file":
+            path = tmp_path / "input"
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            argv, text = argv + ["--input", str(path)], ""
+        assert run_cli(argv, text, monkeypatch, capsys) == outcome
+
+    @pytest.mark.parametrize("text, column", [
+        ("\ufeffvalue\n1\n2\n", "value"), ("\ufeff1\n2\n", None),
+        ("\ufeff1,9\n2,9\n", "0")], ids=["csv-header", "lines", "csv-index"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_a_byte_order_mark_is_not_data(self, monkeypatch, capsys,
+                                           tmp_path, text, column, source):
+        # witnesses: exit 2 with "column 'value' not found", and with
+        # "line 1: cannot parse '\ufeff1'"
+        argv = ["eval", "--family", "power", "--p", "1"]
+        if column is not None:
+            argv += ["--column", column]
+        if source == "file":
+            path = tmp_path / "bom.csv"
+            path.write_bytes(text.encode("utf-8"))
+            argv, text = argv + ["--input", str(path)], ""
+        assert run_cli(argv, text, monkeypatch, capsys) == (0, "1.5\n", "")
+
+    def test_a_lone_byte_order_mark_is_empty_input(self, monkeypatch, capsys,
+                                                   tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf")
+        for argv, stdin in ((["--input", str(path)], ""), ([], "\ufeff")):
+            assert run_cli(["eval", "--family", "power", "--p", "1", *argv],
+                           stdin, monkeypatch, capsys) == (
+                4, "", "error: empty input\n")
 
     def test_unwritable_state_out(self, monkeypatch, capsys, tmp_path):
         # witness: a FileNotFoundError traceback, exit 1

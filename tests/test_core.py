@@ -1030,8 +1030,9 @@ class TestDescriptorCache:
             ms.merge(pos, neg)
 
     def test_failed_build_is_not_cached(self, monkeypatch):
-        calls = count_builds(monkeypatch)
+        # the blob first: its serialize_state builds the descriptor's twin
         blob = json.loads(power_blob(1.0))
+        calls = count_builds(monkeypatch)
         blob["params"]["p"] = "abc"
         for _ in range(3):
             with pytest.raises(ParseError, match="cannot rebuild descriptor"):
@@ -1290,17 +1291,53 @@ class TestPickle:
             assert ms.serialize_state(ms.merge(twin, state)) == (
                 ms.serialize_state(ms.merge(state, state)))
 
+    @staticmethod
+    def _user_power():
+        # witness: it absorbed 3.0 as (6.0,), and after a pickle round trip,
+        # or serialize_state then parse_state, as power_mean(1)'s (3.0,)
+        return ms.MeanDescriptor(
+            "power", {"p": 1.0}, ms.DomainInterval.positive(),
+            ms.ComplexityType(1, True), step=lambda r, x: (r[0] + 2 * x,),
+            finalizer=lambda r, n: r[0] / n)
+
     @pytest.mark.parametrize("family, params", [
         ("user_sum_of_squares", {}),  # no built-in family
         ("power", {"p": 1.0, "q": 2.0}),  # a key power does not take
-        ("median", {})],  # rebuilds median(kind=lower), another family_id
-        ids=["unknown", "extra-key", "other-params"])
+        ("median", {}),  # rebuilds median(kind=lower), another family_id
+        ("power", {"p": 1.0})],  # rebuilds power_mean(1), other kernels
+        ids=["unknown", "extra-key", "other-params", "other-kernels"])
     def test_a_user_built_descriptor_does_not(self, family, params):
-        d = ms.MeanDescriptor(
-            family, params, ms.DomainInterval(), ms.ComplexityType(1, True),
-            lambda r, x: (r[0] + x,), lambda reals, n: reals[0] / n)
+        if params == {"p": 1.0}:
+            d = self._user_power()
+            assert ms.absorb(ms.init(d), 3.0).reals == (6.0,)
+        else:
+            d = ms.MeanDescriptor(
+                family, params, ms.DomainInterval(), ms.ComplexityType(1, True),
+                lambda r, x: (r[0] + x,), lambda reals, n: reals[0] / n)
         with pytest.raises(InvalidDescriptor, match="cannot pickle"):
             pickle.dumps(ms.absorb(ms.init(d), 2.0))
+
+    def test_a_user_step_under_a_built_in_name_does_not_serialize(self):
+        state = ms.absorb(ms.init(self._user_power()), 3.0)
+        with pytest.raises(InvalidDescriptor,
+                           match="cannot serialize .* other kernels"):
+            ms.serialize_state(state)
+
+    def test_unpickled_states_share_one_descriptor(self, monkeypatch):
+        # witness: 1000 separately pickled hamy(3) states loaded with 1000
+        # descriptors, and each dump and each load built one
+        d = ms.hamy(3)
+        a, b = (pickle.loads(pickle.dumps(ms.absorb(ms.init(d), x)))
+                for x in (1.0, 2.0))
+        assert a.descriptor is b.descriptor
+        assert ms.parse_state(ms.serialize_state(a)).descriptor is a.descriptor
+        assert ms.serialize_state(ms.merge(a, b)) == ms.serialize_state(
+            ms.absorb_many(ms.init(d), [1.0, 2.0]))
+        calls = count_builds(monkeypatch)
+        fresh = ms.hamy(3)
+        for x in range(1, 11):
+            pickle.dumps(ms.absorb(ms.init(fresh), float(x)))
+        assert calls == [("hamy", {"r": 3})]
 
 
 class TestDescriptorCopy:
