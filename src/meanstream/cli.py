@@ -13,8 +13,9 @@ multiset itself).  Each block is parsed in a few C-level passes when it
 can be: a quote-free CSV block whose lines are rows of the header's width
 by one split of its text and a slice of its column (_csv_values), and a
 plain ASCII block with no line break but "\n" by one float() per line as
-read (_split_lines); any other block by csv.reader or _parse_lines, with
-the same values, errors and line numbers.  merge reads its state files
+read (_split_lines).  Any other plain block goes through _parse_lines,
+and the first other CSV block, with the rest of the input, through one
+csv.reader, with the same values, errors and line numbers.  merge reads its state files
 one at a time and joins them in ``merge_tree``'s balanced tree too.  An
 error that waits for the end of the input (eval's domain error, merge's
 family mismatch) gives way to a later parse error or unreadable file.
@@ -173,37 +174,25 @@ _CELL_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\0\r#')))
 
 def _csv_values(block: list, lineno: int, width: int, idx: int,
                 limit: int):
-    """(values, ended) of a block of CSV lines, or None for a block that
-    holds a '"', whose quoted cells may run on into the next block.
-
-    A block whose lines are rows of width cells that csv.reader would cut
-    at each "," (no NUL, "\r" or "#", and no line over the reader's field
-    limit) is split without the reader: one split of its text, and a
-    slice of every width-th cell.  Any other block, or one with a cell
-    that float() refuses, goes through a csv.reader of its own."""
-    import csv
-
+    """(values, False) of a block of CSV lines that are rows of width cells
+    that csv.reader would cut at each "," (no quote, NUL, "\r" or "#", and
+    no line over the reader's field limit), by one split of its text and a
+    slice of every width-th cell; None for any other block, or one with a
+    cell that float() refuses, which csv.reader then reads."""
     text = "".join(block)
-    if '"' in text:
-        return None
     marks = (b"," * (width - 1) + b"\n") * len(block)
     if not text.endswith("\n"):  # the input's last line
         marks = marks[:-1]
-    if (-width <= idx < width and marks == text.encode(
+    if not (-width <= idx < width and marks == text.encode(
             "utf-8", "surrogatepass").translate(None, _CELL_BYTES)
             and not (len(text) > limit and max(map(len, block)) > limit)):
-        cells = text.replace("\n", ",").split(",")[
-            idx % width:len(block) * width:width]
-        try:
-            return list(map(float, cells)), False
-        except ValueError:  # a blank or bad cell
-            pass
-    reader = csv.reader(block)
+        return None
+    cells = text.replace("\n", ",").split(",")[
+        idx % width:len(block) * width:width]
     try:
-        rows = list(reader)
-    except csv.Error as e:
-        raise CliError(f"line {lineno + reader.line_num}: {e}") from None
-    return _row_values(rows, lineno, idx)
+        return list(map(float, cells)), False
+    except ValueError:  # a blank or bad cell
+        return None
 
 
 def _chunks(items):
@@ -255,9 +244,10 @@ def _row_blocks(first: str, fh, column: str):
 
     While no cell is quoted, each line is one row, so the lines are read
     as they are, a block at a time, and _csv_values splits each.  The
-    first block that holds a '"' goes with the rest of the input to one
-    csv.reader, as does all that follows a header whose quoted cells hold
-    a line end.  A csv.Error's line is the reader's line_num after the
+    first block that it does not split (one with a '"', whose quoted cells
+    may run on into the next block, or a blank, ragged or bad row) goes
+    with the rest of the input to one csv.reader, as does all that follows
+    a header whose quoted cells hold a line end.  A csv.Error's line is the reader's line_num after the
     start lines that the reader did not read."""
     import csv
 

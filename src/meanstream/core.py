@@ -251,9 +251,9 @@ class MeanDescriptor(Record):
         _, why = self._twin
         if why:
             raise InvalidDescriptor(f"cannot pickle {self.name}: {why}")
-        from .state_io import _descriptor
+        from .state_io import shared_descriptor
 
-        return _descriptor, (self._blob_head,)
+        return shared_descriptor, (self.family, self.params)
 
     @_cached
     def _twin(self) -> tuple:

@@ -6,7 +6,7 @@ bit-exactly.  This module loads on the first serialize, parse or pickle
 (through ``meanstream``, ``core`` or ``cli``), so that neither ``import
 meanstream`` nor a stream's absorb and finalize compiles it or loads
 ``json``.  A pickled descriptor loads as a parsed one does, through
-``_descriptor``.
+``shared_descriptor``.
 """
 
 import json
@@ -73,6 +73,14 @@ def _descriptor(head: str) -> Optional[MeanDescriptor]:
     return families.descriptor_from_params(family, params)
 
 
+def shared_descriptor(family: str, params: dict) -> MeanDescriptor:
+    """The descriptor that ``parse_state`` gives a blob of this family and
+    params, one shared value per blob head; ``pickle.loads`` builds a
+    descriptor through it.  The head is this version's own text, so it
+    always reads back; a failed build raises."""
+    return _descriptor(_head(family, params))
+
+
 def _code(value):
     """A function's code, which two builds of one built-in share; any other
     value as it is."""
@@ -80,24 +88,23 @@ def _code(value):
 
 
 def _parts(d: MeanDescriptor) -> tuple:
-    """What d's kernels and finalize run: its block table and block_env
-    values, finalizer, step and leaf fold, with each function's code in
-    its place."""
+    """What d's kernels and finalize run: its domain, block table and
+    block_env values, finalizer, step, combine and leaf fold, with each
+    function's code in its place."""
     env = {name: _code(value) for name, value in (d.block_env or {}).items()}
-    return (d.blocks, env, *map(_code, (d.finalizer, d.step, d.leaf_fold)))
+    return (d.domain, d.blocks, env, *map(
+        _code, (d.finalizer, d.step, d.combine, d.leaf_fold)))
 
 
 def _twin(d: MeanDescriptor) -> tuple:
     """(twin, why) of d: twin is the descriptor that ``parse_state`` and
     ``pickle.loads`` build from d's family and params, shared through
-    ``_descriptor``, or None when they build none (why then says why); why
+    ``shared_descriptor``, or None when they build none (why then says why); why
     is None when twin is d's mean, that is, when their ``_parts`` match."""
     try:
-        twin = _descriptor(_head(d.family, d.params))
+        twin = shared_descriptor(d.family, d.params)
     except Exception as e:  # no built-in takes them, or not JSON
         return None, str(e)
-    if twin is None:  # not expected: _head's own text reads back
-        return None, "its params do not read back"
     if twin is d:
         return twin, None
     if twin.family_id != d.family_id:

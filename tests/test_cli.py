@@ -671,13 +671,15 @@ class TestMerge:
         n, files = 1024, 64
         values = [float(i * 7919 % n) for i in range(n)]
         d, paths = ms.median_mean("lower"), []
-        for i in range(files):
-            paths.append(tmp_path / f"s{i}.state")
-            paths[-1].write_bytes(ms.serialize_state(
-                ms.absorb_many(ms.init(d), values[i::files])))
-        out_path = tmp_path / "merged.state"
-        core._descriptor.cache_clear()  # parse builds it with counted
+        # serialize_state's twin of d, which parse then shares, is built
+        # with counted too: a cached one would hold another combine
+        core._descriptor.cache_clear()
         try:
+            for i in range(files):
+                paths.append(tmp_path / f"s{i}.state")
+                paths[-1].write_bytes(ms.serialize_state(
+                    ms.absorb_many(ms.init(d), values[i::files])))
+            out_path = tmp_path / "merged.state"
             assert main(["merge", *map(str, paths), "--out",
                          str(out_path)]) == 0
         finally:

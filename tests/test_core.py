@@ -1304,12 +1304,22 @@ class TestPickle:
         ("user_sum_of_squares", {}),  # no built-in family
         ("power", {"p": 1.0, "q": 2.0}),  # a key power does not take
         ("median", {}),  # rebuilds median(kind=lower), another family_id
-        ("power", {"p": 1.0})],  # rebuilds power_mean(1), other kernels
-        ids=["unknown", "extra-key", "other-params", "other-kernels"])
+        ("power", {"p": 1.0}),  # rebuilds power_mean(1), other kernels
+        ("power", {"p": 1.0, "domain": None})],  # power_mean(1)'s kernels
+        ids=["unknown", "extra-key", "other-params", "other-kernels",
+             "other-domain"])
     def test_a_user_built_descriptor_does_not(self, family, params):
         if params == {"p": 1.0}:
             d = self._user_power()
             assert ms.absorb(ms.init(d), 3.0).reals == (6.0,)
+        elif "domain" in params:
+            # witness: power_mean(1)'s blocks, env and finalizer on the whole
+            # line absorbed -2.0, and after a pickle round trip refused it
+            built = ms.power_mean(1.0)
+            d = core.table_mean("power", {"p": 1.0}, ms.DomainInterval(),
+                                built.ctype, built.blocks, built.finalizer,
+                                built.block_env)
+            assert ms.absorb(ms.init(d), -2.0).reals == (-2.0,)
         else:
             d = ms.MeanDescriptor(
                 family, params, ms.DomainInterval(), ms.ComplexityType(1, True),
@@ -1322,6 +1332,20 @@ class TestPickle:
         with pytest.raises(InvalidDescriptor,
                            match="cannot serialize .* other kernels"):
             ms.serialize_state(state)
+
+    def test_a_pickle_loads_under_another_format_version(self, monkeypatch):
+        # witness: a pickle held the blob head, version and all, and loaded
+        # under another STATE_FORMAT_VERSION as a state whose descriptor was
+        # None
+        from meanstream import state_io
+
+        data = pickle.dumps(ms.absorb(ms.init(ms.hamy(3)), 2.0))
+        monkeypatch.setattr(state_io, "STATE_FORMAT_VERSION",
+                            state_io.STATE_FORMAT_VERSION + 1)
+        state_io._descriptor.cache_clear()  # as in a new process
+        state = pickle.loads(data)
+        assert state.descriptor.family_id == ms.hamy(3).family_id
+        assert ms.finalize(state) == 2.0
 
     def test_unpickled_states_share_one_descriptor(self, monkeypatch):
         # witness: 1000 separately pickled hamy(3) states loaded with 1000
