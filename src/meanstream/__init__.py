@@ -26,13 +26,12 @@ harness (``verify``) and the probe (``myhill``) load on first use of one of
 their names.
 """
 
-import importlib
-
 from .core import (
     AccumulatorState,
     ComplexityType,
     DomainInterval,
     MeanDescriptor,
+    _lazy_names,
     absorb,
     absorb_many,
     evaluate_stream,
@@ -97,16 +96,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # a resolved name is stored in the globals, so only its first lookup
-    # gets here
-    for module, names in _LAZY.items():
-        if name == module or name in names:
-            loaded = importlib.import_module(f".{module}", __name__)
-            value = globals()[name] = (
-                loaded if name == module else getattr(loaded, name))
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _lazy_names(globals(), _LAZY)
 
 
 def __dir__():

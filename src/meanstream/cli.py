@@ -43,8 +43,8 @@ from operator import itemgetter
 from . import families
 # absorb is not called here; it stays importable as cli.absorb beside the
 # other core operations, which bench/job.py wraps by attribute
-from .core import (absorb, absorb_many, finalize, init, merge,  # noqa: F401
-                   merge_tree)
+from .core import (_lazy_names, absorb, absorb_many,  # noqa: F401
+                   finalize, init, merge, merge_tree)
 from .errors import (BudgetExceeded, DomainError, EmptyStateError,
                      FamilyMismatch, InsufficientData, InvalidDescriptor,
                      MeanStreamError, ParseError)
@@ -476,18 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def __getattr__(name):
-    # parse_state and serialize_state load state_io on their first lookup,
-    # for merge and --state-out only, and are then stored in the globals.
-    # This module calls them as _this.<name>, where bench/job.py's
-    # wrappers, set by attribute, apply
-    if name in ("parse_state", "serialize_state"):
-        from . import state_io
-        value = globals()[name] = getattr(state_io, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
+# parse_state and serialize_state load state_io on their first lookup, for
+# merge and --state-out only.  This module calls them as _this.<name>, where
+# bench/job.py's wrappers, set by attribute, apply
+_LAZY = {"state_io": ("parse_state", "serialize_state")}
+__getattr__ = _lazy_names(globals(), _LAZY)
 _this = sys.modules[__name__]
 
 

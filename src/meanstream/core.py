@@ -18,6 +18,7 @@ accumulation followed by a merge tree needs no locking.
 # json and numbers are imported where they are used, and the state format
 # lives in state_io, so that neither ``import meanstream`` nor a stream's
 # absorb and finalize loads them
+import importlib
 import math
 import operator
 from functools import partial, reduce
@@ -585,16 +586,30 @@ def evaluate_stream(descriptor: MeanDescriptor, xs: Iterable[float]) -> float:
     return finalize(reduce(absorb, xs, init(descriptor)))
 
 
-# the state format's names, which state_io defines and loads on their first
-# lookup here, then stored in the globals (bench/job.py wraps
-# core.parse_state and core.serialize_state)
-_STATE_IO_NAMES = ("parse_state", "serialize_state", "STATE_FORMAT_VERSION",
-                   "DESCRIPTOR_CACHE_SIZE", "_descriptor", "_parse_json")
+def _lazy_names(namespace: dict, table: dict):
+    """A module ``__getattr__`` for names loaded on first use.  table maps
+    a module of this package to the names it defines: the first lookup of
+    one of them, or of the module's own name, imports the module and stores
+    the value in namespace, the caller's globals, so only that first lookup
+    gets here.  Any other name raises AttributeError."""
+    owners = {name: module for module, names in table.items()
+              for name in (module, *names)}
 
-
-def __getattr__(name):
-    if name in _STATE_IO_NAMES:
-        from . import state_io
-        value = globals()[name] = getattr(state_io, name)
+    def __getattr__(name):
+        module = owners.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} "
+                                 f"has no attribute {name!r}")
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        value = namespace[name] = (
+            loaded if name == module else getattr(loaded, name))
         return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+    return __getattr__
+
+
+# the state format's names, loaded from state_io on first use (bench/job.py
+# wraps core.parse_state and core.serialize_state)
+_LAZY = {"state_io": ("parse_state", "serialize_state", "STATE_FORMAT_VERSION",
+                      "DESCRIPTOR_CACHE_SIZE", "_descriptor", "_parse_json")}
+__getattr__ = _lazy_names(globals(), _LAZY)

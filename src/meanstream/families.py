@@ -25,7 +25,7 @@ from functools import partial
 from typing import Callable
 
 from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
-                   table_mean)
+                   _lazy_names, table_mean)
 from .errors import (
     DegenerateExponents,
     FinalizeOutsideBranches,
@@ -394,17 +394,8 @@ def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
     return d
 
 
-def __getattr__(name):
-    # sigma_from_power loads symfun on its first lookup here (bench/job.py
-    # traces it as families.sigma_from_power), and a public name of
-    # generators loads generators (verify looks them up here); either is
-    # then stored in the globals
-    if name == "sigma_from_power":
-        from . import symfun as module
-    elif name in _GENERATOR_NAMES:
-        from . import generators as module
-    else:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(module, name)
-    return value
+# sigma_from_power loads symfun on its first lookup here (bench/job.py
+# traces it as families.sigma_from_power), and a public name of generators
+# loads generators (verify looks them up here)
+_LAZY = {"symfun": ("sigma_from_power",), "generators": _GENERATOR_NAMES}
+__getattr__ = _lazy_names(globals(), _LAZY)
