@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import families
-from .core import AccumulatorState, MeanDescriptor
+from .core import AccumulatorState, MeanDescriptor, Record
 from .errors import ParseError
 
 STATE_FORMAT_VERSION = 2
@@ -81,19 +81,41 @@ def shared_descriptor(family: str, params: dict) -> MeanDescriptor:
     return _descriptor(_head(family, params))
 
 
-def _code(value):
-    """A function's code, which two builds of one built-in share; any other
-    value as it is."""
-    return getattr(value, "__code__", value)
+def _content(value, seen=frozenset()):
+    """value as two builds of one built-in share it: a function as its code,
+    defaults and closure cells' contents, a record (but a descriptor) as its
+    class and fields, and a tuple or dict item by item, each taken the same
+    way; any other value as it is.  So a closure value, such as a power
+    generator's p, counts, where the function's code alone would not."""
+    if id(value) in seen:  # a function in its own closure
+        return "<recursion>"
+    seen |= {id(value)}
+    if hasattr(value, "__code__"):
+        cells = []
+        for cell in value.__closure__ or ():
+            try:
+                cells.append(_content(cell.cell_contents, seen))
+            except ValueError:  # an empty cell
+                cells.append("<empty>")
+        return (value.__code__, _content(value.__defaults__, seen),
+                _content(value.__kwdefaults__, seen), tuple(cells))
+    if isinstance(value, Record) and not isinstance(value, MeanDescriptor):
+        return type(value), _content(value._values(), seen)
+    if type(value) is tuple:
+        return tuple([_content(item, seen) for item in value])
+    if type(value) is dict:
+        return {key: _content(item, seen) for key, item in value.items()}
+    return value
 
 
 def _parts(d: MeanDescriptor) -> tuple:
-    """What d's kernels and finalize run: its domain, block table and
-    block_env values, finalizer, step, combine and leaf fold, with each
-    function's code in its place."""
-    env = {name: _code(value) for name, value in (d.block_env or {}).items()}
-    return (d.domain, d.blocks, env, *map(
-        _code, (d.finalizer, d.step, d.combine, d.leaf_fold)))
+    """What d's kernels and finalize run, as ``_content`` takes it: its
+    domain, block table, block_env, finalizer and leaf fold, and its step
+    and combine unless it has a block table (a table's own step and combine
+    close over d and call the kernels compiled from the table)."""
+    own = (d.step, d.combine) if d.blocks is None else ()
+    return _content((d.domain, d.blocks, d.block_env, d.finalizer,
+                     d.leaf_fold, *own))
 
 
 def _twin(d: MeanDescriptor) -> tuple:

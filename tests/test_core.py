@@ -1279,7 +1279,8 @@ class TestPickle:
     # pickle local object 'table_mean.<locals>.step'
     @pytest.mark.parametrize("d", all_families() + [
         ms.piecewise_counterexample(), ms.cube_over_square(),
-        ms.quasi_arithmetic("exp"), ms.biplanar(0.0, 2.0, 2, 3)],
+        ms.quasi_arithmetic("exp"), ms.biplanar(0.0, 2.0, 2, 3),
+        ms.bajraktarevic(ms.pair_from_names("exp", "power:-1"))],
         ids=lambda d: d.name)
     def test_a_built_in_state_pickles(self, d):
         xs = d.domain.sample_grid(5)[1:]
@@ -1300,18 +1301,34 @@ class TestPickle:
             ms.ComplexityType(1, True), step=lambda r, x: (r[0] + 2 * x,),
             finalizer=lambda r, n: r[0] / n)
 
+    @staticmethod
+    def _user_quasi_arithmetic():
+        # witness: power:3's blocks, env and finalizer under power:2's name
+        # finalized [1, 2] to 1.6509636244473134, and after a pickle round
+        # trip, or serialize_state then parse_state, to 2.1213203435596424:
+        # the guard compared each function's code, not its closure's p
+        built = ms.quasi_arithmetic("power:3")
+        return core.table_mean("quasiarithmetic", {"f": "power:2"},
+                               built.domain, built.ctype, built.blocks,
+                               built.finalizer, dict(built.block_env))
+
     @pytest.mark.parametrize("family, params", [
         ("user_sum_of_squares", {}),  # no built-in family
         ("power", {"p": 1.0, "q": 2.0}),  # a key power does not take
         ("median", {}),  # rebuilds median(kind=lower), another family_id
         ("power", {"p": 1.0}),  # rebuilds power_mean(1), other kernels
-        ("power", {"p": 1.0, "domain": None})],  # power_mean(1)'s kernels
+        ("power", {"p": 1.0, "domain": None}),  # power_mean(1)'s kernels
+        ("quasiarithmetic", {"f": "power:2"})],  # power:3's closures
         ids=["unknown", "extra-key", "other-params", "other-kernels",
-             "other-domain"])
+             "other-domain", "other-closure"])
     def test_a_user_built_descriptor_does_not(self, family, params):
         if params == {"p": 1.0}:
             d = self._user_power()
             assert ms.absorb(ms.init(d), 3.0).reals == (6.0,)
+        elif family == "quasiarithmetic":
+            d = self._user_quasi_arithmetic()
+            assert ms.finalize(ms.absorb_many(ms.init(d), [1.0, 2.0])) == (
+                1.6509636244473134)
         elif "domain" in params:
             # witness: power_mean(1)'s blocks, env and finalizer on the whole
             # line absorbed -2.0, and after a pickle round trip refused it
@@ -1332,6 +1349,27 @@ class TestPickle:
         with pytest.raises(InvalidDescriptor,
                            match="cannot serialize .* other kernels"):
             ms.serialize_state(state)
+
+    def test_a_user_closure_under_a_built_in_name_does_not_serialize(self):
+        state = ms.absorb_many(ms.init(self._user_quasi_arithmetic()),
+                               [1.0, 2.0])
+        with pytest.raises(InvalidDescriptor,
+                           match="cannot serialize .* other kernels"):
+            ms.serialize_state(state)
+
+    def test_a_recursive_user_function_is_compared(self):
+        # a function in its own closure must not recurse without end
+        def make(p):
+            def forward(x, depth=1):
+                return forward(x, 0) if depth else x ** p
+            return forward
+
+        built = ms.quasi_arithmetic("power:2")
+        d = core.table_mean("quasiarithmetic", {"f": "power:2"},
+                            built.domain, built.ctype, built.blocks,
+                            built.finalizer, {"forward": make(2.0)})
+        with pytest.raises(InvalidDescriptor, match="cannot pickle"):
+            pickle.dumps(ms.init(d))
 
     def test_a_pickle_loads_under_another_format_version(self, monkeypatch):
         # witness: a pickle held the blob head, version and all, and loaded
