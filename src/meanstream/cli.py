@@ -6,8 +6,8 @@ profile).  Input streams are newline- or comma-separated decimals on stdin
 or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
 first cell is "#") terminates the stream early, and a leading UTF-8
 byte-order mark is dropped.  eval reads its input in blocks of BLOCK_LINES
-lines, one block at a time, absorbs each with ``absorb_many``, in pure
-Python, and merges the blocks' states in ``merge_tree``, so its memory does
+lines, one block at a time, absorbs each with ``absorb_many``'s fold of
+its floats, in pure Python, and merges the blocks' states in ``merge_tree``, so its memory does
 not grow with the input (except for the median, whose state is the
 multiset itself).  Each block is parsed in a few C-level passes when it
 can be: a quote-free CSV block whose lines are rows of the header's width
@@ -43,7 +43,7 @@ from operator import itemgetter
 from . import families
 # absorb is not called here; it stays importable as cli.absorb beside the
 # other core operations, which bench/job.py wraps by attribute
-from .core import (_lazy_names, absorb, absorb_many,  # noqa: F401
+from .core import (_absorb_floats, _lazy_names, absorb,  # noqa: F401
                    finalize, init, merge, merge_tree)
 from .errors import (BudgetExceeded, DomainError, EmptyStateError,
                      FamilyMismatch, InsufficientData, InvalidDescriptor,
@@ -51,7 +51,7 @@ from .errors import (BudgetExceeded, DomainError, EmptyStateError,
 
 EXIT_OK = 0
 
-BLOCK_LINES = 8192  # input lines per absorb_many call in eval
+BLOCK_LINES = 8192  # input lines per absorb_many fold in eval
 
 
 class CliError(MeanStreamError):
@@ -318,7 +318,7 @@ def cmd_eval(args) -> int:
     try:
         # a tree of block states, not one running state: the median's merge
         # copies both multisets.  map keeps no block's values once absorbed
-        state = merge_tree(merge, map(partial(absorb_many, empty), blocks))
+        state = merge_tree(merge, map(partial(_absorb_floats, empty), blocks))
     except DomainError:
         for _ in blocks:  # read on: a later parse error takes precedence
             pass

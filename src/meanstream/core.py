@@ -519,8 +519,13 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
     absorb, which decides every overflow: a leaf or node can overflow where
     the running totals do not (encodings of both signs).
     """
+    return _absorb_floats(state, list(map(float, xs)))
+
+
+def _absorb_floats(state: AccumulatorState, xs: list) -> AccumulatorState:
+    """absorb_many of a list of floats, which it neither copies nor
+    converts: eval's parsers hand it the floats they made."""
     d, reals, count = state
-    xs = list(map(float, xs))
     if not xs:
         return state
     _, fold, combine = d.kernels
