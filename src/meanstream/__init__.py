@@ -23,7 +23,9 @@ of two distinct descriptors.  The generator registry and the
 Bajraktarevic pairs (``generators``, which builds the quasi-arithmetic and
 Bajraktarevic means), the power-sum engine (``symfun``), the verification
 harness (``verify``) and the probe (``myhill``) load on first use of one of
-their names.
+their names.  ``core._lazy_names`` gives this package, ``core``,
+``families`` and ``cli`` the module ``__getattr__`` that does so, from
+each one's table of names (``_LAZY``), and stores a name it resolves.
 """
 
 from .core import (

@@ -220,12 +220,18 @@ def src_env() -> dict:
     return env
 
 
-@pytest.mark.parametrize("module, name", [
-    ("meanstream", "parse_state"), ("meanstream", "quasi_arithmetic"),
-    ("meanstream", "run_suite"), ("meanstream.core", "parse_state"),
-    ("meanstream.core", "_descriptor"), ("meanstream.cli", "serialize_state"),
-    ("meanstream.families", "sigma_from_power"),
-    ("meanstream.families", "bajraktarevic")])
+# the modules whose names load on first use, each from its own table
+# (_LAZY, handed to core._lazy_names): a module of the package, and the
+# names it defines
+LAZY_MODULES = ["meanstream", "meanstream.core", "meanstream.families",
+                "meanstream.cli"]
+LAZY_NAMES = [
+    (module, name) for module in LAZY_MODULES
+    for loaded, names in importlib.import_module(module)._LAZY.items()
+    for name in (loaded, *names)]
+
+
+@pytest.mark.parametrize("module, name", LAZY_NAMES)
 def test_a_lazy_name_resolves_once(monkeypatch, module, name):
     # witness: each lookup re-ran the loader, so ms.serialize_state(a) cost
     # about 2 us more than state_io.serialize_state(a)
@@ -241,6 +247,16 @@ def test_a_lazy_name_resolves_once(monkeypatch, module, name):
         patched.setattr(builtins, "__import__", loader)
         again = getattr(module, name)
     assert again is first
+
+
+@pytest.mark.parametrize("module", LAZY_MODULES)
+def test_an_unknown_name_is_an_attribute_error(module):
+    module = importlib.import_module(module)
+    with pytest.raises(AttributeError) as raised:
+        getattr(module, "no_such_name")
+    assert str(raised.value) == (
+        f"module {module.__name__!r} has no attribute 'no_such_name'")
+    assert "no_such_name" not in vars(module)
 
 
 def test_all_names_resolve():
