@@ -6,19 +6,20 @@ profile).  Input streams are newline- or comma-separated decimals on stdin
 or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
 first cell is "#") terminates the stream early, and a leading UTF-8
 byte-order mark is dropped.  eval reads its input in blocks of BLOCK_LINES
-lines, one block at a time, absorbs each with ``absorb_many``'s fold of
-its floats, in pure Python, and merges the blocks' states in ``merge_tree``, so its memory does
-not grow with the input (except for the median, whose state is the
-multiset itself).  Each block is parsed in a few C-level passes when it
-can be: a quote-free CSV block whose lines are rows of the header's width
-by one split of its text and a slice of its column (_csv_values), and a
-plain ASCII block with no line break but "\n" by one float() per line as
-read (_split_lines).  Any other plain block goes through _parse_lines,
-and the first other CSV block, with the rest of the input, through one
-csv.reader, with the same values, errors and line numbers.  merge reads its state files
-one at a time and joins them in ``merge_tree``'s balanced tree too.  An
-error that waits for the end of the input (eval's domain error, merge's
-family mismatch) gives way to a later parse error or unreadable file.
+lines, one block at a time, absorbs each with ``absorb_many``'s fold of its
+floats, in pure Python, and merges the blocks' states in ``merge_tree``, so
+its memory does not grow with the input (except for the median, whose state
+is the multiset itself).  Each block is parsed in a few C-level passes when
+it can be: a quote-free CSV block whose lines are rows of the header's
+width by one split of its text and a slice of its column (_csv_values), and
+a plain ASCII block with no line break but "\n" by one float() per line as
+read (_split_lines).  Any other plain block goes through _parse_lines, and
+the first other CSV block, with the rest of the input, through one
+csv.reader, with the same values, errors and line numbers.  merge reads its
+state files one at a time and joins them in ``merge_tree``'s balanced tree
+too.  An error that waits for the end of the input (eval's domain error,
+merge's family mismatch) gives way to a later parse error or unreadable
+file.
 
 Exit codes: 0 ok, 2 parse error (also a bad argument, an input file that
 cannot be read or is not UTF-8, an output file that cannot be written, or a
@@ -481,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 # bench/job.py's wrappers, set by attribute, apply
 _LAZY = {"state_io": ("parse_state", "serialize_state")}
 __getattr__ = _lazy_names(globals(), _LAZY)
+
 _this = sys.modules[__name__]
 
 

@@ -91,14 +91,9 @@ def _content(value, seen=frozenset()):
         return "<recursion>"
     seen |= {id(value)}
     if hasattr(value, "__code__"):
-        cells = []
-        for cell in value.__closure__ or ():
-            try:
-                cells.append(_content(cell.cell_contents, seen))
-            except ValueError:  # an empty cell
-                cells.append("<empty>")
-        return (value.__code__, _content(value.__defaults__, seen),
-                _content(value.__kwdefaults__, seen), tuple(cells))
+        cells = tuple([cell.cell_contents for cell in value.__closure__ or ()])
+        return (value.__code__, *[_content(part, seen) for part in (
+            value.__defaults__, value.__kwdefaults__, cells)])
     if isinstance(value, Record) and not isinstance(value, MeanDescriptor):
         return type(value), _content(value._values(), seen)
     if type(value) is tuple:
