@@ -91,9 +91,14 @@ def _content(value, seen=frozenset()):
         return "<recursion>"
     seen |= {id(value)}
     if hasattr(value, "__code__"):
-        cells = tuple([cell.cell_contents for cell in value.__closure__ or ()])
+        cells = []
+        for cell in value.__closure__ or ():
+            try:
+                cells.append(cell.cell_contents)
+            except ValueError:  # empty: the cell, which no built-in holds
+                cells.append(cell)
         return (value.__code__, *[_content(part, seen) for part in (
-            value.__defaults__, value.__kwdefaults__, cells)])
+            value.__defaults__, value.__kwdefaults__, tuple(cells))])
     if isinstance(value, Record) and not isinstance(value, MeanDescriptor):
         return type(value), _content(value._values(), seen)
     if type(value) is tuple:

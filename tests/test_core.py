@@ -1357,17 +1357,33 @@ class TestPickle:
                            match="cannot serialize .* other kernels"):
             ms.serialize_state(state)
 
-    def test_a_recursive_user_function_is_compared(self):
-        # a function in its own closure must not recurse without end
-        def make(p):
-            def forward(x, depth=1):
-                return forward(x, 0) if depth else x ** p
-            return forward
+    @staticmethod
+    def _recursive_forward():
+        # a function in its own closure: the comparison must not recurse
+        # without end
+        def forward(x, depth=1):
+            return forward(x, 0) if depth else x ** p
+        p = 2.0
+        return forward
 
+    @staticmethod
+    def _forward_with_an_empty_cell():
+        # witness: reading the empty cell raised a bare ValueError out of
+        # pickle.dumps
+        def forward(x):
+            return x ** p if x else unset
+        p = 2.0
+        return forward
+        unset = 0.0  # noqa: F841 (never runs, so the cell stays empty)
+
+    @pytest.mark.parametrize("make", ["_recursive_forward",
+                                      "_forward_with_an_empty_cell"])
+    def test_a_user_closure_of_any_shape_is_compared(self, make):
         built = ms.quasi_arithmetic("power:2")
         d = core.table_mean("quasiarithmetic", {"f": "power:2"},
                             built.domain, built.ctype, built.blocks,
-                            built.finalizer, {"forward": make(2.0)})
+                            built.finalizer, {"forward": getattr(self, make)()})
+        assert ms.finalize(ms.absorb(ms.init(d), 2.0)) == 2.0
         with pytest.raises(InvalidDescriptor, match="cannot pickle"):
             pickle.dumps(ms.init(d))
 
