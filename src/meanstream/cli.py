@@ -39,7 +39,6 @@ import os
 import sys
 from functools import partial
 from itertools import chain, islice
-from operator import itemgetter
 
 from . import families
 # absorb is not called here; it stays importable as cli.absorb beside the
@@ -156,18 +155,6 @@ def _line_values(lines: list, lineno: int) -> tuple:
         return _parse_lines(lines, lineno)
 
 
-def _row_values(rows: list, lineno: int, idx: int) -> tuple:
-    """(values, ended) of CSV rows: column idx by one float() per row,
-    unless one is blank, short or does not parse, or a first cell holds a
-    "#", which may end the stream."""
-    try:
-        if "#" not in "".join(map(itemgetter(0), rows)):
-            return list(map(float, map(itemgetter(idx), rows))), False
-    except (ValueError, IndexError):  # a blank, short or bad row
-        pass
-    return _parse_rows(rows, lineno, idx)
-
-
 # every byte but "," and "\n", and the bytes that make csv.reader cut or
 # join cells otherwise (the quote, NUL, "\r") or may end the stream ("#")
 _CELL_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\0\r#')))
@@ -247,9 +234,10 @@ def _row_blocks(first: str, fh, column: str):
     as they are, a block at a time, and _csv_values splits each.  The
     first block that it does not split (one with a '"', whose quoted cells
     may run on into the next block, or a blank, ragged or bad row) goes
-    with the rest of the input to one csv.reader, as does all that follows
-    a header whose quoted cells hold a line end.  A csv.Error's line is the reader's line_num after the
-    start lines that the reader did not read."""
+    with the rest of the input to one csv.reader, whose rows _parse_rows
+    reads, as does all that follows a header whose quoted cells hold a
+    line end.  A csv.Error's line is the reader's line_num after the start
+    lines that the reader did not read."""
     import csv
 
     if not first:
@@ -277,7 +265,7 @@ def _row_blocks(first: str, fh, column: str):
             start = lineno
         else:
             rows = reader if lineno else chain([header], reader)
-        yield from _blocks(_chunks(rows), partial(_row_values, idx=idx),
+        yield from _blocks(_chunks(rows), partial(_parse_rows, idx=idx),
                            lineno)
     except csv.Error as e:  # only the reader raises it
         raise CliError(f"line {start + reader.line_num}: {e}") from None

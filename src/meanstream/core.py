@@ -203,12 +203,14 @@ class MeanDescriptor(Record):
     the whole sorted multiset.  ``params`` must round-trip through JSON for
     the descriptor to be reconstructible from a state file.
 
-    Its builder may set three inputs beside the fields: ``blocks``, the
-    block table that ``table_mean`` gives a descriptor, its state layout,
-    with ``block_env``, and ``leaf_fold``, a family's own fold (such as the
-    median's sort).  ``identity`` is ``init``'s reals, and ``kernels`` what
-    core calls: (absorb, leaf fold, combine), compiled on the first call of
-    any of them.  The absorb maps (state, x) to the next state, whose reals
+    Three keyword-only inputs beside the fields: ``blocks``, the block
+    table that ``table_mean`` gives a descriptor, its state layout, with
+    ``block_env``, and ``leaf_fold``, a family's own fold (such as the
+    median's sort).  ``__init__`` fixes the layout: ``k``, the blocks' total
+    size, else ``ctype.k`` (0 for no finite type), ``identity``, k zeros,
+    and ``init``'s one empty state.  ``kernels`` is what core calls:
+    (absorb, leaf fold, combine), compiled on the first call of any of
+    them.  The absorb maps (state, x) to the next state, whose reals
     are ``step(reals, float(x))``; it and the leaf fold raise absorb's
     DomainError at the first element outside the domain; else the fold maps
     (xs, reals) to ``reduce(step, xs, reals)``, bit for bit.  They are
@@ -226,19 +228,31 @@ class MeanDescriptor(Record):
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
                "combine", "ctype_is_upper_bound")
-    # no __slots__: the builder's inputs and the cached attributes live
-    # beside the fields, set with object.__setattr__ (see _cached)
-    blocks = block_env = leaf_fold = None
+    # no __slots__: the keyword inputs blocks, block_env and leaf_fold, the
+    # layout, the kernels and the cached attributes live beside the fields,
+    # set with object.__setattr__ (see _cached)
 
     def __init__(self, family: str, params: dict, domain: DomainInterval,
                  ctype: Optional[ComplexityType],
                  step: Callable[[tuple, float], tuple],
                  finalizer: Callable[[tuple, int], float],
                  combine: Callable[[tuple, tuple], tuple] = _vector_add,
-                 ctype_is_upper_bound: bool = False):
+                 ctype_is_upper_bound: bool = False, *,
+                 blocks: Optional[tuple] = None,
+                 block_env: Optional[dict] = None,
+                 leaf_fold: Optional[Callable] = None):
         super().__init__(family, params, domain, ctype, step, finalizer,
                          combine, ctype_is_upper_bound)
-        object.__setattr__(self, "kernels", _first_use(self))
+        k = (sum([size for _, size, _ in blocks]) if blocks is not None
+             else 0 if ctype is None else ctype.k)
+        identity = (0.0,) * k
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        empty = tuple.__new__(AccumulatorState, (self, identity, 0))
+        for name, value in (("blocks", blocks), ("block_env", block_env),
+                            ("leaf_fold", leaf_fold), ("k", k),
+                            ("identity", identity), ("_empty", empty),
+                            ("kernels", _first_use(self))):
+            object.__setattr__(self, name, value)
 
     __eq__, __hash__ = object.__eq__, object.__hash__
 
@@ -265,23 +279,6 @@ class MeanDescriptor(Record):
         from .state_io import _twin
 
         return _twin(self)
-
-    @_cached
-    def k(self) -> int:
-        """The state's length: its blocks' total size, else ``ctype.k``."""
-        if self.blocks is not None:
-            return sum([size for _, size, _ in self.blocks])
-        return 0 if self.ctype is None else self.ctype.k
-
-    @_cached
-    def identity(self) -> tuple:
-        return (0.0,) * self.k
-
-    @_cached
-    def _empty(self) -> "AccumulatorState":
-        """``init``'s state, shared by every stream of the descriptor."""
-        # tuple.__new__ skips the NamedTuple's Python-level __new__
-        return tuple.__new__(AccumulatorState, (self, self.identity, 0))
 
     @property
     def has_counter(self) -> bool:
@@ -319,8 +316,8 @@ class MeanDescriptor(Record):
 
 
 def table_mean(family: str, params: dict, domain: DomainInterval,
-               ctype: ComplexityType, blocks: tuple, finalizer,
-               env: dict, **extra) -> MeanDescriptor:
+               ctype: ComplexityType, blocks: tuple, finalizer, env: dict, *,
+               ctype_is_upper_bound: bool = False) -> MeanDescriptor:
     """A descriptor on a block table, its state layout: for each block
     (kind, m, expression), the state holds e_1..e_m of y = expression(x),
     with e_0 = 1 implicit, so zeros are the identity.  A "sum" block (m = 1)
@@ -328,8 +325,10 @@ def table_mean(family: str, params: dict, domain: DomainInterval,
 
     Expressions are Python text in ``x``; the names they use besides
     (``log``, an exponent, a user's ``forward``) come from ``env``, never
-    from the source text.  Its kernels compile on first use (``_kernels``);
-    ``step`` (a fold of one element) and ``combine`` call them.
+    from the source text.  The descriptor gets the table and env as its
+    ``blocks`` and ``block_env`` keywords, and ``ctype_is_upper_bound`` as
+    given.  Its kernels compile on first use (``_kernels``); ``step`` (a
+    fold of one element) and ``combine`` call them.
     """
 
     def step(reals, x):
@@ -339,9 +338,8 @@ def table_mean(family: str, params: dict, domain: DomainInterval,
         return d.kernels[2](a, b)
 
     d = MeanDescriptor(family, params, domain, ctype, step, finalizer,
-                       combine, **extra)
-    object.__setattr__(d, "blocks", blocks)
-    object.__setattr__(d, "block_env", env)
+                       combine, ctype_is_upper_bound, blocks=blocks,
+                       block_env=env)
     return d
 
 
@@ -529,9 +527,8 @@ def _absorb_floats(state: AccumulatorState, xs: list) -> AccumulatorState:
     if not xs:
         return state
     _, fold, combine = d.kernels
-    identity = d.identity
     try:
-        node = merge_tree(combine, (fold(xs[i:i + LEAF], identity)
+        node = merge_tree(combine, (fold(xs[i:i + LEAF], d.identity)
                                     for i in range(0, len(xs), LEAF)))
         reals = combine(reals, node)
         if all(map(math.isfinite, reals)):
@@ -563,8 +560,11 @@ def finalize(state: AccumulatorState) -> float:
     d, reals, count = state
     if not count:
         raise EmptyStateError("finalize of the empty state")
-    if not all(map(math.isfinite, reals)):
-        raise NumericalFailure("state carries non-finite components")
+    try:
+        if not all(map(math.isfinite, reals)):
+            raise NumericalFailure("state carries non-finite components")
+    except TypeError as e:  # a hand-built state's reals that are not numbers
+        raise NumericalFailure("state carries non-numeric components") from e
     try:
         value = d.finalizer(reals, count)
     except (OverflowError, ZeroDivisionError, ValueError) as e:

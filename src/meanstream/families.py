@@ -326,12 +326,10 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
         idx = (n - 1) // 2 if kind == "lower" else n // 2
         return reals[idx]
 
-    d = MeanDescriptor(
+    return MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
-        ctype=None, step=_insort, combine=_sorted_merge, finalizer=fin)
-    # leaf_fold is an input, set beside the fields
-    object.__setattr__(d, "leaf_fold", _sort_leaf)
-    return d
+        ctype=None, step=_insort, combine=_sorted_merge, finalizer=fin,
+        leaf_fold=_sort_leaf)
 
 
 # ---------------------------------------------------------------------------

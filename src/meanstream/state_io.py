@@ -223,6 +223,9 @@ def _parse_json(text) -> AccumulatorState:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
     except (ValueError, RecursionError) as e:  # digit limit, deep nesting
         raise ParseError(f"invalid JSON: {e}") from e
+    except TypeError as e:  # neither text nor bytes
+        raise ParseError(f"a state is text or bytes, not "
+                         f"{type(text).__name__}") from e
     if not isinstance(payload, dict):
         raise ParseError("top-level JSON value is not an object")
     for key in ("version", "family", "params", "k", "reals", "counter", "overflow"):

@@ -73,7 +73,8 @@ class TestInit:
                           + ["T5+", "T2+"] + ["no finite type"] * 2)
 
     def test_init_is_the_descriptors_one_empty_state(self):
-        for d in kernel_subjects():
+        for d in kernel_subjects() + [user_with_leaf_fold([])]:
+            assert d.k == len(d.identity) and set(d.identity) <= {0.0}
             assert ms.init(d) is ms.init(d)
             assert ms.init(d) == ms.AccumulatorState(d, d.identity, 0)
 
@@ -472,6 +473,20 @@ def kernel_subjects():
                              ms.quasi_arithmetic("identity"), user]
 
 
+def user_with_leaf_fold(calls: list):
+    """A user-built descriptor with its own leaf fold, which appends each
+    leaf it folds to calls."""
+
+    def fold(xs, reals):
+        calls.append(list(xs))
+        return reals[0] + sum(xs), reals[1] + len(xs)
+
+    return ms.MeanDescriptor(
+        "user_mean", {}, ms.DomainInterval.reals(), ms.ComplexityType(2, False),
+        lambda r, x: (r[0] + x, r[1] + 1.0),
+        lambda reals, n: reals[0] / reals[1], leaf_fold=fold)
+
+
 def _hexes(reals) -> list:
     return [float(v).hex() for v in reals]
 
@@ -586,6 +601,16 @@ class TestKernels:
         s = ms.absorb(ms.absorb(ms.init(d), 1.0), 1000.0)  # exp overflows
         assert s.reals == (math.inf, math.inf) and s.count == 2
         assert ms.absorb(s, 1.0).reals == (math.inf, math.inf)
+
+    def test_a_user_leaf_fold_folds_each_leaf(self):
+        calls = []
+        d = user_with_leaf_fold(calls)
+        xs = [float(i) for i in range(2 * core.LEAF + 3)]
+        state = ms.absorb_many(ms.init(d), xs)
+        assert calls == [xs[:core.LEAF], xs[core.LEAF:2 * core.LEAF],
+                         xs[2 * core.LEAF:]]
+        assert state.reals == (sum(xs), float(len(xs)))
+        assert ms.finalize(state) == sum(xs) / len(xs)
 
     def test_kernels_compile_on_first_use(self):
         d = ms.hamy(3)
@@ -712,6 +737,15 @@ class TestFinalize:
     def test_anything_else_is_numerical_failure(self, value):
         with pytest.raises(NumericalFailure, match="finalizer produced"):
             ms.evaluate_stream(self._returning(value), [1.0])
+
+    @pytest.mark.parametrize("reals", [("a",), (None,), (1.0, "2")],
+                             ids=["str", "None", "float-and-str"])
+    def test_reals_that_are_not_numbers_are_numerical_failure(self, reals):
+        # witness: a hand-built power(1) state with a str real raised a
+        # bare TypeError ("must be real number, not str")
+        d = ms.power_mean(1) if len(reals) == 1 else ms.gini(2.0, 1.0)
+        with pytest.raises(NumericalFailure, match="non-numeric"):
+            ms.finalize(ms.AccumulatorState(d, reals, 1))
 
     def test_zero_division_is_numerical_failure(self):
         d = ms.MeanDescriptor(
@@ -966,6 +1000,20 @@ class TestSerialization:
     def test_bare_exception_is_a_parse_error(self, blob, match):
         with pytest.raises(ParseError, match=match):
             ms.parse_state(blob)
+
+    # witnesses: each raised a bare TypeError from json.loads
+    @pytest.mark.parametrize("data", [123, None, 1.5, ["x"],
+                                      memoryview(b"{}")],
+                             ids=["int", "None", "float", "list",
+                                  "memoryview"])
+    def test_a_value_that_is_not_text_is_a_parse_error(self, data):
+        with pytest.raises(ParseError,
+                           match=f"not {type(data).__name__}$"):
+            ms.parse_state(data)
+
+    def test_a_bytearray_parses(self):
+        blob = power_blob(2.0)
+        assert ms.parse_state(bytearray(blob)) == ms.parse_state(blob)
 
     @pytest.mark.parametrize("flag", ["0", "1", "null", '"false"'])
     def test_a_flag_that_is_not_a_bool_is_a_parse_error(self, flag):
