@@ -368,22 +368,26 @@ def _first_use(d: MeanDescriptor) -> tuple:
 def _kernels(d: MeanDescriptor) -> tuple:
     """d's (absorb, leaf fold, combine), from one ``exec``.
 
-    The generated ``absorb(state, x)`` returns the next state: it unpacks
-    the state, runs ``x = float(x)``, then the domain check, then encodes
-    and pushes x under ``try``, where an OverflowError gives k infs.  It
-    and the fold test each x before they encode it, by one generated line
-    that raises absorb's DomainError unless ``lo < x < hi`` (``<=`` at a
-    closed end; NaN fails).  Without a block table they then call ``step``,
-    and ``leaf_fold`` or ``partial(reduce, step)``.  A block table's
-    kernels are straight-line code over the locals a<i>_<j> (e_j of block
-    i) and y<i> (block i's encoded x).  Absorb pushes y by e_j += y e_{j-1};
-    the fold does the same for each x, from j = m down to 1, so it has
-    absorb's bits; the combine multiplies two states' polynomials
-    prod(1 + y t), truncated at t^m, left to right.  The sizes are ints,
-    and values reach the code through its globals, never through its text.
+    The generated ``absorb(state, x)`` returns the next state: it reads
+    reals and count by index (``state[1]``, ``state[2]``), and the
+    descriptor is a constant, ``d`` in its globals, as core dispatches on
+    ``state[0]``.  It runs ``x = float(x)``, then the domain check, then
+    encodes and pushes x under ``try``, where an OverflowError gives k
+    infs.  It and the fold test each x before they encode it, by one
+    generated line that raises absorb's DomainError unless ``lo < x < hi``
+    (``<=`` at a closed end; NaN fails).  Without a block table they then
+    call ``step``, and ``leaf_fold`` or ``partial(reduce, step)``.  A block
+    table's kernels are straight-line code over the locals a<i>_<j> (e_j of
+    block i) and y<i> (block i's encoded x).  Absorb pushes y by
+    e_j += y e_{j-1}; the fold does the same for each x, from j = m down to
+    1, so it has absorb's bits; the combine multiplies two states'
+    polynomials prod(1 + y t), truncated at t^m, left to right.  The sizes
+    are ints, and values reach the code through its globals, never through
+    its text.
     """
     # blocks (("esym", 2, "x ** p"), ("sum", 1, "x")) give absorb's body
-    #     d, (a0_1, a0_2, a1_1,), n = state; x = float(x); <check>
+    #     (a0_1, a0_2, a1_1,) = state[1]; n = state[2]; x = float(x)
+    #     <check>
     #     try: y0 = x ** p; y1 = x
     #          return new(State, (d, (a0_1 + y0, a0_2 + y0 * a0_1,
     #                                 a1_1 + y1,), n + 1))
@@ -396,12 +400,13 @@ def _kernels(d: MeanDescriptor) -> tuple:
              "raise DomainError(f'{x} outside domain of {name}')"
              % ("<=" if domain.lo_closed else "<",
                 "<=" if domain.hi_closed else "<"))
-    absorb = ("def absorb(state, x):\n    d, %s, n = state\n"
+    absorb = ("def absorb(state, x):\n    %s = state[1]\n    n = state[2]\n"
               "    x = float(x)\n    %s\n    try:\n        %s\n"
               "    except OverflowError:\n"
               "        return new(State, (d, infs, n + 1))\n")
     if d.blocks is None:
-        env.update(step=d.step, leaf=d.leaf_fold or partial(reduce, d.step))
+        env.update(step=d.step, leaf=d.leaf_fold or partial(reduce, d.step),
+                   d=d)
         exec(absorb % ("reals", check,
                        "return new(State, (d, step(reals, x), n + 1))")
              + "def fold(xs, reals):\n    for x in xs:\n        %s\n"
@@ -422,6 +427,7 @@ def _kernels(d: MeanDescriptor) -> tuple:
         folded += reversed(block)
     a, b = (", ".join(side + suffix for suffix in suffixes) for side in "ab")
     env.update(d.block_env)
+    env["d"] = d  # after block_env, whose names cannot shadow it
     exec(absorb % ("(%s,)" % a, check, "\n        ".join(
             encoded + ["return new(State, (d, (%s,), n + 1))"
                        % ", ".join(pushed)]))
@@ -436,7 +442,9 @@ def _kernels(d: MeanDescriptor) -> tuple:
 class AccumulatorState(NamedTuple):
     """A semigroup element: descriptor, reals tuple and element count.
 
-    An immutable ``NamedTuple``, so ``d, reals, count = state`` unpacks it.
+    An immutable ``NamedTuple``, so ``d, reals, count = state`` unpacks it;
+    core's per-element, merge and state I/O paths read it by index instead,
+    as Python 3.11 specialises the unpack of an exact tuple only.
     ``count`` is always tracked for emptiness detection; ``counter`` exposes
     it only for counter-bearing (T_k^+) families.
     """
@@ -544,27 +552,47 @@ def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
     finite component), so an overflowed state's reals depend on its route.
     Its ``serialize_state`` bytes and finalize's NumericalFailure do not
     (the median's multiset is finite)."""
-    d, reals_a, count_a = a
-    db, reals_b, count_b = b
+    d = a[0]
+    db = b[0]
     if d is not db and d.family_id != db.family_id:
         raise FamilyMismatch(f"{d.family_id} vs {db.family_id}")
-    reals = d.kernels[2](reals_a, reals_b)
+    reals = d.kernels[2](a[1], b[1])
     # a sum is finite if every term is; one that is not may have overflowed
     if (d.ctype is not None and not math.isfinite(sum(reals))
             and not all(map(math.isfinite, reals))):
         reals = (math.inf,) * len(reals)
-    return tuple.__new__(AccumulatorState, (d, reals, count_a + count_b))
+    return tuple.__new__(AccumulatorState, (d, reals, a[2] + b[2]))
 
 
 def finalize(state: AccumulatorState) -> float:
-    d, reals, count = state
+    """The mean of a state's elements.  Raises EmptyStateError for count 0,
+    and NumericalFailure for non-finite reals, a failed finalizer, or a
+    state that no absorb, merge or parse builds: a count that is not a
+    non-negative int, or reals that are not ``d.k`` numbers (the median's:
+    ``count``).  Those checks take O(1); the finiteness test reads every
+    real."""
+    d = state[0]
+    reals = state[1]
+    count = state[2]
+    if type(count) is not int or count < 0:
+        raise NumericalFailure(f"count {count!r} is not a non-negative int")
     if not count:
         raise EmptyStateError("finalize of the empty state")
     try:
-        if not all(map(math.isfinite, reals)):
+        size = d.k if d.ctype is not None else count
+        if len(reals) != size:
+            raise NumericalFailure(
+                f"expected {size} components, got {len(reals)}")
+        # the reals are floats in every state that absorb, merge or parse
+        # builds: a finite sum of floats proves every term finite
+        if not (math.isfinite(sum(reals))
+                or all(map(math.isfinite, reals))):
             raise NumericalFailure("state carries non-finite components")
     except TypeError as e:  # a hand-built state's reals that are not numbers
         raise NumericalFailure("state carries non-numeric components") from e
+    except OverflowError as e:  # an int past the float range
+        raise NumericalFailure("state carries a component past the float "
+                               "range") from e
     try:
         value = d.finalizer(reals, count)
     except (OverflowError, ZeroDivisionError, ValueError) as e:

@@ -31,16 +31,17 @@ def serialize_state(state: AccumulatorState) -> bytes:
     inf, NaN and finite components it holds, so its bytes do not depend on
     the order, batching or merge tree that built it.
     """
-    d, reals, count = state
-    if all(map(math.isfinite, reals)):
+    reals = state[1]
+    # a finite sum of floats proves every term finite
+    if math.isfinite(sum(reals)) or all(map(math.isfinite, reals)):
         overflow = "false"
     else:
         reals, overflow = (math.inf,) * len(reals), "true"
     hexes = '", "'.join(map(float.hex, map(float, reals)))
     if reals:
         hexes = f'"{hexes}"'
-    return (f'{d._blob_head}{len(reals)}, "reals": [{hexes}], '
-            f'"counter": {count}, "overflow": {overflow}}}').encode()
+    return (f'{state[0]._blob_head}{len(reals)}, "reals": [{hexes}], '
+            f'"counter": {state[2]}, "overflow": {overflow}}}').encode()
 
 
 def _head(family, params) -> str:
@@ -268,7 +269,7 @@ def _checked_state(descriptor, k, reals, count, overflow) -> AccumulatorState:
         raise ParseError(f"k {k!r} disagrees with {len(reals)} reals")
     if type(count) is not int or count < 0:
         raise ParseError(f"bad counter {count!r}")
-    finite = all(map(math.isfinite, reals))
+    finite = math.isfinite(sum(reals)) or all(map(math.isfinite, reals))
     if descriptor.ctype is None:
         # no finite type: the state is the sorted multiset of the inputs
         if (count != len(reals) or not finite

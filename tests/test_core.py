@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import math
+import numbers
 import pickle
 import random
 import struct
@@ -15,7 +16,8 @@ import meanstream as ms
 from meanstream import core, families
 from meanstream.cli import BLOCK_LINES
 from meanstream.errors import (DomainError, EmptyStateError, FamilyMismatch,
-                               InvalidDescriptor, NumericalFailure, ParseError)
+                               InvalidDescriptor, MeanStreamError,
+                               NumericalFailure, ParseError)
 
 
 def all_families():
@@ -534,8 +536,13 @@ class TestKernels:
             tested = 0
             for x in outside + [3.0, 4.0, 1.0, 0.5]:
                 if d.domain.contains(x):
-                    assert _hexes(checked(state, x).reals) == _hexes(
+                    after = checked(state, x)
+                    assert _hexes(after.reals) == _hexes(
                         d.step(state.reals, x)), (d.name, x)
+                    # the descriptor is the kernel's constant, the count
+                    # read by index
+                    assert after.descriptor is d, d.name
+                    assert after.count == state.count + 1, d.name
                     continue
                 with pytest.raises(DomainError) as raised:
                     ms.absorb(state, x)
@@ -581,11 +588,21 @@ class TestKernels:
                 ms.absorb(ms.init(d), 10 ** 400)
 
     def test_an_int_absorbs_as_its_float(self):
+        """An int, a float subclass and np.float64 absorb as the plain
+        float: same bytes, and every stored real is a float."""
+
+        class Subclass(float):
+            pass
+
         for d in kernel_subjects():
             s = ms.absorb(ms.init(d), _in_domain(d, 0.5))
             if d.domain.contains(3.0):
-                assert ms.serialize_state(ms.absorb(s, 3)) == (
-                    ms.serialize_state(ms.absorb(s, 3.0))), d.name
+                want = ms.serialize_state(ms.absorb(s, 3.0))
+                for x in (3, Subclass(3.0), np.float64(3.0)):
+                    after = ms.absorb(s, x)
+                    assert ms.serialize_state(after) == want, (d.name, x)
+                    assert all(type(r) is float for r in after.reals), (
+                        d.name, type(x))
                 continue
             with pytest.raises(DomainError) as as_int:
                 ms.absorb(s, 3)
@@ -746,6 +763,51 @@ class TestFinalize:
         d = ms.power_mean(1) if len(reals) == 1 else ms.gini(2.0, 1.0)
         with pytest.raises(NumericalFailure, match="non-numeric"):
             ms.finalize(ms.AccumulatorState(d, reals, 1))
+
+    @pytest.mark.parametrize("count", ["2", 2.5, -3, True, False],
+                             ids=["str", "float", "negative", "True", "False"])
+    def test_a_count_that_is_not_a_non_negative_int_is_numerical_failure(
+            self, count):
+        # witnesses: "2" raised a bare TypeError, 2.5 gave 0.4, -3 gave
+        # -0.333 (outside [min, max]) and True gave 1.0
+        with pytest.raises(NumericalFailure, match="not a non-negative int"):
+            ms.finalize(ms.AccumulatorState(ms.power_mean(1), (1.0,), count))
+
+    @pytest.mark.parametrize("d, reals, count, match", [
+        (ms.power_mean(1), (1.0, 2.0), 2, "expected 1 components, got 2"),
+        (ms.hamy(2), (1.0,), 2, "expected 3 components, got 1"),
+        (ms.median_mean(), (1.0, 2.0), 5, "expected 5 components, got 2"),
+        (ms.power_mean(1), (10 ** 400,), 1, "past the float range"),
+    ], ids=["too-long", "too-short", "median-not-count", "int-past-floats"])
+    def test_reals_of_the_wrong_length_or_range_are_numerical_failure(
+            self, d, reals, count, match):
+        # witnesses: too-long gave 0.5 from the first real alone; too-short
+        # and median-not-count raised a bare IndexError, and int-past-floats
+        # a bare OverflowError from the finiteness test
+        with pytest.raises(NumericalFailure, match=match):
+            ms.finalize(ms.AccumulatorState(d, reals, count))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(all_families()) - 1), st.data())
+    def test_a_hand_built_state_finalizes_or_raises_a_mean_stream_error(
+            self, index, data):
+        """Reals of any length from 0 to k + 2 and of any element type, and
+        a count of any type: finalize returns a finite real (a finalizer's
+        non-float real passes as it is, such as a median's int real) or
+        raises a MeanStreamError subclass, never another exception."""
+        d = all_families()[index]
+        real = st.one_of(st.floats(), st.integers(-10 ** 20, 10 ** 20),
+                         st.just(10 ** 400), st.text(max_size=2), st.none())
+        reals = tuple(data.draw(st.lists(real, max_size=d.k + 2)))
+        count = data.draw(st.one_of(
+            st.integers(-3, 40), st.just(10 ** 30), st.floats(),
+            st.booleans(), st.text(max_size=2), st.none()))
+        try:
+            value = ms.finalize(ms.AccumulatorState(d, reals, count))
+        except MeanStreamError:
+            return
+        assert isinstance(value, numbers.Real) and math.isfinite(value), (
+            d.name, reals, count, value)
 
     def test_zero_division_is_numerical_failure(self):
         d = ms.MeanDescriptor(
