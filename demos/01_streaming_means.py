@@ -7,15 +7,15 @@ at the end of the stream.  The state never grows with the stream length,
 so a million-element stream costs the same memory as a ten-element one.
 """
 
-import numpy as np
+import random
 
 import meanstream as ms
 
-rng = np.random.default_rng(7)
-stream = rng.lognormal(mean=1.0, sigma=0.6, size=100_000)
+rng = random.Random(7)
+stream = [rng.lognormvariate(1.0, 0.6) for _ in range(100_000)]
 
-print(f"stream of {stream.size} lognormal samples")
-print(f"  min={stream.min():.4f}  max={stream.max():.4f}\n")
+print(f"stream of {len(stream)} lognormal samples")
+print(f"  min={min(stream):.4f}  max={max(stream):.4f}\n")
 
 descriptors = [
     ms.power_mean(1.0),                       # arithmetic

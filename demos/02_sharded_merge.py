@@ -6,20 +6,22 @@ the result matches a single sequential pass.  States serialize to small
 JSON blobs with hex floats, so the round trip is bit-exact.
 """
 
-import numpy as np
+import random
 
 import meanstream as ms
 
-rng = np.random.default_rng(42)
-stream = rng.uniform(0.5, 20.0, size=12_000)
+rng = random.Random(42)
+stream = [rng.uniform(0.5, 20.0) for _ in range(12_000)]
 descriptor = ms.gini(2.0, 1.0)
 
 single_pass = ms.evaluate_stream(descriptor, stream)
-print(f"single-pass {descriptor.name} over {stream.size} values: {single_pass!r}")
+print(f"single-pass {descriptor.name} over {len(stream)} values: {single_pass!r}")
 
 # Pretend four workers each saw one shard of the stream.
 shards = []
-for worker, chunk in enumerate(np.array_split(stream, 4)):
+size = len(stream) // 4
+for worker in range(4):
+    chunk = stream[worker * size:(worker + 1) * size]
     state = ms.init(descriptor)
     for x in chunk:
         state = state.absorb(x)

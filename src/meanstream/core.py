@@ -456,7 +456,7 @@ class AccumulatorState(NamedTuple):
     @property
     def overflow(self) -> bool:
         """Sticky: a non-finite component stays non-finite under combine."""
-        return not all(map(math.isfinite, self.reals))
+        return not _finite(self.reals)
 
     @property
     def family_id(self) -> str:
@@ -539,60 +539,85 @@ def _absorb_floats(state: AccumulatorState, xs: list) -> AccumulatorState:
         node = merge_tree(combine, (fold(xs[i:i + LEAF], d.identity)
                                     for i in range(0, len(xs), LEAF)))
         reals = combine(reals, node)
-        if all(map(math.isfinite, reals)):
+        if _finite(reals):
             return AccumulatorState(d, reals, count + len(xs))
     except OverflowError:
         pass
     return reduce(absorb, xs, state)
 
 
+def _finite(reals) -> bool:
+    """Whether every real is finite: a finite sum proves every term finite.
+    A non-number raises TypeError, an int past the float range OverflowError
+    (the sum starts at 0.0, so ints that cancel convert too)."""
+    return math.isfinite(sum(reals, 0.0)) or all(map(math.isfinite, reals))
+
+
+def _state_fault(d: MeanDescriptor, reals, count) -> Optional[str]:
+    """Why (reals, count) is no state of d, or None: the one rule that
+    finalize, merge and parse_state test a state by.  The count is a
+    non-negative int, the reals ``d.k`` numbers within the float range, and
+    ``d.identity`` at count 0; for no finite type (the median) they are the
+    sorted multiset, ``count`` finite numbers in ascending order, an O(n)
+    test."""
+    if type(count) is not int or count < 0:
+        return f"bad counter {count!r}: not a non-negative int"
+    try:
+        size = d.k if d.ctype is not None else count
+        if len(reals) != size:
+            return f"expected {size} components, got {len(reals)}"
+        if not count and tuple(reals) != d.identity:
+            return "an empty state must hold the identity reals"
+        if d.ctype is not None:
+            sum(reals, 0.0)  # for its TypeError or OverflowError alone
+        elif not _finite(reals):
+            return "state carries non-finite components"
+        elif list(reals) != sorted(reals):
+            return "components are not in ascending order"
+    except TypeError:
+        return "state carries non-numeric components"
+    except OverflowError:
+        return "state carries a component past the float range"
+    return None
+
+
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
-    """The combine of two states of one family.  A result with a non-finite
-    component is every component inf; absorb's need not be (it may keep a
-    finite component), so an overflowed state's reals depend on its route.
-    Its ``serialize_state`` bytes and finalize's NumericalFailure do not
-    (the median's multiset is finite)."""
+    """The combine of two states of one family; NumericalFailure for an
+    operand that breaks the state rule (``_state_fault``).  A result with a
+    non-finite component is every component inf; absorb's need not be (it
+    may keep a finite component), so an overflowed state's reals depend on
+    its route, but not its ``serialize_state`` bytes nor its finalize."""
     d = a[0]
     db = b[0]
     if d is not db and d.family_id != db.family_id:
         raise FamilyMismatch(f"{d.family_id} vs {db.family_id}")
-    reals = d.kernels[2](a[1], b[1])
-    # a sum is finite if every term is; one that is not may have overflowed
-    if (d.ctype is not None and not math.isfinite(sum(reals))
-            and not all(map(math.isfinite, reals))):
-        reals = (math.inf,) * len(reals)
-    return tuple.__new__(AccumulatorState, (d, reals, a[2] + b[2]))
+    fault = _state_fault(d, a[1], a[2]) or _state_fault(db, b[1], b[2])
+    if fault is not None:
+        raise NumericalFailure(fault)
+    try:
+        reals = d.kernels[2](a[1], b[1])
+        if d.ctype is None or _finite(reals):
+            return tuple.__new__(AccumulatorState, (d, reals, a[2] + b[2]))
+    except OverflowError:  # int reals whose products pass the float range
+        pass
+    return tuple.__new__(AccumulatorState, (d, (math.inf,) * d.k, a[2] + b[2]))
 
 
 def finalize(state: AccumulatorState) -> float:
-    """The mean of a state's elements.  Raises EmptyStateError for count 0,
-    and NumericalFailure for non-finite reals, a failed finalizer, or a
-    state that no absorb, merge or parse builds: a count that is not a
-    non-negative int, or reals that are not ``d.k`` numbers (the median's:
-    ``count``).  Those checks take O(1); the finiteness test reads every
-    real."""
+    """The mean of a state's elements.  Raises NumericalFailure for a state
+    that breaks the state rule (``_state_fault``), then EmptyStateError for
+    count 0, and NumericalFailure for non-finite reals or a failed
+    finalizer."""
     d = state[0]
     reals = state[1]
     count = state[2]
-    if type(count) is not int or count < 0:
-        raise NumericalFailure(f"count {count!r} is not a non-negative int")
+    fault = _state_fault(d, reals, count)
+    if fault is not None:
+        raise NumericalFailure(fault)
     if not count:
         raise EmptyStateError("finalize of the empty state")
-    try:
-        size = d.k if d.ctype is not None else count
-        if len(reals) != size:
-            raise NumericalFailure(
-                f"expected {size} components, got {len(reals)}")
-        # the reals are floats in every state that absorb, merge or parse
-        # builds: a finite sum of floats proves every term finite
-        if not (math.isfinite(sum(reals))
-                or all(map(math.isfinite, reals))):
-            raise NumericalFailure("state carries non-finite components")
-    except TypeError as e:  # a hand-built state's reals that are not numbers
-        raise NumericalFailure("state carries non-numeric components") from e
-    except OverflowError as e:  # an int past the float range
-        raise NumericalFailure("state carries a component past the float "
-                               "range") from e
+    if not _finite(reals):
+        raise NumericalFailure("state carries non-finite components")
     try:
         value = d.finalizer(reals, count)
     except (OverflowError, ZeroDivisionError, ValueError) as e:

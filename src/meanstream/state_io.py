@@ -15,7 +15,8 @@ from functools import lru_cache
 from typing import Optional
 
 from . import families
-from .core import AccumulatorState, MeanDescriptor, Record
+from .core import (AccumulatorState, MeanDescriptor, Record, _finite,
+                   _state_fault)
 from .errors import ParseError
 
 STATE_FORMAT_VERSION = 2
@@ -32,8 +33,7 @@ def serialize_state(state: AccumulatorState) -> bytes:
     the order, batching or merge tree that built it.
     """
     reals = state[1]
-    # a finite sum of floats proves every term finite
-    if math.isfinite(sum(reals)) or all(map(math.isfinite, reals)):
+    if _finite(reals):
         overflow = "false"
     else:
         reals, overflow = (math.inf,) * len(reals), "true"
@@ -263,26 +263,16 @@ def _parse_json(text) -> AccumulatorState:
 
 
 def _checked_state(descriptor, k, reals, count, overflow) -> AccumulatorState:
-    """The state of a blob's fields, after the checks that both parses
-    run once they hold the descriptor and the reals."""
+    """The state of a blob's fields, after the checks both parses run: the
+    state rule, core's ``_state_fault`` (as in finalize and merge), and the
+    blob's own fields, k and the overflow flag."""
     if type(k) is not int or k != len(reals):
         raise ParseError(f"k {k!r} disagrees with {len(reals)} reals")
-    if type(count) is not int or count < 0:
-        raise ParseError(f"bad counter {count!r}")
-    finite = math.isfinite(sum(reals)) or all(map(math.isfinite, reals))
-    if descriptor.ctype is None:
-        # no finite type: the state is the sorted multiset of the inputs
-        if (count != len(reals) or not finite
-                or list(reals) != sorted(reals)):
-            raise ParseError(
-                f"expected {count} sorted finite components, one per element")
-    elif len(reals) != descriptor.k:
-        raise ParseError(
-            f"expected {descriptor.k} components, got {len(reals)}")
-    if count == 0 and reals != descriptor.identity:
-        raise ParseError("an empty state must hold the identity reals")
+    fault = _state_fault(descriptor, reals, count)
+    if fault is not None:
+        raise ParseError(fault)
     # an identity test: a flag that is not a bool (0, null, "false") fails
-    if overflow is not (not finite):
+    if overflow is not (not _finite(reals)):
         raise ParseError(
             f"overflow flag {overflow!r} disagrees with the reals")
     # tuple.__new__ skips the NamedTuple's Python-level __new__

@@ -658,6 +658,19 @@ class TestMerge:
         median = ms.absorb(ms.init(ms.median_mean()), 2.0)
         assert ms.merge(median, median).reals == (2.0, 2.0)
 
+    @pytest.mark.parametrize("reals", [(10 ** 200,) * 3, (10 ** 300, 4.0, 5.0)],
+                             ids=["ints", "ints-and-floats"])
+    def test_int_reals_whose_product_passes_the_float_range_overflow(
+            self, reals):
+        # witnesses: e_2 of the merge is the int 10**400, so the finiteness
+        # test of the result raised a bare OverflowError; with 10**600 the
+        # combine raised it, adding the int to a float
+        big = ms.AccumulatorState(ms.hamy(2), reals, 2)
+        merged = ms.merge(big, big)
+        assert merged.reals == (math.inf,) * 3 and merged.count == 4
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            ms.finalize(merged)
+
     def test_additivity(self):
         d = ms.power_mean(1.0)
         a = ms.init(d).absorb(3.0)
@@ -680,6 +693,21 @@ class TestMerge:
     def test_family_mismatch(self):
         with pytest.raises(FamilyMismatch):
             ms.merge(ms.init(ms.power_mean(1.0)), ms.init(ms.power_mean(2.0)))
+
+    @pytest.mark.parametrize("d, reals, count, good", [
+        (ms.hamy(2), ("a",), 2, [3.0]),
+        (ms.power_mean(1), (1.0,), -3, [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ], ids=["str-real", "negative-count"])
+    def test_a_malformed_operand_is_numerical_failure(
+            self, d, reals, count, good):
+        # witnesses: str-real raised a bare ValueError from the combine, and
+        # negative-count returned a count 2 state of five elements, which
+        # finalize then accepted (STATE_FAULTS holds more malformed states)
+        bad = ms.AccumulatorState(d, reals, count)
+        good = ms.absorb_many(ms.init(d), good)
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(NumericalFailure):
+                ms.merge(a, b)
 
 
 class TestFinalize:
@@ -787,27 +815,51 @@ class TestFinalize:
         with pytest.raises(NumericalFailure, match=match):
             ms.finalize(ms.AccumulatorState(d, reals, count))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, len(all_families()) - 1), st.data())
-    def test_a_hand_built_state_finalizes_or_raises_a_mean_stream_error(
-            self, index, data):
-        """Reals of any length from 0 to k + 2 and of any element type, and
-        a count of any type: finalize returns a finite real (a finalizer's
-        non-float real passes as it is, such as a median's int real) or
-        raises a MeanStreamError subclass, never another exception."""
-        d = all_families()[index]
+    @staticmethod
+    def hand_built(d, data) -> ms.AccumulatorState:
+        """A state of d with reals of any length from 0 to k + 2 and of any
+        element type, and a count of any type."""
         real = st.one_of(st.floats(), st.integers(-10 ** 20, 10 ** 20),
                          st.just(10 ** 400), st.text(max_size=2), st.none())
         reals = tuple(data.draw(st.lists(real, max_size=d.k + 2)))
         count = data.draw(st.one_of(
             st.integers(-3, 40), st.just(10 ** 30), st.floats(),
             st.booleans(), st.text(max_size=2), st.none()))
+        return ms.AccumulatorState(d, reals, count)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(all_families()) - 1), st.data())
+    def test_a_hand_built_state_finalizes_or_raises_a_mean_stream_error(
+            self, index, data):
+        """finalize of a hand-built state returns a finite real (a
+        finalizer's non-float real passes as it is, such as a median's int
+        real) or raises a MeanStreamError subclass, never another
+        exception."""
+        state = self.hand_built(all_families()[index], data)
         try:
-            value = ms.finalize(ms.AccumulatorState(d, reals, count))
+            value = ms.finalize(state)
         except MeanStreamError:
             return
         assert isinstance(value, numbers.Real) and math.isfinite(value), (
-            d.name, reals, count, value)
+            state, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(all_families()) - 1), st.data())
+    def test_a_hand_built_state_merges_or_raises_a_mean_stream_error(
+            self, index, data):
+        """A hand-built state merged with a well-formed one, in both orders,
+        then finalized: a finite real or a MeanStreamError subclass."""
+        d = all_families()[index]
+        state = self.hand_built(d, data)
+        good = ms.absorb_many(ms.init(d), [_in_domain(d, 0.25),
+                                           _in_domain(d, 0.75)])
+        for a, b in ((state, good), (good, state)):
+            try:
+                value = ms.finalize(ms.merge(a, b))
+            except MeanStreamError:
+                continue
+            assert isinstance(value, numbers.Real) and math.isfinite(value), (
+                a, b, value)
 
     def test_zero_division_is_numerical_failure(self):
         d = ms.MeanDescriptor(
@@ -816,6 +868,53 @@ class TestFinalize:
             finalizer=lambda reals, n: n / reals[0])
         with pytest.raises(NumericalFailure):
             ms.evaluate_stream(d, [0.0])
+
+
+# (descriptor, reals, count, reason): states that break the state rule,
+# refused with the same reason by finalize, merge and both parses.
+# Witnesses: merge raised a bare ValueError for too-long and a bare
+# TypeError for str-count
+STATE_FAULTS = [
+    (ms.power_mean(1), (1.0, 2.0), 2, "expected 1 components, got 2"),
+    (ms.hamy(2), (1.0,), 2, "expected 3 components, got 1"),
+    (ms.power_mean(1), (1.0,), -3, "bad counter -3: not a non-negative int"),
+    (ms.power_mean(1), (1.0,), "2", "bad counter '2': not a non-negative int"),
+    (ms.power_mean(1), (1.0,), 2.0, "bad counter 2.0: not a non-negative int"),
+    (ms.power_mean(1), (1.0,), True, "bad counter True: not a non-negative int"),
+    (ms.power_mean(1), (1.0,), None, "bad counter None: not a non-negative int"),
+    # merged with a state of [2.0], it gave reals (102.0,) at count 1
+    (ms.power_mean(1), (100.0,), 0,
+     "an empty state must hold the identity reals"),
+    (ms.median_mean(), (1.0, 2.0), 5, "expected 5 components, got 2"),
+    # finalize gave 3.0, where the lower median of {1, 3} is 1.0
+    (ms.median_mean(), (3.0, 1.0), 2, "components are not in ascending order"),
+    (ms.median_mean(), (math.nan, 2.0), 2,
+     "state carries non-finite components"),
+    (ms.median_mean(), (1.0, math.inf), 2,
+     "state carries non-finite components"),
+]
+
+
+@pytest.mark.parametrize("d, reals, count, reason", STATE_FAULTS, ids=[
+    "too-long", "too-short", "negative-count", "str-count", "float-count",
+    "bool-count", "null-count", "empty-not-identity", "median-not-count",
+    "median-unsorted", "median-nan", "median-inf"])
+def test_finalize_merge_and_parse_refuse_a_state_by_one_rule(
+        d, reals, count, reason):
+    state = ms.AccumulatorState(d, reals, count)
+    good = ms.absorb_many(ms.init(d), [1.0, 2.0])
+    refusals = [(NumericalFailure, lambda: ms.finalize(state)),
+                (NumericalFailure, lambda: ms.merge(state, good)),
+                (NumericalFailure, lambda: ms.merge(good, state))]
+    blob = json.dumps({"version": 2, "family": d.family, "params": d.params,
+                       "k": len(reals), "reals": [r.hex() for r in reals],
+                       "counter": count, "overflow": False})
+    for parse in (ms.parse_state, core._parse_json):
+        refusals.append((ParseError, functools.partial(parse, blob)))
+    for error, refuse in refusals:
+        with pytest.raises(error) as raised:
+            refuse()
+        assert str(raised.value) == reason
 
 
 class TestEvaluateStream:
