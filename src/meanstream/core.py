@@ -12,7 +12,9 @@ combine joins, and ``merge`` the combine; absorb decides every overflow.
 derives them from its ``step``.  A state is an immutable ``NamedTuple``
 (descriptor, reals, count); absorb and merge return new states, and
 ``init`` returns the descriptor's one empty state, so shard-parallel
-accumulation followed by a merge tree needs no locking.
+accumulation followed by a merge tree needs no locking.  The state rule is
+tested once, where a state is made by hand: ``AccumulatorState(...)``
+refuses a malformed one, and the states core makes keep it by construction.
 """
 
 # json and numbers are imported where they are used, and the state format
@@ -215,7 +217,10 @@ class MeanDescriptor(Record):
     DomainError at the first element outside the domain; else the fold maps
     (xs, reals) to ``reduce(step, xs, reals)``, bit for bit.  They are
     compiled from ``blocks`` and ``block_env``, else from ``step``,
-    ``leaf_fold`` and ``combine``.
+    ``leaf_fold`` and ``combine``.  A descriptor's own step, combine and
+    leaf fold are trusted to keep its state layout (k reals; the median's
+    sorted multiset), as they are trusted to compute its values: core does
+    not test the states they give.
 
     A descriptor is one shared value, as ``parse_state`` shares it: a copy
     or a deep copy of one is the descriptor itself, and it equals and
@@ -246,7 +251,7 @@ class MeanDescriptor(Record):
         k = (sum([size for _, size, _ in blocks]) if blocks is not None
              else 0 if ctype is None else ctype.k)
         identity = (0.0,) * k
-        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        # tuple.__new__ skips AccumulatorState's test of the state rule
         empty = tuple.__new__(AccumulatorState, (self, identity, 0))
         for name, value in (("blocks", blocks), ("block_env", block_env),
                             ("leaf_fold", leaf_fold), ("k", k),
@@ -439,7 +444,15 @@ def _kernels(d: MeanDescriptor) -> tuple:
     return env["absorb"], env["fold"], env["combine"]
 
 
-class AccumulatorState(NamedTuple):
+class _StateFields(NamedTuple):
+    # typing.NamedTuple refuses __new__ and _make in its class body, so
+    # AccumulatorState sets them in a subclass
+    descriptor: MeanDescriptor
+    reals: tuple
+    count: int
+
+
+class AccumulatorState(_StateFields):
     """A semigroup element: descriptor, reals tuple and element count.
 
     An immutable ``NamedTuple``, so ``d, reals, count = state`` unpacks it;
@@ -447,11 +460,44 @@ class AccumulatorState(NamedTuple):
     as Python 3.11 specialises the unpack of an exact tuple only.
     ``count`` is always tracked for emptiness detection; ``counter`` exposes
     it only for counter-bearing (T_k^+) families.
+
+    The constructor tests the state rule, and raises NumericalFailure for a
+    state that breaks it: a non-negative int count, and ``d.k`` reals within
+    the float range, ``d.identity`` at count 0; for no finite type (the
+    median), the sorted multiset, ``count`` finite numbers in ascending
+    order (an O(n) test).  ``_make``, ``_replace``, copy and pickle build
+    through it.  Core's states keep the rule by construction and skip the
+    test (``tuple.__new__``), so finalize and merge trust their operands.
     """
 
-    descriptor: MeanDescriptor
-    reals: tuple
-    count: int
+    __slots__ = ()
+
+    def __new__(cls, descriptor: MeanDescriptor, reals: tuple, count: int):
+        d, fault = descriptor, None
+        try:
+            size = d.k if d.ctype is not None else count
+            if type(count) is not int or count < 0:
+                fault = f"bad counter {count!r}: not a non-negative int"
+            elif len(reals) != size:
+                fault = f"expected {size} components, got {len(reals)}"
+            elif not count and tuple(reals) != d.identity:
+                fault = "an empty state must hold the identity reals"
+            elif d.ctype is not None:
+                sum(reals, 0.0)  # for its TypeError or OverflowError alone
+            elif not _finite(reals):
+                fault = "state carries non-finite components"
+            elif list(reals) != sorted(reals):
+                fault = "components are not in ascending order"
+        except TypeError:
+            fault = "state carries non-numeric components"
+        except OverflowError:
+            fault = "state carries a component past the float range"
+        if fault is not None:
+            raise NumericalFailure(fault)
+        return tuple.__new__(cls, (descriptor, reals, count))
+
+    # the NamedTuple's own _make, which _replace calls, skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def overflow(self) -> bool:
@@ -540,7 +586,7 @@ def _absorb_floats(state: AccumulatorState, xs: list) -> AccumulatorState:
                                     for i in range(0, len(xs), LEAF)))
         reals = combine(reals, node)
         if _finite(reals):
-            return AccumulatorState(d, reals, count + len(xs))
+            return tuple.__new__(AccumulatorState, (d, reals, count + len(xs)))
     except OverflowError:
         pass
     return reduce(absorb, xs, state)
@@ -553,47 +599,16 @@ def _finite(reals) -> bool:
     return math.isfinite(sum(reals, 0.0)) or all(map(math.isfinite, reals))
 
 
-def _state_fault(d: MeanDescriptor, reals, count) -> Optional[str]:
-    """Why (reals, count) is no state of d, or None: the one rule that
-    finalize, merge and parse_state test a state by.  The count is a
-    non-negative int, the reals ``d.k`` numbers within the float range, and
-    ``d.identity`` at count 0; for no finite type (the median) they are the
-    sorted multiset, ``count`` finite numbers in ascending order, an O(n)
-    test."""
-    if type(count) is not int or count < 0:
-        return f"bad counter {count!r}: not a non-negative int"
-    try:
-        size = d.k if d.ctype is not None else count
-        if len(reals) != size:
-            return f"expected {size} components, got {len(reals)}"
-        if not count and tuple(reals) != d.identity:
-            return "an empty state must hold the identity reals"
-        if d.ctype is not None:
-            sum(reals, 0.0)  # for its TypeError or OverflowError alone
-        elif not _finite(reals):
-            return "state carries non-finite components"
-        elif list(reals) != sorted(reals):
-            return "components are not in ascending order"
-    except TypeError:
-        return "state carries non-numeric components"
-    except OverflowError:
-        return "state carries a component past the float range"
-    return None
-
-
 def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
-    """The combine of two states of one family; NumericalFailure for an
-    operand that breaks the state rule (``_state_fault``).  A result with a
-    non-finite component is every component inf; absorb's need not be (it
-    may keep a finite component), so an overflowed state's reals depend on
-    its route, but not its ``serialize_state`` bytes nor its finalize."""
+    """The combine of two states of one family, which are trusted to keep
+    the state rule (``AccumulatorState``).  A result with a non-finite
+    component is every component inf; absorb's need not be (it may keep a
+    finite component), so an overflowed state's reals depend on its route,
+    but not its ``serialize_state`` bytes nor its finalize."""
     d = a[0]
     db = b[0]
     if d is not db and d.family_id != db.family_id:
         raise FamilyMismatch(f"{d.family_id} vs {db.family_id}")
-    fault = _state_fault(d, a[1], a[2]) or _state_fault(db, b[1], b[2])
-    if fault is not None:
-        raise NumericalFailure(fault)
     try:
         reals = d.kernels[2](a[1], b[1])
         if d.ctype is None or _finite(reals):
@@ -604,16 +619,12 @@ def merge(a: AccumulatorState, b: AccumulatorState) -> AccumulatorState:
 
 
 def finalize(state: AccumulatorState) -> float:
-    """The mean of a state's elements.  Raises NumericalFailure for a state
-    that breaks the state rule (``_state_fault``), then EmptyStateError for
-    count 0, and NumericalFailure for non-finite reals or a failed
-    finalizer."""
+    """The mean of a state's elements, which is trusted to keep the state
+    rule (``AccumulatorState``).  Raises EmptyStateError for count 0, and
+    NumericalFailure for non-finite reals or a failed finalizer."""
     d = state[0]
     reals = state[1]
     count = state[2]
-    fault = _state_fault(d, reals, count)
-    if fault is not None:
-        raise NumericalFailure(fault)
     if not count:
         raise EmptyStateError("finalize of the empty state")
     if not _finite(reals):

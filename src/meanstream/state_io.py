@@ -15,9 +15,8 @@ from functools import lru_cache
 from typing import Optional
 
 from . import families
-from .core import (AccumulatorState, MeanDescriptor, Record, _finite,
-                   _state_fault)
-from .errors import ParseError
+from .core import AccumulatorState, MeanDescriptor, Record, _finite
+from .errors import NumericalFailure, ParseError
 
 STATE_FORMAT_VERSION = 2
 DESCRIPTOR_CACHE_SIZE = 64  # parse_state's descriptors, by blob head
@@ -263,17 +262,17 @@ def _parse_json(text) -> AccumulatorState:
 
 
 def _checked_state(descriptor, k, reals, count, overflow) -> AccumulatorState:
-    """The state of a blob's fields, after the checks both parses run: the
-    state rule, core's ``_state_fault`` (as in finalize and merge), and the
-    blob's own fields, k and the overflow flag."""
+    """The state of a blob's fields, after the checks both parses run: k,
+    the overflow flag and the state rule, which the ``AccumulatorState``
+    constructor tests (its refusal is a ParseError with the same reason)."""
     if type(k) is not int or k != len(reals):
         raise ParseError(f"k {k!r} disagrees with {len(reals)} reals")
-    fault = _state_fault(descriptor, reals, count)
-    if fault is not None:
-        raise ParseError(fault)
+    try:
+        state = AccumulatorState(descriptor, reals, count)
+    except NumericalFailure as e:
+        raise ParseError(str(e)) from e
     # an identity test: a flag that is not a bool (0, null, "false") fails
     if overflow is not (not _finite(reals)):
         raise ParseError(
             f"overflow flag {overflow!r} disagrees with the reals")
-    # tuple.__new__ skips the NamedTuple's Python-level __new__
-    return tuple.__new__(AccumulatorState, (descriptor, reals, count))
+    return state

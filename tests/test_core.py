@@ -515,7 +515,11 @@ class TestKernels:
             start = fold(head, d.identity)
 
             def checked(reals, x):
-                return absorb(ms.AccumulatorState(d, reals, 0), x).reals
+                # a count of len(reals) keeps the state rule: the median's
+                # multiset has that many elements, and a finite type's
+                # k >= 1 reals may be anything at a non-zero count
+                return absorb(ms.AccumulatorState(d, reals, len(reals)),
+                              x).reals
 
             for step in (checked, d.step):
                 assert _hexes(start) == _hexes(
@@ -702,12 +706,13 @@ class TestMerge:
             self, d, reals, count, good):
         # witnesses: str-real raised a bare ValueError from the combine, and
         # negative-count returned a count 2 state of five elements, which
-        # finalize then accepted (STATE_FAULTS holds more malformed states)
-        bad = ms.AccumulatorState(d, reals, count)
+        # finalize then accepted (STATE_FAULTS holds more malformed states);
+        # the constructor refuses such an operand, so merge never gets one
         good = ms.absorb_many(ms.init(d), good)
-        for a, b in ((bad, good), (good, bad)):
+        for build in (lambda: ms.AccumulatorState(d, reals, count),
+                      lambda: good._replace(reals=reals, count=count)):
             with pytest.raises(NumericalFailure):
-                ms.merge(a, b)
+                build()
 
 
 class TestFinalize:
@@ -750,10 +755,10 @@ class TestFinalize:
 
     def test_overflow_is_numerical_failure(self):
         # C(10**30, 12) does not fit a float; finalize must not leak the
-        # OverflowError of the division
+        # OverflowError of the division (hamy(12) holds k = 13 reals)
         d = ms.hamy(12)
-        s = ms.AccumulatorState(d, (1e30,) * 12, 10 ** 30)
-        with pytest.raises(NumericalFailure):
+        s = ms.AccumulatorState(d, (1e30,) * d.k, 10 ** 30)
+        with pytest.raises(NumericalFailure, match="finalizer failed"):
             ms.finalize(s)
 
     def test_value_error_is_numerical_failure(self):
@@ -816,16 +821,16 @@ class TestFinalize:
             ms.finalize(ms.AccumulatorState(d, reals, count))
 
     @staticmethod
-    def hand_built(d, data) -> ms.AccumulatorState:
-        """A state of d with reals of any length from 0 to k + 2 and of any
-        element type, and a count of any type."""
+    def hand_built(d, data) -> tuple:
+        """(reals, count) for a hand-built state of d: reals of any length
+        from 0 to k + 2 and of any element type, and a count of any type."""
         real = st.one_of(st.floats(), st.integers(-10 ** 20, 10 ** 20),
                          st.just(10 ** 400), st.text(max_size=2), st.none())
         reals = tuple(data.draw(st.lists(real, max_size=d.k + 2)))
         count = data.draw(st.one_of(
             st.integers(-3, 40), st.just(10 ** 30), st.floats(),
             st.booleans(), st.text(max_size=2), st.none()))
-        return ms.AccumulatorState(d, reals, count)
+        return reals, count
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, len(all_families()) - 1), st.data())
@@ -834,9 +839,11 @@ class TestFinalize:
         """finalize of a hand-built state returns a finite real (a
         finalizer's non-float real passes as it is, such as a median's int
         real) or raises a MeanStreamError subclass, never another
-        exception."""
-        state = self.hand_built(all_families()[index], data)
+        exception; the constructor may refuse it."""
+        d = all_families()[index]
+        reals, count = self.hand_built(d, data)
         try:
+            state = ms.AccumulatorState(d, reals, count)
             value = ms.finalize(state)
         except MeanStreamError:
             return
@@ -848,11 +855,16 @@ class TestFinalize:
     def test_a_hand_built_state_merges_or_raises_a_mean_stream_error(
             self, index, data):
         """A hand-built state merged with a well-formed one, in both orders,
-        then finalized: a finite real or a MeanStreamError subclass."""
+        then finalized: a finite real or a MeanStreamError subclass; the
+        constructor may refuse it."""
         d = all_families()[index]
-        state = self.hand_built(d, data)
+        reals, count = self.hand_built(d, data)
         good = ms.absorb_many(ms.init(d), [_in_domain(d, 0.25),
                                            _in_domain(d, 0.75)])
+        try:
+            state = ms.AccumulatorState(d, reals, count)
+        except MeanStreamError:
+            return
         for a, b in ((state, good), (good, state)):
             try:
                 value = ms.finalize(ms.merge(a, b))
@@ -871,7 +883,8 @@ class TestFinalize:
 
 
 # (descriptor, reals, count, reason): states that break the state rule,
-# refused with the same reason by finalize, merge and both parses.
+# refused with the same reason by the constructor, so that finalize and
+# merge never get one, and by both parses.
 # Witnesses: merge raised a bare ValueError for too-long and a bare
 # TypeError for str-count
 STATE_FAULTS = [
@@ -901,11 +914,16 @@ STATE_FAULTS = [
     "median-unsorted", "median-nan", "median-inf"])
 def test_finalize_merge_and_parse_refuse_a_state_by_one_rule(
         d, reals, count, reason):
-    state = ms.AccumulatorState(d, reals, count)
+    """At construction, by ``_replace`` of a well-formed state, by copy and
+    pickle of a state that skipped the constructor (``tuple.__new__``),
+    and by both parses."""
     good = ms.absorb_many(ms.init(d), [1.0, 2.0])
-    refusals = [(NumericalFailure, lambda: ms.finalize(state)),
-                (NumericalFailure, lambda: ms.merge(state, good)),
-                (NumericalFailure, lambda: ms.merge(good, state))]
+    smuggled = tuple.__new__(ms.AccumulatorState, (d, reals, count))
+    refusals = [
+        (NumericalFailure, lambda: ms.AccumulatorState(d, reals, count)),
+        (NumericalFailure, lambda: good._replace(reals=reals, count=count)),
+        (NumericalFailure, lambda: copy.copy(smuggled)),
+        (NumericalFailure, lambda: pickle.loads(pickle.dumps(smuggled)))]
     blob = json.dumps({"version": 2, "family": d.family, "params": d.params,
                        "k": len(reals), "reals": [r.hex() for r in reals],
                        "counter": count, "overflow": False})
@@ -916,6 +934,69 @@ def test_finalize_merge_and_parse_refuse_a_state_by_one_rule(
             refuse()
         assert str(raised.value) == reason
 
+
+
+# (use, descriptor, reals, count): a use of a hand-built state that breaks
+# the state rule, which the constructor refuses before the use.
+# Witnesses: each absorb and absorb_many raised a bare ValueError or
+# TypeError; empty-not-identity finalized to 102.0; serialize wrote
+# "counter": 2 and "counter": True; overflow raised a bare TypeError
+MALFORMED_USES = [
+    (lambda s: ms.absorb(s, 2.0), ms.power_mean(1), (1.0, 2.0), 2),
+    (lambda s: ms.absorb_many(s, [2.0]), ms.power_mean(1), (1.0, 2.0), 2),
+    (lambda s: ms.absorb(s, 2.0), ms.hamy(2), ("a",), 1),
+    (lambda s: ms.absorb_many(s, [2.0]), ms.hamy(2), ("a",), 1),
+    (lambda s: ms.absorb(s, 2.0), ms.power_mean(1), (4.0,), "2"),
+    (lambda s: ms.absorb_many(s, [2.0]), ms.power_mean(1), (4.0,), "2"),
+    (lambda s: ms.finalize(ms.absorb(s, 2.0)), ms.power_mean(1), (100.0,), 0),
+    (ms.serialize_state, ms.power_mean(1), (4.0,), "2"),
+    (ms.serialize_state, ms.power_mean(1), (4.0,), True),
+    (lambda s: s.overflow, ms.power_mean(1), ("a",), 1),
+]
+
+
+@pytest.mark.parametrize("use, d, reals, count", MALFORMED_USES, ids=[
+    "absorb-too-long", "absorb_many-too-long", "absorb-str-real",
+    "absorb_many-str-real", "absorb-str-count", "absorb_many-str-count",
+    "absorb-empty-not-identity", "serialize-str-count",
+    "serialize-bool-count", "overflow-str-real"])
+def test_a_malformed_state_is_refused_before_its_use(use, d, reals, count):
+    with pytest.raises(NumericalFailure):
+        use(ms.AccumulatorState(d, reals, count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(all_families()) - 1), st.data())
+def test_every_state_core_builds_keeps_the_state_rule(index, data):
+    """finalize and merge trust their operands, as core builds its states
+    with tuple.__new__: every state that absorb and absorb_many batches
+    (overflowing values included), a random merge tree and a
+    serialize_state/parse_state round trip reach passes the constructor."""
+    d = all_families()[index]
+    value = st.one_of(
+        st.floats(0.0, 1.0).map(lambda u: _in_domain(d, u)),
+        st.sampled_from([1e300, -1e300, 1e-300, 1e150]).filter(
+            d.domain.contains))
+    states = [ms.init(d)]
+    for batch in data.draw(st.lists(st.lists(value, max_size=2 * core.LEAF + 6),
+                                    max_size=4)):
+        state = ms.init(d)
+        if data.draw(st.booleans()):
+            state = ms.absorb_many(state, batch)
+        else:
+            for x in batch:
+                state = ms.absorb(state, x)
+                states.append(state)
+        states.append(state)
+    pool = list(states)
+    while len(pool) > 1:
+        a = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
+        b = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
+        pool.append(ms.merge(a, b))
+        states.append(pool[-1])
+    states += [ms.parse_state(ms.serialize_state(s)) for s in states]
+    for s in states:
+        assert ms.AccumulatorState(*s) == s, s
 
 class TestEvaluateStream:
     def test_examples(self):
