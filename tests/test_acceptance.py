@@ -12,12 +12,10 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import meanstream as ms
-
-SEED = 20260823
+from inputs import SEED, random_vector, seeded_vectors
 
 
 @contextmanager
@@ -26,12 +24,6 @@ def runtime_budget(seconds):
     yield
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"runtime {elapsed:.2f}s exceeds {seconds}s budget"
-
-
-def seeded_vectors(count, n_max=12, lo=0.5, hi=20.0, seed=SEED):
-    rng = np.random.default_rng(seed)
-    return [[float(v) for v in rng.uniform(lo, hi, size=rng.integers(1, n_max + 1))]
-            for _ in range(count)]
 
 
 def test_criterion_01_counterexample_values_and_witness():
@@ -102,15 +94,14 @@ def test_criterion_04_axiom_suite():
 
 
 def test_criterion_05_identities():
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     with runtime_budget(30.0):
         # conjugation: hamy_r on r-th powers, then r-th root, equals sympoly_r
         # (for n >= r; the small-n fallbacks of the two families differ)
         for r in (2, 3, 4):
             ha, sp = ms.hamy(r), ms.sympoly(r)
             for _ in range(100):
-                xs = [float(v) for v in
-                      rng.uniform(0.5, 20.0, size=rng.integers(r, 13))]
+                xs = random_vector(rng, r, 12)
                 lhs = ms.evaluate_stream(ha, [x ** r for x in xs]) ** (1.0 / r)
                 rhs = ms.evaluate_stream(sp, xs)
                 assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
@@ -169,12 +160,12 @@ def test_criterion_06_gamma_engine_exact_integer_oracle():
 
 
 def test_criterion_07_g23_inequality():
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     with runtime_budget(10.0):
         for _ in range(1000):
-            xs = rng.uniform(-10.0, 10.0, size=rng.integers(1, 33))
-            lhs = abs(float(np.sum(xs ** 3)))
-            rhs = float(np.sum(xs ** 2)) ** 1.5
+            xs = random_vector(rng, 1, 32, -10.0, 10.0)
+            lhs = abs(math.fsum(x ** 3 for x in xs))
+            rhs = math.fsum(x ** 2 for x in xs) ** 1.5
             assert lhs <= rhs * (1 + 1e-12) + 1e-12
         assert ms.check_g23_inequality(trials=1000).holds
 
@@ -206,8 +197,7 @@ def test_criterion_09_classification_goldens():
 
 
 def test_criterion_10_merge_distribution_and_round_trip():
-    rng = np.random.default_rng(SEED)
-    pyrng = random.Random(SEED)
+    rng = random.Random(SEED)
     descriptors = [ms.power_mean(0.0), ms.power_mean(-2.0),
                    ms.quasi_arithmetic("exp"), ms.gini(2.0, 1.0),
                    ms.gini(3.0, 3.0), ms.bajraktarevic(ms.pair_power(2.0, 1.0)),
@@ -222,19 +212,18 @@ def test_criterion_10_merge_distribution_and_round_trip():
             elif d.family == "piecewise_h":
                 lo, hi = (3.0, 4.0)
             for _ in range(40):
-                xs = [float(v) for v in
-                      rng.uniform(lo, hi, size=rng.integers(3, 25))]
+                xs = random_vector(rng, 3, 24, lo, hi)
                 single = ms.evaluate_stream(d, xs)
-                cut1 = pyrng.randint(1, len(xs) - 2)
-                cut2 = pyrng.randint(cut1 + 1, len(xs) - 1)
+                cut1 = rng.randint(1, len(xs) - 2)
+                cut2 = rng.randint(cut1 + 1, len(xs) - 1)
                 shards = []
                 for chunk in (xs[:cut1], xs[cut1:cut2], xs[cut2:]):
                     state = ms.init(d)
                     for x in chunk:
                         state = ms.absorb(state, x)
                     shards.append(state)
-                pyrng.shuffle(shards)
-                if pyrng.random() < 0.5:
+                rng.shuffle(shards)
+                if rng.random() < 0.5:
                     merged = ms.merge(ms.merge(shards[0], shards[1]), shards[2])
                 else:
                     merged = ms.merge(shards[0], ms.merge(shards[1], shards[2]))

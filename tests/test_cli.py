@@ -2,10 +2,10 @@ import functools
 import io
 import json
 import math
+import random
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import meanstream as ms
@@ -786,8 +786,8 @@ class TestMerge:
         capsys.readouterr()
 
     def test_split_merge_matches_single_pass(self, monkeypatch, capsys, tmp_path):
-        rng = np.random.default_rng(3)
-        values = [float(v) for v in rng.uniform(0.5, 20, size=17)]
+        rng = random.Random(3)
+        values = [rng.uniform(0.5, 20) for _ in range(17)]
         paths = []
         for i, chunk in enumerate((values[:5], values[5:9], values[9:])):
             paths.append(self._state_file(tmp_path, f"c{i}.state", chunk,

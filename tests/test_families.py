@@ -7,7 +7,6 @@ import warnings
 from fractions import Fraction
 from itertools import combinations, product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,14 +17,7 @@ from meanstream.errors import (DegenerateExponents, FamilyMismatch,
                                NumericalFailure, PairInvalid, ParseError)
 from meanstream.families import GeneratorFunction
 from meanstream.symfun import MAX_MULTI_EXPONENTS
-
-RNG_SEED = 20260823
-
-
-def random_vectors(count, n_max=12, lo=0.5, hi=20.0, seed=RNG_SEED):
-    rng = np.random.default_rng(seed)
-    return [[float(v) for v in rng.uniform(lo, hi, size=rng.integers(1, n_max + 1))]
-            for _ in range(count)]
+from inputs import SEED, random_vector, seeded_vectors
 
 
 class TestPowerMean:
@@ -51,7 +43,7 @@ class TestQuasiArithmetic:
 
     def test_identity_is_arithmetic(self):
         d = ms.quasi_arithmetic("identity")
-        for xs in random_vectors(20):
+        for xs in seeded_vectors(20):
             assert ms.evaluate_stream(d, xs) == pytest.approx(sum(xs) / len(xs))
 
     def test_square_matches_power2(self):
@@ -100,7 +92,7 @@ class TestGini:
         assert got == pytest.approx(math.sqrt(12.5), rel=1e-12)
         for p in (2.0, -1.0, 0.5):
             dg, dp = ms.gini(p, 0), ms.power_mean(p)
-            for xs in random_vectors(30, seed=5):
+            for xs in seeded_vectors(30, seed=5):
                 assert ms.evaluate_stream(dg, xs) == pytest.approx(
                     ms.evaluate_stream(dp, xs), rel=1e-10)
 
@@ -128,7 +120,7 @@ class TestGini:
 
     def test_parameter_symmetry(self):
         a, b = ms.gini(2.0, 1.0), ms.gini(1.0, 2.0)
-        for xs in random_vectors(50, seed=6):
+        for xs in seeded_vectors(50, seed=6):
             assert ms.evaluate_stream(a, xs) == pytest.approx(
                 ms.evaluate_stream(b, xs), rel=1e-10)
 
@@ -149,7 +141,7 @@ class TestBajraktarevic:
         # bisection and differed from quasi_arithmetic on every vector
         pair, qa = (ms.bajraktarevic(ms.pair_from_names(name, "one")),
                     ms.quasi_arithmetic(name))
-        for xs in random_vectors(200, n_max=10, seed=11):
+        for xs in seeded_vectors(200, n_max=10, seed=11):
             assert ms.evaluate_stream(pair, xs) == ms.evaluate_stream(qa, xs)
 
     def test_two_constant_components_are_no_pair(self):
@@ -294,12 +286,11 @@ class TestSymPoly:
     def test_conjugation_identity(self):
         # hamy_r of r-th powers, then the r-th root, equals sympoly_r (n >= r;
         # the small-n fallbacks differ)
-        rng = np.random.default_rng(8)
+        rng = random.Random(8)
         for r in (2, 3, 4):
             ha, sp = ms.hamy(r), ms.sympoly(r)
             for _ in range(30):
-                n = int(rng.integers(r, 11))
-                xs = [float(v) for v in rng.uniform(0.5, 20.0, size=n)]
+                xs = random_vector(rng, r, 10)
                 lhs = ms.evaluate_stream(ha, [x ** r for x in xs]) ** (1.0 / r)
                 rhs = ms.evaluate_stream(sp, xs)
                 assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -332,7 +323,7 @@ class TestBiplanar:
     def test_c1_d1_matches_gini(self):
         d = ms.biplanar(2, 1, 1, 1)
         g = ms.gini(2, 1)
-        for xs in random_vectors(40, seed=9):
+        for xs in seeded_vectors(40, seed=9):
             assert ms.evaluate_stream(d, xs) == pytest.approx(
                 ms.evaluate_stream(g, xs), rel=1e-10)
 
@@ -413,7 +404,7 @@ class TestUnderflowedPowerSum:
         for d in names:
             with pytest.raises(NumericalFailure, match="underflow"):
                 ms.evaluate_stream(d, [1.2345e-110] * 4)
-        for xs in random_vectors(50, lo=1e-3, hi=1e3):
+        for xs in seeded_vectors(50, lo=1e-3, hi=1e3):
             assert len({ms.evaluate_stream(d, xs).hex() for d in names}) == 1
 
 
@@ -755,7 +746,7 @@ class TestFamilyInvariants:
         ]
 
     def test_mean_property(self):
-        rng = random.Random(RNG_SEED)
+        rng = random.Random(SEED)
         for d in self.families_on_positives():
             report = ms.check_mean_property(d, trials=200, seed=rng)
             if d.family == "biplanar" and not report.holds:
@@ -766,7 +757,7 @@ class TestFamilyInvariants:
             assert report.holds, report.as_dict()
 
     def test_homogeneity(self):
-        rng = random.Random(RNG_SEED)
+        rng = random.Random(SEED)
         for d in self.families_on_positives():
             report = ms.check_homogeneity(d, trials=60, seed=rng)
             assert report.holds, report.as_dict()

@@ -16,7 +16,7 @@ import pytest
 
 import meanstream as ms
 from meanstream.errors import ParseError
-from test_core import all_families
+from inputs import all_families
 
 # 40 values in [3, 4], the domain of piecewise_h, and so of every built-in
 STREAM = [3.0 + (i * 17 % 40) / 40.0 + i / 4096.0 for i in range(40)]
