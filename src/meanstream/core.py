@@ -24,6 +24,7 @@ import importlib
 import math
 import operator
 from functools import partial, reduce
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -537,7 +538,8 @@ def absorb(state: AccumulatorState, x: float) -> AccumulatorState:
     """The state with x absorbed, by the descriptor's generated absorb
     (``_kernels``).  An OverflowError of float(x), an int past the float
     range, is the caller's; one of the step makes every component inf,
-    surfaced at finalize."""
+    surfaced at finalize.  A running sum loses digits with the length of
+    the stream: ``absorb_many`` is the accurate route for a batch."""
     return state[0].kernels[0](state, x)
 
 
@@ -651,8 +653,18 @@ def _is_real(value) -> bool:
 
 
 def evaluate_stream(descriptor: MeanDescriptor, xs: Iterable[float]) -> float:
-    """init, absorb each element, finalize at end of input."""
-    return finalize(reduce(absorb, xs, init(descriptor)))
+    """The mean of xs: ``absorb_many`` of each run of 64 leaves (4096
+    elements), ``merge_tree`` of the runs' states, then finalize.  So a
+    stream is summed by the pairwise tree of one ``absorb_many`` call, the
+    accurate route for a batch, but only one run is held at a time: xs may
+    be a generator of any length.  Up to LEAF elements, the state is the one
+    that absorbing each in turn builds."""
+    empty = init(descriptor)
+    rest = iter(xs)
+    runs = iter(lambda: list(islice(rest, 64 * LEAF)), [])
+    # merge_tree gives None for no runs, and a state is a non-empty tuple
+    return finalize(merge_tree(merge, map(partial(absorb_many, empty), runs))
+                    or empty)
 
 
 def _lazy_names(namespace: dict, table: dict):
