@@ -466,7 +466,8 @@ class AccumulatorState(_StateFields):
     state that breaks it: a non-negative int count, and ``d.k`` reals within
     the float range, ``d.identity`` at count 0; for no finite type (the
     median), the sorted multiset, ``count`` finite numbers in ascending
-    order (an O(n) test).  ``_make``, ``_replace``, copy and pickle build
+    order (an O(n) test).  A first argument that is not a descriptor raises
+    InvalidDescriptor.  ``_make``, ``_replace``, copy and pickle build
     through it.  Core's states keep the rule by construction and skip the
     test (``tuple.__new__``), so finalize and merge trust their operands.
     """
@@ -493,6 +494,9 @@ class AccumulatorState(_StateFields):
             fault = "state carries non-numeric components"
         except OverflowError:
             fault = "state carries a component past the float range"
+        except AttributeError:  # no ctype, k or identity to test the rule by
+            raise InvalidDescriptor(f"a state's descriptor is not a "
+                                    f"MeanDescriptor: {descriptor!r}") from None
         if fault is not None:
             raise NumericalFailure(fault)
         return tuple.__new__(cls, (descriptor, reals, count))

@@ -931,6 +931,17 @@ def test_finalize_merge_and_parse_refuse_a_state_by_one_rule(
         assert str(raised.value) == reason
 
 
+@pytest.mark.parametrize("descriptor, reals, count",
+                         [(None, (), 0), ("power", (1.0,), 1)],
+                         ids=["None", "str"])
+def test_a_state_without_a_descriptor_is_invalid_descriptor(descriptor, reals,
+                                                            count):
+    # witnesses: a bare AttributeError, "'NoneType' object has no attribute
+    # 'ctype'" and "'str' object has no attribute 'ctype'"
+    with pytest.raises(InvalidDescriptor, match="is not a MeanDescriptor"):
+        ms.AccumulatorState(descriptor, reals, count)
+
+
 
 # (use, descriptor, reals, count): a use of a hand-built state that breaks
 # the state rule, which the constructor refuses before the use.
