@@ -495,6 +495,8 @@ class AccumulatorState(_StateFields):
         except OverflowError:
             fault = "state carries a component past the float range"
         except AttributeError:  # no ctype, k or identity to test the rule by
+            if isinstance(descriptor, MeanDescriptor):
+                raise
             raise InvalidDescriptor(f"a state's descriptor is not a "
                                     f"MeanDescriptor: {descriptor!r}") from None
         if fault is not None:
