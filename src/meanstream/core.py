@@ -466,10 +466,13 @@ class AccumulatorState(_StateFields):
     state that breaks it: a non-negative int count, and ``d.k`` reals within
     the float range, ``d.identity`` at count 0; for no finite type (the
     median), the sorted multiset, ``count`` finite numbers in ascending
-    order (an O(n) test).  A first argument that is not a descriptor raises
-    InvalidDescriptor.  ``_make``, ``_replace``, copy and pickle build
-    through it.  Core's states keep the rule by construction and skip the
-    test (``tuple.__new__``), so finalize and merge trust their operands.
+    order (an O(n) test).  It keeps the reals as a tuple, ``tuple(reals)``,
+    which is the reals themselves when they are one, so that a state never
+    shares a mutable container with its caller.  A first argument that is
+    not a descriptor raises InvalidDescriptor.  ``_make``, ``_replace``,
+    copy and pickle build through it.  Core's states keep the rule by
+    construction and skip the test (``tuple.__new__``), so finalize and
+    merge trust their operands.
     """
 
     __slots__ = ()
@@ -480,9 +483,9 @@ class AccumulatorState(_StateFields):
             size = d.k if d.ctype is not None else count
             if type(count) is not int or count < 0:
                 fault = f"bad counter {count!r}: not a non-negative int"
-            elif len(reals) != size:
+            elif len(reals := tuple(reals)) != size:
                 fault = f"expected {size} components, got {len(reals)}"
-            elif not count and tuple(reals) != d.identity:
+            elif not count and reals != d.identity:
                 fault = "an empty state must hold the identity reals"
             elif d.ctype is not None:
                 sum(reals, 0.0)  # for its TypeError or OverflowError alone

@@ -1,10 +1,14 @@
 import functools
+import gc
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -1014,3 +1018,51 @@ def test_exit_code_of_each_row_of_the_table(monkeypatch, capsys, tmp_path,
         args.func(args)
     assert run_cli(argv, stdin, monkeypatch, capsys) == (
         code, "", f"error: {message}\n")
+
+
+# eval exits 0 with --state-out, 3 on a domain error and 2 on a parse
+# error, and merge writes the state that the first eval wrote
+PROCESS_ARGV = [
+    ["eval", "--family", "power", "--p", "1", "--input", "values.txt",
+     "--state-out", "s.json"],
+    ["eval", "--family", "power", "--p", "1", "--input", "negative.txt"],
+    ["eval", "--family", "power", "--p", "1", "--input", "bad.txt"],
+    ["merge", "s.json", "s.json"],
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W",
+                                        "error::ResourceWarning"]],
+                         ids=["plain", "dev-mode"])
+def test_a_process_run_gives_what_an_in_process_call_gives(
+        monkeypatch, capsys, tmp_path, flags):
+    """A process run of the CLI freezes its heap before the interpreter
+    exits, which an in-process main(argv) call never does; the process
+    prints, exits and writes the same, with its stdout buffered, and in
+    development mode no unclosed file warns."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # the exit must flush stdout itself
+    inputs = {"values.txt": "1\n2\n4\n", "negative.txt": "1\n-2\n4\n",
+              "bad.txt": "1\nx\n4\n"}
+    for where in ("process", "in-process"):
+        (tmp_path / where).mkdir()
+        for name, text in inputs.items():
+            (tmp_path / where / name).write_text(text)
+    process, in_process = [], []
+    for argv in PROCESS_ARGV:
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "meanstream.cli", *argv],
+            cwd=tmp_path / "process", env=env, capture_output=True,
+            text=True, timeout=120)
+        process.append((done.returncode, done.stdout, done.stderr))
+    monkeypatch.chdir(tmp_path / "in-process")
+    for argv in PROCESS_ARGV:
+        frozen = gc.get_freeze_count()
+        in_process.append(run_cli(argv, "", monkeypatch, capsys))
+        assert gc.get_freeze_count() == frozen, argv
+    assert [code for code, _, _ in process] == [0, 3, 2, 0]
+    assert process == in_process
+    assert (tmp_path / "process" / "s.json").read_bytes() == (
+        tmp_path / "in-process" / "s.json").read_bytes()

@@ -816,13 +816,30 @@ class TestFinalize:
         with pytest.raises(NumericalFailure, match=match):
             ms.finalize(ms.AccumulatorState(d, reals, count))
 
+    def test_a_state_keeps_its_reals_as_a_tuple(self):
+        # witnesses: the state kept the caller's list, so changing the list
+        # changed the mean and hash(state) raised TypeError; reals {2.0}
+        # made finalize raise a bare TypeError ("'set' object is not
+        # subscriptable")
+        d, reals = ms.power_mean(1.0), [2.0]
+        state = ms.AccumulatorState(d, reals, 1)
+        reals[0] = 100.0
+        assert state.reals == (2.0,) and type(state.reals) is tuple
+        assert ms.finalize(state) == 2.0
+        assert hash(state) == hash(ms.AccumulatorState(d, (2.0,), 1))
+        assert ms.finalize(ms.AccumulatorState(d, {2.0}, 1)) == 2.0
+        same = (2.0,)
+        assert ms.AccumulatorState(d, same, 1).reals is same
+
     @staticmethod
     def hand_built(d, data) -> tuple:
         """(reals, count) for a hand-built state of d: reals of any length
-        from 0 to k + 2 and of any element type, and a count of any type."""
+        from 0 to k + 2, of any element type, in a tuple, list or set, and
+        a count of any type."""
         real = st.one_of(st.floats(), st.integers(-10 ** 20, 10 ** 20),
                          st.just(10 ** 400), st.text(max_size=2), st.none())
-        reals = tuple(data.draw(st.lists(real, max_size=d.k + 2)))
+        container = data.draw(st.sampled_from([tuple, list, set]))
+        reals = container(data.draw(st.lists(real, max_size=d.k + 2)))
         count = data.draw(st.one_of(
             st.integers(-3, 40), st.just(10 ** 30), st.floats(),
             st.booleans(), st.text(max_size=2), st.none()))
