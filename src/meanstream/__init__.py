@@ -19,13 +19,14 @@ integer ratios, so it loads none of them either; ``fractions`` loads with
 ``BiplanarParams.exponent_set`` or ``myhill``.  The state format
 (``state_io``: ``serialize_state`` and ``parse_state``) loads, with
 ``json``, on the first serialize or parse, and ``json`` also with a merge
-of two distinct descriptors.  The generator registry and the
-Bajraktarevic pairs (``generators``, which builds the quasi-arithmetic and
-Bajraktarevic means), the power-sum engine (``symfun``), the verification
-harness (``verify``) and the probe (``myhill``) load on first use of one of
-their names.  ``core._lazy_names`` gives this package, ``core``,
-``families`` and ``cli`` the module ``__getattr__`` that does so, from
-each one's table of names (``_LAZY``), and stores a name it resolves.
+of two distinct descriptors.  The generators (``generators``:
+``GeneratorFunction``, the registry and the Bajraktarevic pairs, which
+build the quasi-arithmetic and Bajraktarevic means), the power-sum engine
+(``symfun``), the verification harness (``verify``) and the probe
+(``myhill``) load on first use of one of their names.
+``core._lazy_names`` gives this package, ``core``, ``families`` and
+``cli`` the module ``__getattr__`` that does so, from each one's table of
+names (``_LAZY``), and stores a name it resolves.
 """
 
 from .core import (
@@ -44,7 +45,6 @@ from .core import (
 from .families import (
     _GENERATOR_NAMES,
     BiplanarParams,
-    GeneratorFunction,
     biplanar,
     cube_over_square,
     descriptor_from_params,

@@ -129,10 +129,10 @@ def _parse_lines(lines: list, lineno: int) -> tuple:
     return values, False
 
 
-def _parse_rows(rows: list, lineno: int, idx: int) -> tuple:
-    """(values, ended) of CSV rows, the first of them line lineno + 1."""
+def _parse_rows(rows: list, idx: int) -> tuple:
+    """(values, ended) of CSV rows, each a (first line, cells) pair."""
     values = []
-    for lineno, row in enumerate(rows, start=lineno + 1):
+    for lineno, row in rows:
         if row and row[0].strip() == "#":
             return values, True
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -142,6 +142,14 @@ def _parse_rows(rows: list, lineno: int, idx: int) -> tuple:
         except (ValueError, IndexError):
             raise CliError(f"line {lineno}: cannot parse {row!r}")
     return values, False
+
+
+def _numbered(reader, start: int):
+    """(first line, row) of each row of a csv.reader (see _row_blocks)."""
+    line = start + reader.line_num + 1
+    for row in reader:
+        yield line, row
+        line = start + reader.line_num + 1
 
 
 def _line_values(lines: list, lineno: int) -> tuple:
@@ -234,8 +242,8 @@ def _row_blocks(first: str, fh, column: str):
     may run on into the next block, or a blank, ragged or bad row) goes
     with the rest of the input to one csv.reader, whose rows _parse_rows
     reads, as does all that follows a header whose quoted cells hold a
-    line end.  A csv.Error's line is the reader's line_num after the start
-    lines that the reader did not read."""
+    line end.  A row's line is one past the reader's line_num before it,
+    a csv.Error's is the line_num, after the start lines it did not read."""
     import csv
 
     if not first:
@@ -251,6 +259,7 @@ def _row_blocks(first: str, fh, column: str):
             except ValueError:
                 raise CliError(f"column {column!r} not found")
             lineno = 0
+        head = [] if lineno else [(1, header)]  # the header is a row
         if reader.line_num == 1:  # no line end in a quoted header cell
             left = yield from _blocks(
                 _chunks(fh if lineno else chain([first], fh)),
@@ -258,13 +267,10 @@ def _row_blocks(first: str, fh, column: str):
                         limit=csv.field_size_limit()), lineno)
             if left is None:
                 return
-            rest, lineno = left
-            rows = reader = csv.reader(chain(rest, fh))
-            start = lineno
-        else:
-            rows = reader if lineno else chain([header], reader)
-        yield from _blocks(_chunks(rows), partial(_parse_rows, idx=idx),
-                           lineno)
+            (rest, start), head = left, []
+            reader = csv.reader(chain(rest, fh))
+        yield from _blocks(_chunks(chain(head, _numbered(reader, start))),
+                           lambda chunk, _: _parse_rows(chunk, idx), 0)
     except csv.Error as e:  # only the reader raises it
         raise CliError(f"line {start + reader.line_num}: {e}") from None
 

@@ -9,27 +9,24 @@ expression (hamy, sympoly, biplanar).  The median keeps the sorted multiset.
 Parameters are validated at build time; branch selection (p = 0, p = q)
 uses exact parameter comparison, never runtime tolerance.
 
-The quasi-arithmetic and Bajraktarevic families, with the generator
-registry and the pair builders they need, live in ``generators``, which
-loads on first use: a lookup of one of its names here (such as
-``families.quasi_arithmetic``) or through ``meanstream``, or a
-``descriptor_from_params`` of one of those two families.  What stays here
-of the generators is ``GeneratorFunction`` and the power generator, whose
-inverse ``power_mean`` finalizes with.
+The quasi-arithmetic and Bajraktarevic families, with everything of
+their generators (``GeneratorFunction``, the registry and the pair
+builders), live in ``generators``, which loads on first use: a lookup of
+one of its names here (such as ``families.quasi_arithmetic``) or through
+``meanstream``, or a ``descriptor_from_params`` of one of those two
+families.
 """
 
 import bisect
 import math
 import sys
 from functools import partial
-from typing import Callable
 
 from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
                    _lazy_names, table_mean)
 from .errors import (
     DegenerateExponents,
     FinalizeOutsideBranches,
-    GeneratorInvalid,
     InvalidDescriptor,
     NumericalFailure,
 )
@@ -37,47 +34,10 @@ from .errors import (
 MAX_MULTI_EXPONENTS = 12  # the largest degree of hamy, sympoly and biplanar
 # the public names of ``generators``, which resolve here (and through
 # ``meanstream``) on first lookup
-_GENERATOR_NAMES = ("BajraktarevicPair", "bajraktarevic",
-                    "generator_by_name", "pair_from_functions",
-                    "pair_from_names", "pair_power", "quasi_arithmetic")
-
-
-# ---------------------------------------------------------------------------
-# generator functions (the f of quasi-arithmetic means); the registry and
-# the validation are in generators
-
-def _exact(v: float) -> str:
-    """v as %g if that reads back as v, else in full, so names are exact."""
-    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
-
-
-class GeneratorFunction(Record):
-    """A strictly monotone continuous bijection with explicit inverse."""
-
-    __slots__ = _fields = ("name", "forward", "inverse", "domain", "increasing")
-
-    def __init__(self, name: str, forward: Callable[[float], float],
-                 inverse: Callable[[float], float], domain: DomainInterval,
-                 increasing: bool):
-        super().__init__(name, forward, inverse, domain, increasing)
-
-    def validate(self) -> None:
-        from .generators import _check_invertible
-
-        _check_invertible(self.name, self.domain, self.forward, self.inverse,
-                          self.increasing, GeneratorInvalid)
-
-
-def _power(p: float) -> GeneratorFunction:
-    if p == 0:
-        raise GeneratorInvalid("power generator needs p != 0")
-    return GeneratorFunction(
-        f"power:{_exact(p)}",
-        lambda x: x ** p,
-        lambda y: y ** (1.0 / p),
-        DomainInterval.positive(),
-        p > 0,
-    )
+_GENERATOR_NAMES = ("BajraktarevicPair", "GeneratorFunction",
+                    "bajraktarevic", "generator_by_name",
+                    "pair_from_functions", "pair_from_names", "pair_power",
+                    "quasi_arithmetic")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +89,8 @@ def power_mean(p: float) -> MeanDescriptor:
     if p == 0.0:
         encoded, fin = "log(x)", _mean_of_one_sum(math.exp, False)
     else:
-        encoded, fin = "x ** p", _mean_of_one_sum(_power(p).inverse, True)
+        encoded = "x ** p"
+        fin = _mean_of_one_sum(lambda y: y ** (1.0 / p), True)
     return table_mean("power", {"p": p}, DomainInterval.positive(),
                       ComplexityType(1, True), (("sum", 1, encoded),), fin,
                       {"p": p, "log": math.log})
@@ -240,6 +201,8 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     ctype = ComplexityType(sum(a != 0 for a, _ in params._ratios()) + ln,
                            True)
     n_min = max(c, d)
+    if c * p == d * q:  # in floats, though not exactly: 3 * (1/3) == 1.0
+        raise DegenerateExponents(f"c*p == d*q == {c * p} in floats")
     exponent = 1.0 / (c * p - d * q)
 
     def fin(reals, n):

@@ -1,17 +1,17 @@
-"""The generator registry and the Bajraktarevic pairs, loaded on first use.
+"""The generators and the Bajraktarevic pairs, loaded on first use.
 
 The paper characterizes two families by their generating functions: a
 quasi-arithmetic mean (type T1+) by one strictly monotone f, and a
 Bajraktarevic mean (type T2) by a pair (f, g) with g positive.  This module
-holds that machinery: the registry of named generators, the check that a
-generator (or the ratio f/g) is invertible on its domain, the pair
-builders with their bisection inverse, and the two builders that need
-them, ``quasi_arithmetic`` and ``bajraktarevic``.  ``import meanstream``
-does not load it, so a process that evaluates only a power, gini, Hamy,
-symmetric-polynomial, biplanar or median mean never compiles it; it loads
-on the first lookup of one of its names through ``meanstream`` or
-``meanstream.families``, when ``descriptor_from_params`` builds one of its
-two families, or when a ``GeneratorFunction`` is validated.
+holds that machinery: ``GeneratorFunction``, the registry, which names
+every generator, in a pair too, the check that a generator (or f/g) is
+invertible on its domain, the pair builders with their bisection inverse,
+and the two builders that need them, ``quasi_arithmetic`` and
+``bajraktarevic``.  ``import meanstream`` does not load it, so a process
+that evaluates only a power, gini, Hamy, symmetric-polynomial, biplanar or
+median mean never compiles it; it loads on the first lookup of one of its
+names through ``meanstream`` or ``meanstream.families``, or when
+``descriptor_from_params`` builds one of its two families.
 """
 
 import math
@@ -20,8 +20,7 @@ from typing import Callable
 from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
                    table_mean)
 from .errors import GeneratorInvalid, PairInvalid
-from .families import (GeneratorFunction, _ctype_of_two_sums, _exact,
-                       _mean_of_one_sum, _power)
+from .families import _ctype_of_two_sums, _mean_of_one_sum
 
 GRID_POINTS = 64
 ROUNDTRIP_RTOL = 1e-10
@@ -60,6 +59,38 @@ def _check_invertible(label: str, domain: DomainInterval, h, inverse,
         back = call(inverse, y)
         if abs(back - x) > ROUNDTRIP_RTOL * max(1.0, abs(x)):
             raise error(f"{label}: inverse round-trip fails at {x} (got {back})")
+
+
+def _exact(v: float) -> str:
+    """v as %g if that reads back as v, else in full, so names are exact."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
+
+
+class GeneratorFunction(Record):
+    """A strictly monotone continuous bijection with explicit inverse."""
+
+    __slots__ = _fields = ("name", "forward", "inverse", "domain", "increasing")
+
+    def __init__(self, name: str, forward: Callable[[float], float],
+                 inverse: Callable[[float], float], domain: DomainInterval,
+                 increasing: bool):
+        super().__init__(name, forward, inverse, domain, increasing)
+
+    def validate(self) -> None:
+        _check_invertible(self.name, self.domain, self.forward, self.inverse,
+                          self.increasing, GeneratorInvalid)
+
+
+def _power(p: float) -> GeneratorFunction:
+    if p == 0:
+        raise GeneratorInvalid("power generator needs p != 0")
+    return GeneratorFunction(
+        f"power:{_exact(p)}",
+        lambda x: x ** p,
+        lambda y: y ** (1.0 / p),
+        DomainInterval.positive(),
+        p > 0,
+    )
 
 
 def _affine(a: float, b: float) -> GeneratorFunction:
@@ -213,22 +244,20 @@ def _one(x: float) -> float:
 
 def _pair_component(name: str):
     """A pair component by name (registry generators plus the constant
-    'one'): its function, its inverse (None for 'one'), its domain, and p
-    if it is x^p, else None."""
+    'one'): its registry name, its function, its inverse (None for 'one'),
+    its domain, and p if it is x^p, else None."""
     if name == "one":
-        return _one, None, DomainInterval.reals(), 0.0
+        return name, _one, None, DomainInterval.reals(), 0.0
     gen = generator_by_name(name)
     p = (float(name[6:]) if name.startswith("power:")
          else 1.0 if name == "identity" else None)
-    return gen.forward, gen.inverse, gen.domain, p
+    return gen.name, gen.forward, gen.inverse, gen.domain, p
 
 
 def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
-    f, f_inverse, f_dom, pf = _pair_component(f_name)
-    g, _, g_dom, pg = _pair_component(g_name)
-    lo = max(f_dom.lo, g_dom.lo)
-    hi = min(f_dom.hi, g_dom.hi)
-    domain = DomainInterval(lo, hi,
+    f_name, f, f_inverse, f_dom, pf = _pair_component(f_name)
+    g_name, g, _, g_dom, pg = _pair_component(g_name)
+    domain = DomainInterval(max(f_dom.lo, g_dom.lo), min(f_dom.hi, g_dom.hi),
                             f_dom.lo_closed and g_dom.lo_closed,
                             f_dom.hi_closed and g_dom.hi_closed)
     ratio_inverse = None

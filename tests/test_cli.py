@@ -65,13 +65,20 @@ BLOCK_CASES = [
      (0, '7.8499999999999996\n', '')),
     ("csv-quoted-newline-then-bad-row", "value", "file",
      "id,value\n" + _rows(3) + '"a\nb",2\n' + _rows(6, 5, "9,zz\n"),
-     (2, '', "error: line 10: cannot parse ['9', 'zz']\n")),
+     (2, '', "error: line 11: cannot parse ['9', 'zz']\n")),
     ("csv-quoted-header", "value", "file",
      '"id","value"\n' + _rows(9),
      (0, '7.5\n', '')),
     ("csv-header-with-quoted-newline", "value", "file",
      '"i\nd",value\n' + _rows(9, 7, "7,bad\n"),
-     (2, '', "error: line 8: cannot parse ['7', 'bad']\n")),
+     (2, '', "error: line 9: cannot parse ['7', 'bad']\n")),
+    # witnesses: both said line 3, where bad,3 is on line 4
+    ("csv-header-with-quoted-newline-short", "value", "file",
+     'value,"i\nd"\n1,2\nbad,3\n',
+     (2, '', "error: line 4: cannot parse ['bad', '3']\n")),
+    ("csv-quoted-newline-first-row", "value", "file",
+     'value,id\n"1\n",2\nbad,3\n',
+     (2, '', "error: line 4: cannot parse ['bad', '3']\n")),
     ("csv-quoted-first-row-index", "1", "stdin",
      '"a",1\n' + _rows(9),
      (0, '7.5\n', '')),
@@ -624,6 +631,21 @@ class TestMerge:
         a, b = ms.parse_state(s1.read_bytes()), ms.parse_state(out_path.read_bytes())
         assert a.reals == b.reals
 
+    def test_spellings_of_one_generator_merge(self, monkeypatch, capsys,
+                                              tmp_path):
+        # witness: the states of --f power:2.0 and --f power:2 were named
+        # apart, and their merge exited 5
+        paths = []
+        for f, value in (("power:2.0", "3\n"), ("power:2", "4\n")):
+            paths.append(str(tmp_path / f"{f}.state"))
+            assert run_cli(["eval", "--family", "bajraktarevic", "--f", f,
+                            "--g", "power:1", "--state-out", paths[-1]],
+                           value, monkeypatch, capsys)[0] == 0
+        merged = ms.absorb_many(ms.init(ms.bajraktarevic(ms.pair_power(2, 1))),
+                                [3.0, 4.0])
+        assert run_cli(["merge", *paths], "", monkeypatch, capsys) == (
+            0, ms.serialize_state(merged).decode() + "\n", "")
+
     def test_mismatch_exit_code(self, monkeypatch, capsys, tmp_path):
         s1 = self._state_file(tmp_path, "a.state", [3], monkeypatch, capsys)
         p2 = tmp_path / "p.state"
@@ -819,6 +841,16 @@ class TestClassify:
         assert main(["classify", "--family", "power", "--p", "inf"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("command", ["classify", "eval"])
+    def test_biplanar_exponents_degenerate_in_floats(self, monkeypatch,
+                                                     capsys, command):
+        # witness: c*p == d*q in floats, though not exactly, and both
+        # printed a ZeroDivisionError traceback and exited 1
+        argv = [command, "--family", "biplanar", "--p", "1",
+                "--q", "0.3333333333333333", "--c", "1", "--d", "3"]
+        assert run_cli(argv, "1\n2\n", monkeypatch, capsys) == (
+            2, "", "error: c*p == d*q == 1.0 in floats\n")
 
     def test_quasiarithmetic(self, capsys):
         assert main(["classify", "--family", "quasiarithmetic",

@@ -730,6 +730,15 @@ class TestFinalize:
             with pytest.raises(EmptyStateError):
                 ms.finalize(ms.init(d))
 
+    @pytest.mark.parametrize("d", [ms.power_mean(1.0), ms.median_mean()],
+                             ids=["power", "median"])
+    @pytest.mark.parametrize("empty", [list, iter], ids=["list", "iterator"])
+    def test_an_empty_stream_is_an_empty_state(self, d, empty):
+        # no run reaches merge_tree, which gives None, so the empty state
+        # is finalized
+        with pytest.raises(EmptyStateError):
+            ms.evaluate_stream(d, empty([]))
+
     def test_complex_value_is_numerical_failure(self):
         # witness: Newton's identities from power sums cancelled to a
         # negative sigma, whose 8th root is complex, and finalize leaked a
@@ -1419,6 +1428,17 @@ class TestDescriptorCache:
                     state = state.absorb(x)
             again = ms.parse_state(ms.serialize_state(state))
             assert again.finalize() == state.finalize()
+
+    def test_a_blob_with_another_spelling_of_a_generator_parses(self):
+        # a version 2 blob written before pairs took the registry's names
+        d = ms.bajraktarevic(ms.pair_power(2, 1))
+        blob = ms.serialize_state(ms.init(d).absorb(3.0))
+        old = blob.replace(b'"f": "power:2"', b'"f": "power:2.0"')
+        assert old != blob
+        parsed = ms.parse_state(old)
+        assert parsed.family_id == d.family_id
+        assert ms.serialize_state(parsed) == blob
+        assert ms.merge(parsed, ms.init(d).absorb(4.0)).finalize() == 25 / 7
 
     def test_pairs_of_near_exponents_do_not_merge(self):
         # witness: both were named ("power:2", "power:1") and merged to

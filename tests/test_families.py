@@ -144,6 +144,21 @@ class TestBajraktarevic:
         for xs in seeded_vectors(200, n_max=10, seed=11):
             assert ms.evaluate_stream(pair, xs) == ms.evaluate_stream(qa, xs)
 
+    @pytest.mark.parametrize("f, g, same", [
+        ("power:2.0", "power:1", lambda: ms.pair_power(2, 1)),
+        ("power:2", "power:1.0", lambda: ms.pair_power(2, 1)),
+        ("affine:2.0,3", "one", lambda: ms.pair_from_names("affine:2,3", "one")),
+    ], ids=["power:2.0", "power:1.0", "affine:2.0,3"])
+    def test_a_pair_carries_the_registry_names(self, f, g, same):
+        # witness: pair_from_names kept the spelling it was given, so
+        # ("power:2.0", "power:1") and pair_power(2, 1) did not merge
+        d = ms.bajraktarevic(ms.pair_from_names(f, g))
+        twin = ms.bajraktarevic(same())
+        assert d.name == twin.name and d.family_id == twin.family_id
+        a, b = ms.init(d).absorb(3.0), ms.init(twin).absorb(4.0)
+        assert ms.merge(a, b).finalize() == ms.merge(b, a).finalize() == (
+            ms.evaluate_stream(twin, [3.0, 4.0]))
+
     def test_two_constant_components_are_no_pair(self):
         with pytest.raises(PairInvalid):
             ms.pair_from_names("one", "one")
@@ -334,6 +349,25 @@ class TestBiplanar:
     def test_degenerate_exponents(self):
         with pytest.raises(DegenerateExponents):
             ms.biplanar(2, 3, 3, 2)
+
+    def test_exponents_degenerate_in_floats(self):
+        # witness: c*p != d*q exactly, but 3 * (1/3) == 1.0 in binary64, so
+        # 1.0 / (c*p - d*q) raised a bare ZeroDivisionError
+        ms.BiplanarParams(1.0, 1 / 3, 1, 3)
+        with pytest.raises(DegenerateExponents, match="in floats"):
+            ms.biplanar(1.0, 1 / 3, 1, 3)
+
+    def test_every_build_is_a_mean_or_a_library_error(self):
+        # witness: 8 of these builds raised a bare ZeroDivisionError
+        grid = (0.1, 0.3, 0.30000000000000004, 1 / 3, 2 / 3, 1.0, 2.0)
+        refused = []
+        for p, q, c, d in product(grid, grid, range(1, 4), range(1, 4)):
+            try:
+                ms.biplanar(p, q, c, d)
+            except ms.MeanStreamError:
+                refused.append((p, q, c, d))
+        assert refused == [(p, q, c, d) for p, q, c, d in product(
+            grid, grid, range(1, 4), range(1, 4)) if c * p == d * q]
 
     def test_rejects_c_or_d_above_the_recursion_limit(self):
         ms.biplanar(2, 3, MAX_MULTI_EXPONENTS, 1)
@@ -714,6 +748,14 @@ class TestCounterexampleMeans:
         assert ms.evaluate_stream(d, [3, 3, 4, 4]) == pytest.approx(25 / 7, rel=1e-15)
         for x in (3.0, 3.25, 4.0):
             assert ms.evaluate_stream(d, [x]) == x
+
+    @pytest.mark.parametrize("xs", [[3.25], [3.0, 4.0], [3.0, 3.5, 4.0],
+                                    [3.0, 3.0, 4.0, 4.0]],
+                             ids=["n1", "n2", "n3", "n4"])
+    def test_piecewise_oracle_takes_each_branch(self, xs):
+        d = ms.piecewise_counterexample()
+        assert ms.oracle_direct(d, xs) == pytest.approx(
+            ms.evaluate_stream(d, xs), rel=1e-15)
 
     def test_cube_over_square(self):
         d = ms.cube_over_square()
