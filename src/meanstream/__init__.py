@@ -87,11 +87,9 @@ __all__ = [
     "AccumulatorState", "ComplexityType", "DomainInterval", "MeanDescriptor",
     "absorb", "absorb_many", "evaluate_stream", "finalize", "init", "merge",
     "parse_state", "serialize_state",
-    "BajraktarevicPair", "BiplanarParams", "GeneratorFunction",
-    "bajraktarevic", "biplanar", "cube_over_square", "descriptor_from_params",
-    "generator_by_name", "gini", "hamy", "median_mean",
-    "pair_from_functions", "pair_from_names", "pair_power",
-    "piecewise_counterexample", "power_mean", "quasi_arithmetic", "sympoly",
+    "BiplanarParams", "biplanar", "cube_over_square", "descriptor_from_params",
+    "gini", "hamy", "median_mean", "piecewise_counterexample", "power_mean",
+    "sympoly", *_GENERATOR_NAMES,
     *_LAZY["symfun"], *_LAZY["verify"], *_LAZY["myhill"],
     "errors", "DomainError", "EmptyStateError", "FamilyMismatch",
     "MeanStreamError", "NumericalFailure", "ParseError",

@@ -387,7 +387,10 @@ def _kernels(d: MeanDescriptor) -> tuple:
     block i) and y<i> (block i's encoded x).  Absorb pushes y by
     e_j += y e_{j-1}; the fold does the same for each x, from j = m down to
     1, so it has absorb's bits; the combine multiplies two states'
-    polynomials prod(1 + y t), truncated at t^m, left to right.  The sizes
+    polynomials prod(1 + y t), truncated at t^m, as e_j = (a_j + b_j)
+    + sum over h < j/2 of (a_h b_{j-h} + a_{j-h} b_h) [+ a_{j/2} b_{j/2}],
+    left to right: each term commutes in a and b, so merge(a, b) and
+    merge(b, a) have the same bits.  The sizes
     are ints, and values reach the code through its globals, never through
     its text.
     """
@@ -429,7 +432,11 @@ def _kernels(d: MeanDescriptor) -> tuple:
             block.append("a%d_%d += %s" % (i, j, push))
             merged.append(" + ".join(
                 ["a%d_%d + b%d_%d" % (i, j, i, j)]
-                + ["a%d_%d * b%d_%d" % (i, h, i, j - h) for h in range(1, j)]))
+                + ["(a%d_%d * b%d_%d + a%d_%d * b%d_%d)"
+                   % (i, h, i, j - h, i, j - h, i, h)
+                   for h in range(1, (j + 1) // 2)]
+                + (["a%d_%d * b%d_%d" % (i, j // 2, i, j // 2)]
+                   if j % 2 == 0 else [])))
         folded += reversed(block)
     a, b = (", ".join(side + suffix for suffix in suffixes) for side in "ab")
     env.update(d.block_env)

@@ -6,8 +6,10 @@ triples, the encoded columns of f, plus a finalizer F: ``core.table_mean``
 compiles its checked step, leaf fold and combine on first use.  A "sum"
 block is a plain sum; an "esym" block of size m holds e_1..e_m of its
 expression (hamy, sympoly, biplanar).  The median keeps the sorted multiset.
-Parameters are validated at build time; branch selection (p = 0, p = q)
-uses exact parameter comparison, never runtime tolerance.
+Each builder is its family's one parameter check, raising an
+InvalidDescriptor subclass; ``descriptor_from_params`` calls it by family
+name, with the params as keywords.  Branch selection (p = 0, p = q) uses
+exact parameter comparison, never runtime tolerance.
 
 The quasi-arithmetic and Bajraktarevic families, with everything of
 their generators (``GeneratorFunction``, the registry and the pair
@@ -20,7 +22,6 @@ families.
 import bisect
 import math
 import sys
-from functools import partial
 
 from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
                    _lazy_names, table_mean)
@@ -45,8 +46,12 @@ _GENERATOR_NAMES = ("BajraktarevicPair", "GeneratorFunction",
 # generators)
 
 def _exponent(family: str, name: str, value) -> float:
-    """value as a finite float; an infinite or NaN exponent has no mean."""
+    """value as a finite float; an infinite or NaN exponent has no mean.  A
+    bool is no number here, and a str or bytes is text, which ``float``
+    would parse."""
     try:
+        if isinstance(value, (bool, str, bytes, bytearray)):
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidDescriptor(
@@ -148,15 +153,17 @@ def sympoly(r: int) -> MeanDescriptor:
 
 
 class BiplanarParams(Record):
-    """biplanar's exponents p and q and degrees c and d, where c*p != d*q
-    exactly.  The check and the count ``k`` of the exponent set run on the
-    exponents' exact integer ratios (``as_integer_ratio``): with p = a/b and
-    q = e/f, c*p != d*q is c*a*f != d*e*b.  So building one loads neither
-    fractions nor decimal; ``exponent_set`` imports Fraction when called."""
+    """biplanar's exponents p and q (finite numbers, kept as floats) and
+    degrees c and d, where c*p != d*q exactly.  The check and the count
+    ``k`` of the exponent set run on the exponents' exact integer ratios
+    (``as_integer_ratio``): with p = a/b and q = e/f, c*p != d*q is
+    c*a*f != d*e*b.  So building one loads neither fractions nor decimal;
+    ``exponent_set`` imports Fraction when called."""
 
     __slots__ = _fields = ("p", "q", "c", "d")
 
     def __init__(self, p: float, q: float, c: int, d: int):
+        p, q = _exponent("biplanar", "p", p), _exponent("biplanar", "q", q)
         _degree("biplanar", "c", c)
         _degree("biplanar", "d", d)
         (a, b), (e, f) = p.as_integer_ratio(), q.as_integer_ratio()
@@ -194,9 +201,8 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
     p = 0, the sum of ln x for the fallback's geometric mean.  The type is
     the paper's: one real per nonzero exponent j*p, j*q, and the log sum.
     """
-    params = BiplanarParams(_exponent("biplanar", "p", p),
-                            _exponent("biplanar", "q", q), c, d)
-    p, q, c, d = params.p, params.q, params.c, params.d
+    params = BiplanarParams(p, q, c, d)
+    p, q = params.p, params.q
     ln = p == 0  # the fallback is then the geometric mean
     ctype = ComplexityType(sum(a != 0 for a, _ in params._ratios()) + ln,
                            True)
@@ -296,63 +302,50 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
 
 
 # ---------------------------------------------------------------------------
+# the families by name: each builder is its family's one parameter check
 
-_PARAM_KINDS = {str: ((str,), "a string"), float: ((int, float), "a number"),
-                int: ((int,), "an integer")}
+def _quasiarithmetic(f: str) -> MeanDescriptor:
+    from .generators import quasi_arithmetic
+
+    return quasi_arithmetic(f)
 
 
-def _param(family: str, params: dict, key: str, kind: type):
-    """params[key], checked to be a kind: str, float (any number) or int."""
-    value = params[key]
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)  # 4.0 names the integer 4
-    types, what = _PARAM_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise InvalidDescriptor(f"{family}: {key} must be {what}, got {value!r}")
-    return value
+def _bajraktarevic(f: str, g: str) -> MeanDescriptor:
+    from .generators import bajraktarevic, pair_from_names
+
+    return bajraktarevic(pair_from_names(f, g))
+
+
+_BUILDERS = {"power": power_mean, "quasiarithmetic": _quasiarithmetic,
+             "gini": gini, "bajraktarevic": _bajraktarevic, "hamy": hamy,
+             "sympoly": sympoly, "biplanar": biplanar, "median": median_mean,
+             "piecewise_h": piecewise_counterexample,
+             "cube_over_square": cube_over_square}
 
 
 def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
-    """Rebuild a descriptor from the CLI/state-file parameter schema; a key
-    that the built descriptor's params lack is not the family's."""
+    """Rebuild a descriptor from the CLI/state-file parameter schema: the
+    family's builder called with params as keywords.  The builder's
+    signature names the parameters, and a default makes one optional."""
     if not isinstance(params, dict):
         raise InvalidDescriptor(f"{family}: params must be an object")
-    get = partial(_param, family, params)
-    try:
-        if family == "power":
-            d = power_mean(get("p", float))
-        elif family == "quasiarithmetic":
-            from .generators import quasi_arithmetic
-
-            d = quasi_arithmetic(get("f", str))
-        elif family == "gini":
-            d = gini(get("p", float), get("q", float))
-        elif family == "bajraktarevic":
-            from .generators import bajraktarevic, pair_from_names
-
-            d = bajraktarevic(pair_from_names(get("f", str), get("g", str)))
-        elif family == "hamy":
-            d = hamy(get("r", int))
-        elif family == "sympoly":
-            d = sympoly(get("r", int))
-        elif family == "biplanar":
-            d = biplanar(get("p", float), get("q", float),
-                         get("c", int), get("d", int))
-        elif family == "median":
-            d = median_mean(params.get("kind", "lower"))
-        elif family == "piecewise_h":
-            d = piecewise_counterexample()
-        elif family == "cube_over_square":
-            d = cube_over_square()
-        else:
-            raise InvalidDescriptor(f"unknown family {family!r}")
-    except KeyError as e:
-        raise InvalidDescriptor(f"{family}: missing parameter {e}") from None
-    unused = [key for key in params if key not in d.params]
+    builder = _BUILDERS.get(family) if isinstance(family, str) else None
+    if builder is None:
+        raise InvalidDescriptor(f"unknown family {family!r}")
+    code = builder.__code__
+    names = code.co_varnames[:code.co_argcount]
+    unused = [key for key in params if key not in names]
     if unused:
         raise InvalidDescriptor(f"{family} takes no parameter "
                                 + ", ".join(map(repr, unused)))
-    return d
+    for key in names[:len(names) - len(builder.__defaults__ or ())]:
+        if key not in params:
+            raise InvalidDescriptor(f"{family}: missing parameter {key!r}")
+    # JSON has one number type: an integral nonzero float is the int it
+    # names ("r": 4.0 is hamy(4)), and -0.0 keeps its sign
+    return builder(**{key: int(value) if type(value) is float and value
+                      and value.is_integer() else value
+                      for key, value in params.items()})
 
 
 # sigma_from_power loads symfun on its first lookup here (bench/job.py

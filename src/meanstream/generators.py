@@ -7,8 +7,12 @@ holds that machinery: ``GeneratorFunction``, the registry, which names
 every generator, in a pair too, the check that a generator (or f/g) is
 invertible on its domain, the pair builders with their bisection inverse,
 and the two builders that need them, ``quasi_arithmetic`` and
-``bajraktarevic``.  ``import meanstream`` does not load it, so a process
-that evaluates only a power, gini, Hamy, symmetric-polynomial, biplanar or
+``bajraktarevic``.  Each of them refuses an argument of the wrong type
+with an InvalidDescriptor subclass, never a bare exception.  A pair names
+each component as the registry does, with one spelling for x: "power:1"
+where the pair's domain is positive, "identity" on the whole line.
+``import meanstream`` does not load this module, so a process that
+evaluates only a power, gini, Hamy, symmetric-polynomial, biplanar or
 median mean never compiles it; it loads on the first lookup of one of its
 names through ``meanstream`` or ``meanstream.families``, or when
 ``descriptor_from_params`` builds one of its two families.
@@ -20,7 +24,7 @@ from typing import Callable
 from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
                    table_mean)
 from .errors import GeneratorInvalid, PairInvalid
-from .families import _ctype_of_two_sums, _mean_of_one_sum
+from .families import _ctype_of_two_sums, _exponent, _mean_of_one_sum
 
 GRID_POINTS = 64
 ROUNDTRIP_RTOL = 1e-10
@@ -105,11 +109,18 @@ def _affine(a: float, b: float) -> GeneratorFunction:
     )
 
 
+def _x(x: float) -> float:
+    """x: the identity generator both ways, and "power:1" in a pair."""
+    return x
+
+
 def generator_by_name(name: str) -> GeneratorFunction:
     """Registry lookup: identity, ln, exp, power:<p>, affine:<a>,<b>."""
+    if not isinstance(name, str):
+        raise GeneratorInvalid(f"a generator name is a string, got {name!r}")
     if name == "identity":
-        return GeneratorFunction("identity", lambda x: x, lambda y: y,
-                                 DomainInterval.reals(), True)
+        return GeneratorFunction("identity", _x, _x, DomainInterval.reals(),
+                                 True)
     if name == "ln":
         return GeneratorFunction("ln", math.log, math.exp,
                                  DomainInterval.positive(), True)
@@ -231,6 +242,8 @@ def pair_from_functions(f, g, domain: DomainInterval,
 
 def pair_power(pf: float, pg: float) -> BajraktarevicPair:
     """``pair_from_names`` of "power:<p>" ("one" for p = 0): (x^pf, x^pg)."""
+    pf = _exponent("pair_power", "pf", pf)
+    pg = _exponent("pair_power", "pg", pg)
     if pf == pg:
         raise PairInvalid("pair_power needs pf != pg")
     return pair_from_names(*(f"power:{_exact(p)}" if p else "one"
@@ -249,17 +262,24 @@ def _pair_component(name: str):
     if name == "one":
         return name, _one, None, DomainInterval.reals(), 0.0
     gen = generator_by_name(name)
-    p = (float(name[6:]) if name.startswith("power:")
-         else 1.0 if name == "identity" else None)
+    if gen.name in ("identity", "power:1"):
+        return gen.name, _x, _x, gen.domain, 1.0
+    p = float(gen.name[6:]) if gen.name.startswith("power:") else None
     return gen.name, gen.forward, gen.inverse, gen.domain, p
 
 
 def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
+    """The pair of two registry names or "one".  A component x has one
+    spelling per domain: "power:1" where the pair's domain is positive (as
+    a power or ln component makes it), "identity" on the whole line."""
     f_name, f, f_inverse, f_dom, pf = _pair_component(f_name)
     g_name, g, _, g_dom, pg = _pair_component(g_name)
     domain = DomainInterval(max(f_dom.lo, g_dom.lo), min(f_dom.hi, g_dom.hi),
                             f_dom.lo_closed and g_dom.lo_closed,
                             f_dom.hi_closed and g_dom.hi_closed)
+    if domain.lo >= 0:
+        f_name, g_name = (("power:1" if name == "identity" else name)
+                          for name in (f_name, g_name))
     ratio_inverse = None
     if g is _one:
         # f/1 is f: the pair's mean is f's quasi-arithmetic mean
@@ -275,7 +295,7 @@ def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
 
 def quasi_arithmetic(f) -> MeanDescriptor:
     """f may be a GeneratorFunction or a registry name."""
-    if isinstance(f, str):
+    if not isinstance(f, GeneratorFunction):
         f = generator_by_name(f)
     f.validate()
     return table_mean(
@@ -286,6 +306,8 @@ def quasi_arithmetic(f) -> MeanDescriptor:
 
 
 def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
+    if not isinstance(pair, BajraktarevicPair):
+        raise PairInvalid(f"a Bajraktarevic mean needs a pair, got {pair!r}")
     pair.validate()
     if pair.g is _one:  # the second sum is the count: f's quasi-arithmetic mean
         fin = _mean_of_one_sum(pair.ratio_inverse,

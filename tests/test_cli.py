@@ -646,6 +646,37 @@ class TestMerge:
         assert run_cli(["merge", *paths], "", monkeypatch, capsys) == (
             0, ms.serialize_state(merged).decode() + "\n", "")
 
+    def test_merge_order_gives_the_same_bytes(self, monkeypatch, capsys,
+                                              tmp_path):
+        # witness: merge a b and merge b a of these hamy(4) states wrote
+        # other bytes, as the combine's products summed in operand order
+        rng = random.Random(1)
+        xs = [rng.uniform(0.5, 100) for _ in range(30)]
+        paths = []
+        for name, values in (("a", xs[:13]), ("b", xs[13:])):
+            paths.append(str(tmp_path / f"{name}.state"))
+            assert run_cli(["eval", "--family", "hamy", "--r", "4",
+                            "--state-out", paths[-1]],
+                           "".join(f"{v!r}\n" for v in values),
+                           monkeypatch, capsys)[0] == 0
+        ab = run_cli(["merge", *paths], "", monkeypatch, capsys)
+        ba = run_cli(["merge", *paths[::-1]], "", monkeypatch, capsys)
+        assert ab == ba and ab[0] == 0
+
+    def test_identity_and_power_1_states_merge(self, monkeypatch, capsys,
+                                               tmp_path):
+        # witness: --g identity and --g power:1 named one mean apart, and
+        # their merge exited 5
+        paths = []
+        for g, value in (("identity", "3\n"), ("power:1", "4\n")):
+            paths.append(str(tmp_path / f"{g}.state"))
+            assert run_cli(["eval", "--family", "bajraktarevic", "--f",
+                            "power:2", "--g", g, "--state-out", paths[-1]],
+                           value, monkeypatch, capsys)[0] == 0
+        code, out, _ = run_cli(["merge", *paths], "", monkeypatch, capsys)
+        assert code == 0
+        assert ms.parse_state(out.encode()).finalize() == 3.5714285714285716
+
     def test_mismatch_exit_code(self, monkeypatch, capsys, tmp_path):
         s1 = self._state_file(tmp_path, "a.state", [3], monkeypatch, capsys)
         p2 = tmp_path / "p.state"

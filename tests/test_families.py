@@ -159,6 +159,31 @@ class TestBajraktarevic:
         assert ms.merge(a, b).finalize() == ms.merge(b, a).finalize() == (
             ms.evaluate_stream(twin, [3.0, 4.0]))
 
+    def test_x_has_one_spelling_per_domain(self):
+        # witness: ("power:2", "identity") and ("power:2", "power:1") built
+        # one mean, 3.5714285714285716 on [3, 4] with reals (25.0, 7.0), yet
+        # their states raised FamilyMismatch on merge
+        d = ms.bajraktarevic(ms.pair_from_names("power:2", "identity"))
+        twin = ms.bajraktarevic(ms.pair_from_names("power:2", "power:1"))
+        assert d.name == twin.name == "bajraktarevic(f=power:2,g=power:1)"
+        a, b = ms.init(d).absorb(3.0), ms.init(twin).absorb(4.0)
+        for merged in (ms.merge(a, b), ms.merge(b, a)):
+            assert merged.reals == (25.0, 7.0)
+            assert merged.finalize() == 3.5714285714285716
+        # on the whole line x keeps the name identity
+        line = ms.bajraktarevic(ms.pair_from_names("identity", "one"))
+        assert line.params == {"f": "identity", "g": "one"}
+        assert ms.evaluate_stream(line, [-3.0, 4.0]) == 0.5
+        positive = ms.bajraktarevic(ms.pair_from_names("power:1", "one"))
+        assert positive.params == {"f": "power:1", "g": "one"}
+
+    def test_a_blob_that_spells_x_identity_parses(self):
+        d = ms.bajraktarevic(ms.pair_power(2, 1))
+        blob = ms.serialize_state(ms.init(d).absorb(3.0))
+        old = blob.replace(b'"g": "power:1"', b'"g": "identity"')
+        assert old != blob
+        assert ms.serialize_state(ms.parse_state(old)) == blob
+
     def test_two_constant_components_are_no_pair(self):
         with pytest.raises(PairInvalid):
             ms.pair_from_names("one", "one")
@@ -584,16 +609,19 @@ def _reference_step(layout, reals, x):
 
 def _reference_combine(layout, a, b):
     """The e-state combine as loops: per block, the truncated product
-    a_j + b_j + a_1 b_{j-1} + ... + a_{j-1} b_1, left to right; then the
-    sums added."""
+    e_j = (a_j + b_j) + (a_1 b_{j-1} + a_{j-1} b_1) + ... [+ a_{j/2} b_{j/2}],
+    left to right, whose terms each commute in a and b; then the sums
+    added."""
     blocks, _ = layout
     out, i = [], 0
     for m, _ in blocks:
-        ea, eb = a[i:i + m], b[i:i + m]
-        for j in range(m):
+        ea, eb = (1.0, *a[i:i + m]), (1.0, *b[i:i + m])  # e_0 = 1
+        for j in range(1, m + 1):
             v = ea[j] + eb[j]
-            for h in range(j):
-                v = v + ea[h] * eb[j - 1 - h]
+            for h in range(1, (j + 1) // 2):
+                v = v + (ea[h] * eb[j - h] + ea[j - h] * eb[h])
+            if j % 2 == 0:
+                v = v + ea[j // 2] * eb[j // 2]
             out.append(v)
         i += m
     out += map(operator.add, a[i:], b[i:])
@@ -700,6 +728,31 @@ class TestEStateKernels:
             assert ms.serialize_state(merged) == ms.serialize_state(one.absorb(2.0))
 
 
+def _state(d, xs, many: bool):
+    """d's state of xs, by absorb_many or by one absorb per element."""
+    if many:
+        return ms.absorb_many(ms.init(d), xs)
+    s = ms.init(d)
+    for x in xs:
+        s = ms.absorb(s, x)
+    return s
+
+
+_MERGE_VALUES = st.lists(
+    st.floats(1e-3, 1e3) | st.sampled_from([1e-300, 1e200]), max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([d for d, _ in ESYM_LAYOUTS]), _MERGE_VALUES,
+       _MERGE_VALUES, st.booleans(), st.booleans())
+def test_esym_merge_commutes_bit_for_bit(d, xs, ys, many_a, many_b):
+    """merge(a, b) and merge(b, a) serialize to the same bytes, for every
+    e-state built-in (biplanar with c = 1 or d = 1, and with p = 0, too)."""
+    a, b = _state(d, xs, many_a), _state(d, ys, many_b)
+    assert (ms.serialize_state(ms.merge(a, b))
+            == ms.serialize_state(ms.merge(b, a)))
+
+
 class TestDescriptorFromParams:
     # witnesses: --family-json '{"family":"power","p":"abc"}' raised a bare
     # ValueError, '"p":[1]' a TypeError, and '"r": 4.7' built hamy(4)
@@ -725,6 +778,99 @@ class TestDescriptorFromParams:
         d = ms.descriptor_from_params("biplanar",
                                       {"p": 2, "q": 3, "c": 3.0, "d": 3.0})
         assert d.family_id == ms.biplanar(2, 3, 3, 3).family_id
+
+    def test_a_negative_zero_keeps_its_sign(self):
+        p = ms.descriptor_from_params("power", {"p": -0.0}).params["p"]
+        assert math.copysign(1.0, p) == -1.0
+
+    def test_the_builders_name_the_parameters(self):
+        with pytest.raises(InvalidDescriptor,
+                           match="^power: missing parameter 'p'$"):
+            ms.descriptor_from_params("power", {})
+        with pytest.raises(InvalidDescriptor,
+                           match="^power takes no parameter 'q'$"):
+            ms.descriptor_from_params("power", {"p": 1, "q": 2})
+        # the median's kind has a default in median_mean
+        median = ms.descriptor_from_params("median", {})
+        assert median.params == {"kind": "lower"}
+
+    @pytest.mark.parametrize("family", [5, None, [1], "nope"])
+    def test_an_unknown_family_is_invalid(self, family):
+        # witness: a family name that is not a string must not reach the
+        # table lookup as a TypeError
+        with pytest.raises(InvalidDescriptor, match="^unknown family "):
+            ms.descriptor_from_params(family, {})
+
+
+def _bajraktarevic_by_names(f, g):
+    return ms.bajraktarevic(ms.pair_from_names(f, g))
+
+
+# family -> (its public builder, taking the params as keywords, and params
+# it builds from)
+BUILDERS = {
+    "power": (ms.power_mean, {"p": 2.0}),
+    "quasiarithmetic": (ms.quasi_arithmetic, {"f": "ln"}),
+    "gini": (ms.gini, {"p": 2.0, "q": 1.0}),
+    "bajraktarevic": (_bajraktarevic_by_names, {"f": "power:2", "g": "one"}),
+    "hamy": (ms.hamy, {"r": 3}),
+    "sympoly": (ms.sympoly, {"r": 2}),
+    "biplanar": (ms.biplanar, {"p": 2.0, "q": 3.0, "c": 3, "d": 3}),
+    "median": (ms.median_mean, {"kind": "lower"}),
+    "piecewise_h": (ms.piecewise_counterexample, {}),
+    "cube_over_square": (ms.cube_over_square, {}),
+}
+BAD_VALUES = [None, True, "2", b"2", [1], {}, math.nan, math.inf, 10 ** 400]
+SWEEP = [(family, key, value) for family, (_, params) in BUILDERS.items()
+         for key in params for value in BAD_VALUES]
+
+
+class TestRefusalSweep:
+    """Every parameter of every family, set to a value of the wrong type or
+    range, raises an InvalidDescriptor subclass, through
+    ``descriptor_from_params`` and through the builder: never a bare
+    exception."""
+
+    def test_the_table_has_every_family(self):
+        from meanstream import families
+
+        assert set(BUILDERS) == set(families._BUILDERS)
+
+    @pytest.mark.parametrize("family", BUILDERS)
+    def test_the_good_params_build(self, family):
+        builder, params = BUILDERS[family]
+        assert (ms.descriptor_from_params(family, params).family_id
+                == builder(**params).family_id)
+
+    @pytest.mark.parametrize("family, key, value", SWEEP,
+                             ids=[f"{f}-{k}-{v!r:.12}" for f, k, v in SWEEP])
+    def test_a_bad_value_is_invalid(self, family, key, value):
+        builder, params = BUILDERS[family]
+        params = {**params, key: value}
+        with pytest.raises(InvalidDescriptor):
+            ms.descriptor_from_params(family, params)
+        with pytest.raises(InvalidDescriptor):
+            builder(**params)
+
+    # witnesses: each of these built, or raised AttributeError or
+    # ValueError, where the params path refused {"p": true} and {"q": "1"}
+    @pytest.mark.parametrize("call", [
+        lambda: ms.power_mean(True), lambda: ms.power_mean("2"),
+        lambda: ms.power_mean(b"2"), lambda: ms.gini(True, 2),
+        lambda: ms.biplanar("2", 3, 3, 3),
+        lambda: ms.pair_power(2, None), lambda: ms.pair_power(True, 0),
+        lambda: ms.pair_power("2", 1),
+        lambda: ms.quasi_arithmetic(5), lambda: ms.quasi_arithmetic(None),
+        lambda: ms.bajraktarevic(5), lambda: ms.generator_by_name(5),
+        lambda: ms.pair_from_names("identity", 1),
+        lambda: ms.BiplanarParams("2", 3.0, 3, 3),
+    ], ids=["power-True", "power-str", "power-bytes", "gini-True",
+            "biplanar-str", "pair_power-None", "pair_power-True",
+            "pair_power-str", "qa-5", "qa-None", "bajraktarevic-5",
+            "generator_by_name-5", "pair_from_names-1", "BiplanarParams-str"])
+    def test_a_builder_refuses_a_bad_argument(self, call):
+        with pytest.raises(InvalidDescriptor):
+            call()
 
 
 class TestLargeCount:
