@@ -77,7 +77,7 @@ def _family_params(args) -> tuple:
 
         try:
             spec = json.loads(args.family_json)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # digit limit, deep nesting
             raise CliError(f"bad --family-json: {e}")
         if not isinstance(spec, dict) or "family" not in spec:
             raise CliError('bad --family-json: expected an object with a '

@@ -327,7 +327,7 @@ def table_mean(family: str, params: dict, domain: DomainInterval,
     """A descriptor on a block table, its state layout: for each block
     (kind, m, expression), the state holds e_1..e_m of y = expression(x),
     with e_0 = 1 implicit, so zeros are the identity.  A "sum" block (m = 1)
-    is a plain sum; no version 1 state parses for a table with an "esym".
+    is a plain sum.
 
     Expressions are Python text in ``x``; the names they use besides
     (``log``, an exponent, a user's ``forward``) come from ``env``, never
@@ -705,8 +705,7 @@ def _lazy_names(namespace: dict, table: dict):
     return __getattr__
 
 
-# the state format's names, loaded from state_io on first use (bench/job.py
-# wraps core.parse_state and core.serialize_state)
-_LAZY = {"state_io": ("parse_state", "serialize_state", "STATE_FORMAT_VERSION",
-                      "DESCRIPTOR_CACHE_SIZE", "_descriptor", "_parse_json")}
+# the state format's functions, which bench/job.py wraps through core,
+# load state_io on first use; its other names are state_io's alone
+_LAZY = {"state_io": ("parse_state", "serialize_state")}
 __getattr__ = _lazy_names(globals(), _LAZY)

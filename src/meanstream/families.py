@@ -22,6 +22,7 @@ families.
 import bisect
 import math
 import sys
+from functools import partial
 
 from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
                    _lazy_names, table_mean)
@@ -45,6 +46,16 @@ _GENERATOR_NAMES = ("BajraktarevicPair", "GeneratorFunction",
 # five of the seven families (quasi_arithmetic and bajraktarevic are in
 # generators)
 
+def _shown(value) -> str:
+    """repr(value) for a refusal's message, without raising: an int past
+    the int-to-str digit limit, whose repr raises, shows its bit length."""
+    try:
+        return repr(value)
+    except Exception:
+        bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{bits}>"
+
+
 def _exponent(family: str, name: str, value) -> float:
     """value as a finite float; an infinite or NaN exponent has no mean.  A
     bool is no number here, and a str or bytes is text, which ``float``
@@ -55,7 +66,7 @@ def _exponent(family: str, name: str, value) -> float:
         value = float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidDescriptor(
-            f"{family}: {name} must be a number, got {value!r}") from None
+            f"{family}: {name} must be a number, got {_shown(value)}") from None
     if not math.isfinite(value):
         raise InvalidDescriptor(f"{family} needs a finite {name}, got {value}")
     return value
@@ -67,7 +78,7 @@ def _degree(family: str, name: str, value) -> int:
     if (isinstance(value, bool) or not isinstance(value, int)
             or not 1 <= value <= MAX_MULTI_EXPONENTS):
         raise InvalidDescriptor(f"{family} needs an integer {name} in "
-                                f"1..{MAX_MULTI_EXPONENTS}, got {value!r}")
+                                f"1..{MAX_MULTI_EXPONENTS}, got {_shown(value)}")
     return value
 
 
@@ -269,27 +280,42 @@ def cube_over_square() -> MeanDescriptor:
 
 
 def _insort(a: tuple, x: float) -> tuple:
-    """The median's step: an O(n) insert into the sorted tuple."""
+    """The median's step: an O(n) insert into the sorted tuple, after the
+    values equal to x, but -0.0 before 0.0."""
     values = list(a)
-    bisect.insort(values, x)
+    if x or math.copysign(1.0, x) > 0:
+        bisect.insort(values, x)
+    else:
+        bisect.insort_left(values, x)
+    return tuple(values)
+
+
+def _zeros_in_order(values: list) -> tuple:
+    """values, sorted, as a tuple with every -0.0 before every 0.0, so that
+    a median state's bytes do not depend on the order that built it: a
+    bisect finds the zero run, which a sort left in arrival order."""
+    lo = bisect.bisect_left(values, 0.0)
+    hi = bisect.bisect_right(values, 0.0, lo)
+    if hi - lo > 1:
+        values[lo:hi] = sorted(values[lo:hi], key=partial(math.copysign, 1.0))
     return tuple(values)
 
 
 def _sort_leaf(xs: list, a: tuple) -> tuple:
-    """The median's leaf fold: one sort.  It is stable, so equal values
-    (0.0 and -0.0) keep insort's order: a's first, then xs's in turn."""
-    return tuple(sorted([*a, *xs]))
+    """The median's leaf fold: one sort."""
+    return _zeros_in_order(sorted([*a, *xs]))
 
 
 def _sorted_merge(a: tuple, b: tuple) -> tuple:
     """The median's combine: multiset union of two sorted tuples."""
-    return tuple(sorted(a + b))
+    return _zeros_in_order(sorted(a + b))
 
 
 def median_mean(kind: str = "lower") -> MeanDescriptor:
     """Lower or upper median; the state is the full sorted multiset."""
     if kind not in ("lower", "upper"):
-        raise InvalidDescriptor(f"median kind must be lower/upper, got {kind!r}")
+        raise InvalidDescriptor(
+            f"median kind must be lower/upper, got {_shown(kind)}")
 
     def fin(reals, n):
         idx = (n - 1) // 2 if kind == "lower" else n // 2
@@ -327,17 +353,17 @@ def descriptor_from_params(family: str, params: dict) -> MeanDescriptor:
     """Rebuild a descriptor from the CLI/state-file parameter schema: the
     family's builder called with params as keywords.  The builder's
     signature names the parameters, and a default makes one optional."""
-    if not isinstance(params, dict):
-        raise InvalidDescriptor(f"{family}: params must be an object")
     builder = _BUILDERS.get(family) if isinstance(family, str) else None
     if builder is None:
-        raise InvalidDescriptor(f"unknown family {family!r}")
+        raise InvalidDescriptor(f"unknown family {_shown(family)}")
+    if not isinstance(params, dict):
+        raise InvalidDescriptor(f"{family}: params must be an object")
     code = builder.__code__
     names = code.co_varnames[:code.co_argcount]
     unused = [key for key in params if key not in names]
     if unused:
         raise InvalidDescriptor(f"{family} takes no parameter "
-                                + ", ".join(map(repr, unused)))
+                                + ", ".join(map(_shown, unused)))
     for key in names[:len(names) - len(builder.__defaults__ or ())]:
         if key not in params:
             raise InvalidDescriptor(f"{family}: missing parameter {key!r}")

@@ -24,7 +24,7 @@ from typing import Callable
 from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
                    table_mean)
 from .errors import GeneratorInvalid, PairInvalid
-from .families import _ctype_of_two_sums, _exponent, _mean_of_one_sum
+from .families import _ctype_of_two_sums, _exponent, _mean_of_one_sum, _shown
 
 GRID_POINTS = 64
 ROUNDTRIP_RTOL = 1e-10
@@ -117,7 +117,7 @@ def _x(x: float) -> float:
 def generator_by_name(name: str) -> GeneratorFunction:
     """Registry lookup: identity, ln, exp, power:<p>, affine:<a>,<b>."""
     if not isinstance(name, str):
-        raise GeneratorInvalid(f"a generator name is a string, got {name!r}")
+        raise GeneratorInvalid(f"a generator name is a string, got {_shown(name)}")
     if name == "identity":
         return GeneratorFunction("identity", _x, _x, DomainInterval.reals(),
                                  True)
@@ -307,7 +307,7 @@ def quasi_arithmetic(f) -> MeanDescriptor:
 
 def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
     if not isinstance(pair, BajraktarevicPair):
-        raise PairInvalid(f"a Bajraktarevic mean needs a pair, got {pair!r}")
+        raise PairInvalid(f"a Bajraktarevic mean needs a pair, got {_shown(pair)}")
     pair.validate()
     if pair.g is _one:  # the second sum is the count: f's quasi-arithmetic mean
         fin = _mean_of_one_sum(pair.ratio_inverse,

@@ -50,8 +50,8 @@ def _head(family, params) -> str:
             f'"params": {json.dumps(params)}, "k": ')
 
 
-# how every text _head writes starts: a version 1 blob, or one with its
-# keys in another order, fails this before its head reaches _descriptor
+# how every text _head writes starts: a blob of another version or key
+# order fails this before its head reaches _descriptor
 _HEAD_START = f'{{"version": {STATE_FORMAT_VERSION}, "family": '
 
 
@@ -68,7 +68,7 @@ def _descriptor(head: str) -> Optional[MeanDescriptor]:
         written = _head(family, params)
     except Exception:
         return None
-    if written != head:  # another version, key order, spacing or key
+    if written != head:  # another key order, spacing or key
         return None
     return families.descriptor_from_params(family, params)
 
@@ -142,14 +142,10 @@ def parse_state(data) -> AccumulatorState:
     of a JSON syntax error.
 
     serialize_state's own text is read directly, by splitting it at its
-    keys; any other JSON text (keys reordered or re-spaced, version 1, an
-    extra key) and anything malformed goes through ``json.loads``.  Both
-    give the same state or the same ParseError.
-
-    Version 1 blobs are read where the layout did not change (vector sums
-    and the median's multiset); a version 1 state of another combine held
-    power sums and raises ParseError.  Only a version 1 blob of a
-    counterless family may have a null counter.
+    keys; any other JSON text (keys reordered or re-spaced, an extra key)
+    and anything malformed goes through ``json.loads``.  Both give the same
+    state or the same ParseError, which any version but
+    STATE_FORMAT_VERSION raises.
 
     States parsed with the same head (serialize_state's text up to "k",
     which holds the family and params) share one descriptor (the last
@@ -232,7 +228,7 @@ def _parse_json(text) -> AccumulatorState:
         if key not in payload:
             raise ParseError(f"missing field {key!r}")
     version = payload["version"]
-    if type(version) is not int or version not in (1, STATE_FORMAT_VERSION):
+    if type(version) is not int or version != STATE_FORMAT_VERSION:
         raise ParseError(f"unsupported version {version!r}")
     try:
         # the exact JSON text, as -0.0 == 0.0 and 1 == True would hash alike
@@ -241,23 +237,13 @@ def _parse_json(text) -> AccumulatorState:
         raise ParseError(f"cannot rebuild descriptor: {e}") from e
     if descriptor is None:  # not expected: _head's own text reads back
         raise ParseError("cannot rebuild descriptor: params do not read back")
-    if version == 1 and any(kind == "esym"
-                            for kind, _, _ in descriptor.blocks or ()):
-        # version 1 held power sums where version 2 holds e_1..e_m; plain
-        # sums and the median's multiset are unchanged
-        raise ParseError(f"version 1 {descriptor.family} states hold power sums")
     if not isinstance(payload["reals"], list):
         raise ParseError("reals is not a list")
     try:
         reals = tuple(map(float.fromhex, payload["reals"]))
     except (ValueError, TypeError, OverflowError) as e:
         raise ParseError(f"bad hex float: {e}") from e
-    counter = payload["counter"]
-    if counter is None and version == 1 and not descriptor.has_counter:
-        # files written before every family stored its count: counterless
-        # families used the all-zero vector as the empty sentinel
-        counter = 0 if all(v == 0.0 for v in reals) else 1
-    return _checked_state(descriptor, payload["k"], reals, counter,
+    return _checked_state(descriptor, payload["k"], reals, payload["counter"],
                           payload["overflow"])
 
 

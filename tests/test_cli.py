@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import meanstream as ms
-from meanstream import cli, core, families, myhill
+from meanstream import cli, core, families, myhill, state_io
 from meanstream.cli import BLOCK_LINES, main
 from meanstream.errors import (BudgetExceeded, DomainError, EmptyStateError,
                                FamilyMismatch, InsufficientData,
@@ -465,6 +465,11 @@ class TestEval:
         '[1]', '"x"', '{"p":1}', '{"family":"hamy","r":4.7}',
         '{"family":"quasiarithmetic","f":5}', '{"family":"hamy","r":3,"p":2}',
         '{"family":"cube_over_square","kind":"lower"}',
+        # witnesses: exit 1 with a ValueError traceback from json's digit
+        # limit, and with a RecursionError traceback
+        pytest.param('{"family":"hamy","r":%s}' % ("9" * 5000),
+                     id="5000-digits"),
+        pytest.param("[" * 100_000, id="deep-nesting"),
     ])
     def test_malformed_family_json(self, spec, monkeypatch, capsys):
         # witnesses: the first four exited 1 with a traceback; r 4.7 built
@@ -473,6 +478,8 @@ class TestEval:
                                  monkeypatch, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+        if len(spec) > 1000:  # the two that json.loads itself refuses
+            assert err.startswith("error: bad --family-json: ")
 
     def test_flag_the_family_does_not_take(self, monkeypatch, capsys):
         # witness: --p was ignored, and sympoly(2)'s 1.9148542155126762
@@ -603,6 +610,13 @@ class TestEval:
         assert err == f"error: {path}: No such file or directory\n"
 
 
+def _uniform_halves() -> tuple:
+    """30 values of random.Random(1).uniform(0.5, 100), split 13 | 17."""
+    rng = random.Random(1)
+    xs = [rng.uniform(0.5, 100) for _ in range(30)]
+    return xs[:13], xs[13:]
+
+
 class TestMerge:
     def _state_file(self, tmp_path, name, values, monkeypatch, capsys):
         path = tmp_path / name
@@ -648,20 +662,22 @@ class TestMerge:
 
     def test_merge_order_gives_the_same_bytes(self, monkeypatch, capsys,
                                               tmp_path):
-        # witness: merge a b and merge b a of these hamy(4) states wrote
-        # other bytes, as the combine's products summed in operand order
-        rng = random.Random(1)
-        xs = [rng.uniform(0.5, 100) for _ in range(30)]
-        paths = []
-        for name, values in (("a", xs[:13]), ("b", xs[13:])):
-            paths.append(str(tmp_path / f"{name}.state"))
-            assert run_cli(["eval", "--family", "hamy", "--r", "4",
-                            "--state-out", paths[-1]],
-                           "".join(f"{v!r}\n" for v in values),
-                           monkeypatch, capsys)[0] == 0
-        ab = run_cli(["merge", *paths], "", monkeypatch, capsys)
-        ba = run_cli(["merge", *paths[::-1]], "", monkeypatch, capsys)
-        assert ab == ba and ab[0] == 0
+        # witnesses: merge a b and merge b a of these hamy(4) states wrote
+        # other bytes, as the combine's products summed in operand order;
+        # of these median states, merge a b wrote 0.0 before -0.0, and
+        # merge b a -0.0 before 0.0
+        for flags, halves in ((["--family", "hamy", "--r", "4"],
+                               _uniform_halves()),
+                              (["--family", "median"], ([0.0], [-0.0]))):
+            paths = []
+            for name, values in zip("ab", halves):
+                paths.append(str(tmp_path / f"{flags[1]}-{name}.state"))
+                assert run_cli(["eval", *flags, "--state-out", paths[-1]],
+                               "".join(f"{v!r}\n" for v in values),
+                               monkeypatch, capsys)[0] == 0
+            ab = run_cli(["merge", *paths], "", monkeypatch, capsys)
+            ba = run_cli(["merge", *paths[::-1]], "", monkeypatch, capsys)
+            assert ab == ba and ab[0] == 0
 
     def test_identity_and_power_1_states_merge(self, monkeypatch, capsys,
                                                tmp_path):
@@ -730,7 +746,7 @@ class TestMerge:
         d, paths = ms.median_mean("lower"), []
         # serialize_state's twin of d, which parse then shares, is built
         # with counted too: a cached one would hold another combine
-        core._descriptor.cache_clear()
+        state_io._descriptor.cache_clear()
         try:
             for i in range(files):
                 paths.append(tmp_path / f"s{i}.state")
@@ -740,7 +756,7 @@ class TestMerge:
             assert main(["merge", *map(str, paths), "--out",
                          str(out_path)]) == 0
         finally:
-            core._descriptor.cache_clear()
+            state_io._descriptor.cache_clear()
         capsys.readouterr()
         assert ms.parse_state(out_path.read_bytes()).reals == tuple(
             sorted(values))
@@ -805,7 +821,7 @@ class TestMerge:
         calls, build = [], families.descriptor_from_params
         monkeypatch.setattr(families, "descriptor_from_params",
                             lambda *a: calls.append(a) or build(*a))
-        core._descriptor.cache_clear()
+        state_io._descriptor.cache_clear()
         d = ms.quasi_arithmetic("ln")
         paths = []
         for i in range(50):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import meanstream as ms
-from meanstream import core, families
+from meanstream import core, families, state_io
 from meanstream.cli import BLOCK_LINES
 from meanstream.errors import (DomainError, EmptyStateError, FamilyMismatch,
                                InvalidDescriptor, MeanStreamError,
@@ -949,7 +949,7 @@ def test_finalize_merge_and_parse_refuse_a_state_by_one_rule(
     blob = json.dumps({"version": 2, "family": d.family, "params": d.params,
                        "k": len(reals), "reals": [r.hex() for r in reals],
                        "counter": count, "overflow": False})
-    for parse in (ms.parse_state, core._parse_json):
+    for parse in (ms.parse_state, state_io._parse_json):
         refusals.append((ParseError, functools.partial(parse, blob)))
     for error, refuse in refusals:
         with pytest.raises(error) as raised:
@@ -1079,7 +1079,7 @@ class TestSerialization:
     def test_bytes_match_the_json_dumps_formulation(self):
         def reference(state):
             payload = {
-                "version": core.STATE_FORMAT_VERSION,
+                "version": state_io.STATE_FORMAT_VERSION,
                 "family": state.descriptor.family,
                 "params": state.descriptor.params,
                 "k": len(state.reals),
@@ -1116,19 +1116,28 @@ class TestSerialization:
         assert back.overflow and back.reals == s.reals
         assert ms.serialize_state(back) == blob
 
+    @staticmethod
+    def refused_by_both_parses(blob: str, reason: str) -> None:
+        for parse in (ms.parse_state, state_io._parse_json):
+            with pytest.raises(ParseError) as raised:
+                parse(blob)
+            assert str(raised.value) == reason
+
     def test_v1_null_counter_still_parses(self):
-        # counterless families stored no count before every family did
+        # the name is older than the rule it checks: a version 1 blob,
+        # written before every family stored its count, parsed with count
+        # 1, and its all-zero twin as the empty state, until version 2
+        # became the one version read
         blob = {"version": 1, "family": "gini", "params": {"p": 2.0, "q": 1.0},
                 "k": 2, "reals": [(9.0).hex(), (3.0).hex()], "counter": None,
                 "overflow": False}
-        back = ms.parse_state(json.dumps(blob))
-        assert back.count == 1 and back.finalize() == 3.0
+        self.refused_by_both_parses(json.dumps(blob), "unsupported version 1")
         blob["reals"] = [(0.0).hex()] * 2
-        assert ms.parse_state(json.dumps(blob)).is_empty()
+        self.refused_by_both_parses(json.dumps(blob), "unsupported version 1")
 
     def test_v2_null_counter_is_a_parse_error(self):
         # witness: parse_state read this blob with count 1, and merging it
-        # with itself gave count 2; a null counter is version 1 text only
+        # with itself gave count 2
         s = ms.init(ms.gini(2, 1)).absorb(1.0).absorb(2.0).absorb(3.0)
         blob = ms.serialize_state(s).replace(b'"counter": 3', b'"counter": null')
         assert b'"counter": null' in blob
@@ -1136,12 +1145,15 @@ class TestSerialization:
             ms.parse_state(blob)
 
     def test_v1_additive_state_still_parses(self):
+        # the name is older than the rule it checks: a version 1 blob of
+        # plain sums, a layout version 2 kept, parsed as its version 2 twin
+        # does, until version 2 became the one version read
         blob = {"version": 1, "family": "gini", "params": {"p": 2.0, "q": 1.0},
                 "k": 2, "reals": [(25.0).hex(), (7.0).hex()], "counter": 2,
                 "overflow": False}
-        back = ms.parse_state(json.dumps(blob))
-        assert back.count == 2 and back.finalize() == 25 / 7
-        assert json.loads(ms.serialize_state(back))["version"] == 2
+        self.refused_by_both_parses(json.dumps(blob), "unsupported version 1")
+        assert ms.parse_state(json.dumps(dict(blob, version=2))).finalize() == (
+            25 / 7)
 
     @pytest.mark.parametrize("family, params, reals", [
         # sympoly(2) has 2 reals in both versions: (sum x, sum x^2) in
@@ -1155,12 +1167,11 @@ class TestSerialization:
         blob = {"version": 1, "family": family, "params": params,
                 "k": len(reals), "reals": [v.hex() for v in reals],
                 "counter": 2, "overflow": False}
-        with pytest.raises(ParseError, match="version 1"):
-            ms.parse_state(json.dumps(blob))
+        self.refused_by_both_parses(json.dumps(blob), "unsupported version 1")
 
     @staticmethod
     def median_blob(reals, counter):
-        return json.dumps({"version": 1, "family": "median",
+        return json.dumps({"version": 2, "family": "median",
                            "params": {"kind": "lower"}, "k": len(reals),
                            "reals": [float(v).hex() for v in reals],
                            "counter": counter, "overflow": False})
@@ -1191,9 +1202,10 @@ class TestSerialization:
                 ms.parse_state(json.dumps(payload))
 
     def test_version_must_be_a_plain_int(self):
-        # witness: "version": true passed as version 1 (JSON true == 1)
+        # witness: "version": true passed as version 1 (JSON true == 1);
+        # 2.0 == 2, the one version read, yet is no int
         payload = json.loads(ms.serialize_state(ms.init(ms.power_mean(1.0)).absorb(2.0)))
-        for bad in (True, 1.0, "1"):
+        for bad in (True, 1.0, "1", 2.0):
             payload["version"] = bad
             with pytest.raises(ParseError):
                 ms.parse_state(json.dumps(payload))
@@ -1318,7 +1330,7 @@ class TestSerialization:
         # four, on both parses, which share _checked_state
         blob = power_blob(2.0).replace(b'"overflow": false',
                                        b'"overflow": ' + flag.encode())
-        for parse in (ms.parse_state, core._parse_json):
+        for parse in (ms.parse_state, state_io._parse_json):
             with pytest.raises(ParseError) as raised:
                 parse(blob)
             assert str(raised.value) == (
@@ -1334,7 +1346,7 @@ def count_builds(monkeypatch) -> list:
         calls.append((family, params))
         return build(family, params)
 
-    core._descriptor.cache_clear()
+    state_io._descriptor.cache_clear()
     monkeypatch.setattr(families, "descriptor_from_params", counted)
     return calls
 
@@ -1358,11 +1370,11 @@ class TestDescriptorCache:
         assert calls == [("power", {"p": 3.0}), ("power", {"p": 4.0})]
 
     def test_cache_is_bounded(self):
-        bound = core.DESCRIPTOR_CACHE_SIZE
+        bound = state_io.DESCRIPTOR_CACHE_SIZE
         for i in range(10 * bound):
             ms.parse_state(power_blob(1.0 + i))
-            assert core._descriptor.cache_info().currsize <= bound
-        assert core._descriptor.cache_info().currsize == bound
+            assert state_io._descriptor.cache_info().currsize <= bound
+        assert state_io._descriptor.cache_info().currsize == bound
 
     def test_signed_zero_keeps_distinct_families(self):
         # -0.0 == 0.0, so a key built from the values would conflate them
@@ -1499,7 +1511,7 @@ def json_variants(blob: bytes) -> list:
     payload = json.loads(blob)
     return [blob, json.dumps(payload, sort_keys=True).encode(),
             json.dumps(payload, separators=(",", ":")).encode(),
-            json.dumps(dict(payload, version=1)).encode()]
+            json.dumps(dict(reversed(payload.items())), indent=1).encode()]
 
 
 # text serialize_state writes, and text that looks like it but is not
@@ -1543,7 +1555,7 @@ class TestTwoParses:
     @staticmethod
     def check(blob):
         by_json = parsed(
-            lambda b: core._parse_json(b.decode("utf-8", errors="replace")),
+            lambda b: state_io._parse_json(b.decode("utf-8", errors="replace")),
             blob)
         assert parsed(ms.parse_state, blob) == by_json
 
@@ -1588,10 +1600,10 @@ class TestTwoParses:
         assert calls == []
 
     def test_other_text_is_read_by_json_once(self, monkeypatch):
-        # a version 1 head, or one with its keys in another order, would
+        # a re-spaced blob, or one with its keys in another order, would
         # miss the descriptor cache on every parse
         payload = json.loads(power_blob(2.0))
-        blobs = [json.dumps(dict(payload, version=1)),
+        blobs = [json.dumps(payload, indent=1),
                  json.dumps(payload, sort_keys=True)]
         for blob in blobs:
             ms.parse_state(blob)  # warm the descriptor cache

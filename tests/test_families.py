@@ -108,10 +108,16 @@ class TestGini:
         assert s.counter == 2 and json.loads(ms.serialize_state(s))["k"] == 2
 
     def test_v1_null_counter_of_a_t1_plus_gini_is_a_parse_error(self):
-        # a T1+ mean stores its count, so a blob without one is malformed
+        # version 1 is not read, with a counter or without one; a T1+ mean
+        # stores its count, so a version 2 blob without one is malformed
         blob = {"version": 1, "family": "gini", "params": {"p": 2.0, "q": 0.0},
                 "k": 2, "reals": [(17.0).hex(), (2.0).hex()], "counter": None,
                 "overflow": False}
+        for counter in (None, 2):
+            blob["counter"] = counter
+            with pytest.raises(ParseError, match="^unsupported version 1$"):
+                ms.parse_state(json.dumps(blob))
+        blob["version"], blob["counter"] = 2, None
         with pytest.raises(ParseError, match="bad counter"):
             ms.parse_state(json.dumps(blob))
         blob["counter"] = 2
@@ -753,6 +759,27 @@ def test_esym_merge_commutes_bit_for_bit(d, xs, ys, many_a, many_b):
             == ms.serialize_state(ms.merge(b, a)))
 
 
+_SIGNED_ZEROS = st.lists(st.sampled_from([0.0, -0.0, -1.5, 2.0]), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["lower", "upper"]), _SIGNED_ZEROS, _SIGNED_ZEROS,
+       st.booleans(), st.booleans())
+def test_median_merge_commutes_bit_for_bit(kind, xs, ys, many_a, many_b):
+    """merge(a, b) and merge(b, a) of median states serialize to the same
+    bytes with -0.0 and 0.0 among the values, and the merged state is the
+    multiset in ascending order with every -0.0 first, as a step, a leaf
+    fold or a combine builds it."""
+    # witness: merge(a, b) of [0.0] and [-0.0] wrote 0.0 first, merge(b, a)
+    # -0.0 first
+    d = ms.median_mean(kind)
+    a, b = _state(d, xs, many_a), _state(d, ys, many_b)
+    merged = ms.merge(a, b)
+    assert ms.serialize_state(merged) == ms.serialize_state(ms.merge(b, a))
+    in_order = sorted(xs + ys, key=lambda x: (x, math.copysign(1.0, x)))
+    assert _bits(merged.reals) == _bits(tuple(in_order))
+
+
 class TestDescriptorFromParams:
     # witnesses: --family-json '{"family":"power","p":"abc"}' raised a bare
     # ValueError, '"p":[1]' a TypeError, and '"r": 4.7' built hamy(4)
@@ -768,6 +795,9 @@ class TestDescriptorFromParams:
         ("sympoly", {"r": 2, "p": 5}), ("hamy", {"r": 3, "p": 2}),
         ("power", {"p": 1, "kind": "lower"}), ("median", {"r": 2}),
         ("piecewise_h", {"p": 1}), ("gini", {"p": 2, "q": 1, "c": 1}),
+        # witnesses: a bare ValueError from the message's repr of an int
+        # past Python's int-to-str digit limit
+        ("hamy", {"r": 10 ** 5000}), ("hamy", {10 ** 5000: 1}),
     ])
     def test_malformed_params_are_invalid(self, family, params):
         with pytest.raises(InvalidDescriptor):
@@ -794,12 +824,15 @@ class TestDescriptorFromParams:
         median = ms.descriptor_from_params("median", {})
         assert median.params == {"kind": "lower"}
 
-    @pytest.mark.parametrize("family", [5, None, [1], "nope"])
+    @pytest.mark.parametrize("family", [
+        5, None, [1], "nope", pytest.param(10 ** 5000, id="5001-digits")])
     def test_an_unknown_family_is_invalid(self, family):
         # witness: a family name that is not a string must not reach the
-        # table lookup as a TypeError
-        with pytest.raises(InvalidDescriptor, match="^unknown family "):
-            ms.descriptor_from_params(family, {})
+        # table lookup as a TypeError; one past the digit limit raised a
+        # bare ValueError, with params of any type
+        for params in ({}, []):
+            with pytest.raises(InvalidDescriptor, match="^unknown family "):
+                ms.descriptor_from_params(family, params)
 
 
 def _bajraktarevic_by_names(f, g):
@@ -821,6 +854,7 @@ BUILDERS = {
     "cube_over_square": (ms.cube_over_square, {}),
 }
 BAD_VALUES = [None, True, "2", b"2", [1], {}, math.nan, math.inf, 10 ** 400]
+BIG = 10 ** 5000  # past Python's int-to-str digit limit, so repr(BIG) raises
 SWEEP = [(family, key, value) for family, (_, params) in BUILDERS.items()
          for key in params for value in BAD_VALUES]
 
@@ -864,13 +898,28 @@ class TestRefusalSweep:
         lambda: ms.bajraktarevic(5), lambda: ms.generator_by_name(5),
         lambda: ms.pair_from_names("identity", 1),
         lambda: ms.BiplanarParams("2", 3.0, 3, 3),
+        # witnesses: a bare ValueError from the message's repr of an int
+        # past Python's int-to-str digit limit
+        lambda: ms.hamy(BIG), lambda: ms.power_mean(BIG),
+        lambda: ms.gini(BIG, 1), lambda: ms.biplanar(2.0, 3.0, BIG, 3),
+        lambda: ms.median_mean(BIG), lambda: ms.quasi_arithmetic(BIG),
+        lambda: ms.pair_power(BIG, 1), lambda: ms.generator_by_name(BIG),
+        lambda: ms.bajraktarevic(BIG),
     ], ids=["power-True", "power-str", "power-bytes", "gini-True",
             "biplanar-str", "pair_power-None", "pair_power-True",
             "pair_power-str", "qa-5", "qa-None", "bajraktarevic-5",
-            "generator_by_name-5", "pair_from_names-1", "BiplanarParams-str"])
+            "generator_by_name-5", "pair_from_names-1", "BiplanarParams-str",
+            "hamy-big", "power-big", "gini-big", "biplanar-big", "median-big",
+            "qa-big", "pair_power-big", "generator_by_name-big",
+            "bajraktarevic-big"])
     def test_a_builder_refuses_a_bad_argument(self, call):
         with pytest.raises(InvalidDescriptor):
             call()
+
+    def test_a_refused_int_past_the_digit_limit_shows_its_bit_length(self):
+        with pytest.raises(InvalidDescriptor, match=(
+                r"^hamy needs an integer r in 1\.\.12, got <int of 16610 bits>$")):
+            ms.descriptor_from_params("hamy", {"r": BIG})
 
 
 class TestLargeCount:
@@ -921,6 +970,16 @@ class TestMedian:
 
     def test_constant(self):
         assert ms.evaluate_stream(ms.median_mean("lower"), [5.5] * 7) == 5.5
+
+    def test_signed_zeros_merge_in_one_order(self):
+        # witness: merging [0.0] and [-0.0] gave a lower median of 0.0 in
+        # one order and -0.0 in the other
+        for kind, median in (("lower", -0.0), ("upper", 0.0)):
+            d = ms.median_mean(kind)
+            a, b = ms.absorb(ms.init(d), 0.0), ms.absorb(ms.init(d), -0.0)
+            for merged in (ms.merge(a, b), ms.merge(b, a)):
+                assert _bits(merged.reals) == _bits((-0.0, 0.0))
+                assert _bits((ms.finalize(merged),)) == _bits((median,))
 
 
 class TestFamilyInvariants:

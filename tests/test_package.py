@@ -259,6 +259,19 @@ def test_an_unknown_name_is_an_attribute_error(module):
     assert "no_such_name" not in vars(module)
 
 
+@pytest.mark.parametrize("name", ["STATE_FORMAT_VERSION",
+                                  "DESCRIPTOR_CACHE_SIZE", "_descriptor",
+                                  "_parse_json"])
+def test_the_state_format_is_named_by_state_io_alone(name):
+    # core names parse_state and serialize_state, the two functions that
+    # bench/job.py wraps through it, and no other name of the format
+    from meanstream import core, state_io
+
+    assert hasattr(state_io, name)
+    with pytest.raises(AttributeError):
+        getattr(core, name)
+
+
 def test_all_names_resolve():
     missing = [name for name in ms.__all__ if not hasattr(ms, name)]
     assert missing == []
