@@ -74,6 +74,7 @@ _LAZY = {
     "verify": ("FunctionMean", "PropertyReport",
                "check_concatenation_betweenness", "check_g23_inequality",
                "check_homogeneity", "check_mean_property",
+               "check_merge_commutes",
                "check_reflexivity", "check_repetition_invariance",
                "check_symmetry", "detect_negligible_element",
                "oracle_direct", "run_suite"),

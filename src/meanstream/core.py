@@ -33,6 +33,7 @@ from .errors import (
     FamilyMismatch,
     InvalidDescriptor,
     NumericalFailure,
+    _shown,
 )
 
 # absorb_many's elements per leaf: step folds them, so one combine per leaf
@@ -225,11 +226,13 @@ class MeanDescriptor(Record):
 
     A descriptor is one shared value, as ``parse_state`` shares it: a copy
     or a deep copy of one is the descriptor itself, and it equals and
-    hashes as itself alone.  A pickle loads it as ``parse_state`` does,
-    from its family and params, through one shared descriptor per blob
-    head; so only a descriptor that these rebuild (every built-in)
-    pickles.  One whose family and params build another mean, such as a
-    user's step under a built-in's name, neither pickles nor serializes.
+    hashes as itself alone.  A blob or a pickle names a descriptor by its
+    family and params alone, and loads it through the family's builder
+    (``state_io.shared_descriptor``).  So only a descriptor that a builder
+    made pickles: ``_built``, False here, is the builders' private mark.
+    One that no builder made does not serialize under a family and params
+    that a builder takes, as its blob would parse as the built-in, even
+    where every part of it equals the built-in's.
     """
 
     _fields = ("family", "params", "domain", "ctype", "step", "finalizer",
@@ -257,7 +260,7 @@ class MeanDescriptor(Record):
         for name, value in (("blocks", blocks), ("block_env", block_env),
                             ("leaf_fold", leaf_fold), ("k", k),
                             ("identity", identity), ("_empty", empty),
-                            ("kernels", _first_use(self))):
+                            ("kernels", _first_use(self)), ("_built", False)):
             object.__setattr__(self, name, value)
 
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -269,22 +272,12 @@ class MeanDescriptor(Record):
         return self
 
     def __reduce__(self):
-        _, why = self._twin
-        if why:
-            raise InvalidDescriptor(f"cannot pickle {self.name}: {why}")
+        if not self._built:
+            raise InvalidDescriptor(f"cannot pickle {self.name}: no builder "
+                                    f"made it, and a pickle loads through one")
         from .state_io import shared_descriptor
 
         return shared_descriptor, (self.family, self.params)
-
-    @_cached
-    def _twin(self) -> tuple:
-        """(twin, why): the descriptor that ``parse_state`` and
-        ``pickle.loads`` build from this one's family and params, or None
-        when they build none, and why it is not this mean, or None; found
-        once (``state_io._twin``)."""
-        from .state_io import _twin
-
-        return _twin(self)
 
     @property
     def has_counter(self) -> bool:
@@ -301,14 +294,20 @@ class MeanDescriptor(Record):
     @_cached
     def _blob_head(self) -> str:
         """serialize_state's JSON text up to ``"k": ``, built once, so
-        ``params`` must not change afterwards.  A descriptor whose family
-        and params build another mean has none: its blob would parse as
-        that mean."""
-        from .state_io import _head
+        ``params`` must not change afterwards.  A descriptor that no builder
+        made has none where a builder takes its family and params: its blob
+        would parse as that builder's mean."""
+        from .state_io import _head, shared_descriptor
 
-        twin, why = self._twin
-        if twin is not None and why:
-            raise InvalidDescriptor(f"cannot serialize {self.name}: {why}")
+        if not self._built:
+            try:
+                built = shared_descriptor(self.family, self.params)
+            except Exception:  # no builder takes them, or not JSON
+                pass
+            else:
+                raise InvalidDescriptor(
+                    f"cannot serialize {self.name}: its blob would parse as "
+                    f"the built-in {built.name}, and no builder made it")
         return _head(self.family, self.params)
 
     @property
@@ -489,9 +488,9 @@ class AccumulatorState(_StateFields):
         try:
             size = d.k if d.ctype is not None else count
             if type(count) is not int or count < 0:
-                fault = f"bad counter {count!r}: not a non-negative int"
+                fault = f"bad counter {_shown(count)}: not a non-negative int"
             elif len(reals := tuple(reals)) != size:
-                fault = f"expected {size} components, got {len(reals)}"
+                fault = f"expected {_shown(size)} components, got {len(reals)}"
             elif not count and reals != d.identity:
                 fault = "an empty state must hold the identity reals"
             elif d.ctype is not None:

@@ -3,6 +3,16 @@
 from typing import Optional
 
 
+def _shown(value) -> str:
+    """repr(value) for a refusal's message, without raising: an int past
+    the int-to-str digit limit, whose repr raises, shows its bit length."""
+    try:
+        return repr(value)
+    except Exception:
+        bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{bits}>"
+
+
 class MeanStreamError(Exception):
     """Base class for all library errors."""
 

@@ -7,9 +7,10 @@ compiles its checked step, leaf fold and combine on first use.  A "sum"
 block is a plain sum; an "esym" block of size m holds e_1..e_m of its
 expression (hamy, sympoly, biplanar).  The median keeps the sorted multiset.
 Each builder is its family's one parameter check, raising an
-InvalidDescriptor subclass; ``descriptor_from_params`` calls it by family
-name, with the params as keywords.  Branch selection (p = 0, p = q) uses
-exact parameter comparison, never runtime tolerance.
+InvalidDescriptor subclass, and marks what it builds (``_as_built``): only
+a descriptor so marked pickles.  ``descriptor_from_params`` calls it by
+family name, with the params as keywords.  Branch selection (p = 0, p = q)
+uses exact parameter comparison, never runtime tolerance.
 
 The quasi-arithmetic and Bajraktarevic families, with everything of
 their generators (``GeneratorFunction``, the registry and the pair
@@ -31,6 +32,7 @@ from .errors import (
     FinalizeOutsideBranches,
     InvalidDescriptor,
     NumericalFailure,
+    _shown,
 )
 
 MAX_MULTI_EXPONENTS = 12  # the largest degree of hamy, sympoly and biplanar
@@ -46,14 +48,10 @@ _GENERATOR_NAMES = ("BajraktarevicPair", "GeneratorFunction",
 # five of the seven families (quasi_arithmetic and bajraktarevic are in
 # generators)
 
-def _shown(value) -> str:
-    """repr(value) for a refusal's message, without raising: an int past
-    the int-to-str digit limit, whose repr raises, shows its bit length."""
-    try:
-        return repr(value)
-    except Exception:
-        bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
-        return f"<{type(value).__name__}{bits}>"
+def _as_built(d: MeanDescriptor) -> MeanDescriptor:
+    """d, marked as its builder's own (``MeanDescriptor``'s ``_built``)."""
+    object.__setattr__(d, "_built", True)
+    return d
 
 
 def _exponent(family: str, name: str, value) -> float:
@@ -107,9 +105,9 @@ def power_mean(p: float) -> MeanDescriptor:
     else:
         encoded = "x ** p"
         fin = _mean_of_one_sum(lambda y: y ** (1.0 / p), True)
-    return table_mean("power", {"p": p}, DomainInterval.positive(),
-                      ComplexityType(1, True), (("sum", 1, encoded),), fin,
-                      {"p": p, "log": math.log})
+    return _as_built(table_mean(
+        "power", {"p": p}, DomainInterval.positive(), ComplexityType(1, True),
+        (("sum", 1, encoded),), fin, {"p": p, "log": math.log}))
 
 
 def _ctype_of_two_sums(constant: bool) -> ComplexityType:
@@ -129,9 +127,10 @@ def gini(p: float, q: float) -> MeanDescriptor:
         inv = 1.0 / (p - q)
         blocks = (("sum", 1, "x ** p"), ("sum", 1, "x ** q"))
         fin = lambda reals, n: (_nonzero(reals[0]) / _nonzero(reals[1])) ** inv
-    return table_mean("gini", {"p": p, "q": q}, DomainInterval.positive(),
-                      _ctype_of_two_sums(0.0 in (p, q)), blocks, fin,
-                      {"p": p, "q": q, "log": math.log})
+    return _as_built(table_mean(
+        "gini", {"p": p, "q": q}, DomainInterval.positive(),
+        _ctype_of_two_sums(0.0 in (p, q)), blocks, fin,
+        {"p": p, "q": q, "log": math.log}))
 
 
 def hamy(r: int) -> MeanDescriptor:
@@ -143,10 +142,10 @@ def hamy(r: int) -> MeanDescriptor:
     r = _degree("hamy", "r", r)
     fin = lambda reals, n: (reals[-1] / n if n < r else
                             _nonzero(reals[r - 1]) / math.comb(n, r))
-    return table_mean(
+    return _as_built(table_mean(
         "hamy", {"r": r}, DomainInterval.positive(), ComplexityType(r, True),
         (("esym", r, "x ** inv_r"), ("sum", 1, "x")), fin,
-        {"inv_r": 1.0 / r}, ctype_is_upper_bound=True)
+        {"inv_r": 1.0 / r}, ctype_is_upper_bound=True))
 
 
 def sympoly(r: int) -> MeanDescriptor:
@@ -158,9 +157,9 @@ def sympoly(r: int) -> MeanDescriptor:
     inv_r = 1.0 / r
     fin = lambda reals, n: (reals[0] / n if n < r else
                             (_nonzero(reals[r - 1]) / math.comb(n, r)) ** inv_r)
-    return table_mean(
+    return _as_built(table_mean(
         "sympoly", {"r": r}, DomainInterval.positive(), ComplexityType(r, True),
-        (("esym", r, "x"),), fin, {}, ctype_is_upper_bound=True)
+        (("esym", r, "x"),), fin, {}, ctype_is_upper_bound=True))
 
 
 class BiplanarParams(Record):
@@ -236,9 +235,9 @@ def biplanar(p: float, q: float, c: int, d: int) -> MeanDescriptor:
 
     blocks = ((("esym", c, "x ** p"), ("esym", d, "x ** q"))
               + ((("sum", 1, "log(x)"),) if ln else ()))
-    return table_mean(
+    return _as_built(table_mean(
         "biplanar", {"p": p, "q": q, "c": c, "d": d}, DomainInterval.positive(),
-        ctype, blocks, fin, {"p": p, "q": q, "log": math.log})
+        ctype, blocks, fin, {"p": p, "q": q, "log": math.log}))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +262,9 @@ def piecewise_counterexample() -> MeanDescriptor:
             return sq / s
         raise FinalizeOutsideBranches(f"second component {s} in a branch gap")
 
-    return table_mean("piecewise_h", {}, domain, ComplexityType(2, False),
-                      (("sum", 1, "x * x"), ("sum", 1, "x")), fin, {})
+    return _as_built(table_mean(
+        "piecewise_h", {}, domain, ComplexityType(2, False),
+        (("sum", 1, "x * x"), ("sum", 1, "x")), fin, {}))
 
 
 def cube_over_square() -> MeanDescriptor:
@@ -274,9 +274,10 @@ def cube_over_square() -> MeanDescriptor:
         u, v = reals
         return 0.0 if v == 0.0 else u / v
 
-    return table_mean("cube_over_square", {}, DomainInterval.reals(),
-                      ComplexityType(2, False),
-                      (("sum", 1, "x ** 3"), ("sum", 1, "x * x")), fin, {})
+    return _as_built(table_mean(
+        "cube_over_square", {}, DomainInterval.reals(),
+        ComplexityType(2, False), (("sum", 1, "x ** 3"), ("sum", 1, "x * x")),
+        fin, {}))
 
 
 def _insort(a: tuple, x: float) -> tuple:
@@ -321,10 +322,10 @@ def median_mean(kind: str = "lower") -> MeanDescriptor:
         idx = (n - 1) // 2 if kind == "lower" else n // 2
         return reals[idx]
 
-    return MeanDescriptor(
+    return _as_built(MeanDescriptor(
         family="median", params={"kind": kind}, domain=DomainInterval.reals(),
         ctype=None, step=_insort, combine=_sorted_merge, finalizer=fin,
-        leaf_fold=_sort_leaf)
+        leaf_fold=_sort_leaf))
 
 
 # ---------------------------------------------------------------------------

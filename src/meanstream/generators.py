@@ -23,8 +23,9 @@ from typing import Callable
 
 from .core import (ComplexityType, DomainInterval, MeanDescriptor, Record,
                    table_mean)
-from .errors import GeneratorInvalid, PairInvalid
-from .families import _ctype_of_two_sums, _exponent, _mean_of_one_sum, _shown
+from .errors import GeneratorInvalid, PairInvalid, _shown
+from .families import (_as_built, _ctype_of_two_sums, _exponent,
+                       _mean_of_one_sum)
 
 GRID_POINTS = 64
 ROUNDTRIP_RTOL = 1e-10
@@ -73,12 +74,14 @@ def _exact(v: float) -> str:
 class GeneratorFunction(Record):
     """A strictly monotone continuous bijection with explicit inverse."""
 
-    __slots__ = _fields = ("name", "forward", "inverse", "domain", "increasing")
+    _fields = ("name", "forward", "inverse", "domain", "increasing")
+    __slots__ = (*_fields, "_named")  # not a field: see _registered
 
     def __init__(self, name: str, forward: Callable[[float], float],
                  inverse: Callable[[float], float], domain: DomainInterval,
                  increasing: bool):
         super().__init__(name, forward, inverse, domain, increasing)
+        object.__setattr__(self, "_named", False)
 
     def validate(self) -> None:
         _check_invertible(self.name, self.domain, self.forward, self.inverse,
@@ -114,31 +117,40 @@ def _x(x: float) -> float:
     return x
 
 
+def _registered(record):
+    """record, a generator or a pair, marked as the registry's own: only
+    its mean pickles (``quasi_arithmetic``), and a copy is not marked."""
+    object.__setattr__(record, "_named", True)
+    return record
+
+
 def generator_by_name(name: str) -> GeneratorFunction:
     """Registry lookup: identity, ln, exp, power:<p>, affine:<a>,<b>."""
     if not isinstance(name, str):
         raise GeneratorInvalid(f"a generator name is a string, got {_shown(name)}")
     if name == "identity":
-        return GeneratorFunction("identity", _x, _x, DomainInterval.reals(),
-                                 True)
-    if name == "ln":
-        return GeneratorFunction("ln", math.log, math.exp,
-                                 DomainInterval.positive(), True)
-    if name == "exp":
-        return GeneratorFunction("exp", math.exp, math.log,
-                                 DomainInterval.reals(), True)
-    if name.startswith("power:"):
+        gen = GeneratorFunction("identity", _x, _x, DomainInterval.reals(),
+                                True)
+    elif name == "ln":
+        gen = GeneratorFunction("ln", math.log, math.exp,
+                                DomainInterval.positive(), True)
+    elif name == "exp":
+        gen = GeneratorFunction("exp", math.exp, math.log,
+                                DomainInterval.reals(), True)
+    elif name.startswith("power:"):
         try:
-            return _power(float(name.split(":", 1)[1]))
+            gen = _power(float(name.split(":", 1)[1]))
         except ValueError:
             raise GeneratorInvalid(f"bad power generator {name!r}") from None
-    if name.startswith("affine:"):
+    elif name.startswith("affine:"):
         try:
             a, b = (float(t) for t in name.split(":", 1)[1].split(","))
         except ValueError:
             raise GeneratorInvalid(f"bad affine generator {name!r}") from None
-        return _affine(a, b)
-    raise GeneratorInvalid(f"unknown generator {name!r}")
+        gen = _affine(a, b)
+    else:
+        raise GeneratorInvalid(f"unknown generator {name!r}")
+    return _registered(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +206,8 @@ class BajraktarevicPair(Record):
     names are the mean's identity: name different functions differently, or
     leave "<custom>", which becomes "<custom 0x...>" after the function's id."""
 
-    __slots__ = _fields = ("f", "g", "ratio_inverse", "domain", "f_name",
-                           "g_name")
+    _fields = ("f", "g", "ratio_inverse", "domain", "f_name", "g_name")
+    __slots__ = (*_fields, "_named")  # not a field: see _registered
 
     def __init__(self, f: Callable[[float], float],
                  g: Callable[[float], float],
@@ -207,6 +219,7 @@ class BajraktarevicPair(Record):
         if g_name == "<custom>":
             g_name = f"<custom {id(g):#x}>"
         super().__init__(f, g, ratio_inverse, domain, f_name, g_name)
+        object.__setattr__(self, "_named", False)
 
     def validate(self) -> None:
         _check_positive(self.g, self.domain)
@@ -287,22 +300,25 @@ def pair_from_names(f_name: str, g_name: str) -> BajraktarevicPair:
     elif pf is not None and pg is not None and pf != pg:
         diff = pf - pg
         ratio_inverse = lambda t: t ** (1.0 / diff)
-    return pair_from_functions(f, g, domain, ratio_inverse, f_name, g_name)
+    return _registered(pair_from_functions(f, g, domain, ratio_inverse,
+                                           f_name, g_name))
 
 
 # ---------------------------------------------------------------------------
 # the two families built on them
 
 def quasi_arithmetic(f) -> MeanDescriptor:
-    """f may be a GeneratorFunction or a registry name."""
+    """f may be a GeneratorFunction or a registry name; the mean of a
+    generator that the registry did not build does not pickle."""
     if not isinstance(f, GeneratorFunction):
         f = generator_by_name(f)
     f.validate()
-    return table_mean(
+    d = table_mean(
         "quasiarithmetic", {"f": f.name}, f.domain, ComplexityType(1, True),
         (("sum", 1, "forward(x)"),),
         _mean_of_one_sum(f.inverse, f.name.startswith("power:")),
         {"forward": f.forward})
+    return _as_built(d) if f._named else d
 
 
 def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
@@ -314,8 +330,9 @@ def bajraktarevic(pair: BajraktarevicPair) -> MeanDescriptor:
                                pair.f_name.startswith("power:"))
     else:
         fin = lambda reals, n: pair.ratio_inverse(reals[0] / reals[1])
-    return table_mean(
+    d = table_mean(
         "bajraktarevic", {"f": pair.f_name, "g": pair.g_name}, pair.domain,
         _ctype_of_two_sums(_one in (pair.f, pair.g)),
         (("sum", 1, "f(x)"), ("sum", 1, "g(x)")), fin,
         {"f": pair.f, "g": pair.g})
+    return _as_built(d) if pair._named else d

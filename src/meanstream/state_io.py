@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import families
-from .core import AccumulatorState, MeanDescriptor, Record, _finite
+from .core import AccumulatorState, MeanDescriptor, _finite
 from .errors import NumericalFailure, ParseError
 
 STATE_FORMAT_VERSION = 2
@@ -79,62 +79,6 @@ def shared_descriptor(family: str, params: dict) -> MeanDescriptor:
     descriptor through it.  The head is this version's own text, so it
     always reads back; a failed build raises."""
     return _descriptor(_head(family, params))
-
-
-def _content(value, seen=frozenset()):
-    """value as two builds of one built-in share it: a function as its code,
-    defaults and closure cells' contents, a record (but a descriptor) as its
-    class and fields, and a tuple or dict item by item, each taken the same
-    way; any other value as it is.  So a closure value, such as a power
-    generator's p, counts, where the function's code alone would not."""
-    if id(value) in seen:  # a function in its own closure
-        return "<recursion>"
-    seen |= {id(value)}
-    if hasattr(value, "__code__"):
-        cells = []
-        for cell in value.__closure__ or ():
-            try:
-                cells.append(cell.cell_contents)
-            except ValueError:  # empty: the cell, which no built-in holds
-                cells.append(cell)
-        return (value.__code__, *[_content(part, seen) for part in (
-            value.__defaults__, value.__kwdefaults__, tuple(cells))])
-    if isinstance(value, Record) and not isinstance(value, MeanDescriptor):
-        return type(value), _content(value._values(), seen)
-    if type(value) is tuple:
-        return tuple([_content(item, seen) for item in value])
-    if type(value) is dict:
-        return {key: _content(item, seen) for key, item in value.items()}
-    return value
-
-
-def _parts(d: MeanDescriptor) -> tuple:
-    """What d's kernels and finalize run, as ``_content`` takes it: its
-    domain, block table, block_env, finalizer and leaf fold, and its step
-    and combine unless it has a block table (a table's own step and combine
-    close over d and call the kernels compiled from the table)."""
-    own = (d.step, d.combine) if d.blocks is None else ()
-    return _content((d.domain, d.blocks, d.block_env, d.finalizer,
-                     d.leaf_fold, *own))
-
-
-def _twin(d: MeanDescriptor) -> tuple:
-    """(twin, why) of d: twin is the descriptor that ``parse_state`` and
-    ``pickle.loads`` build from d's family and params, shared through
-    ``shared_descriptor``, or None when they build none (why then says why); why
-    is None when twin is d's mean, that is, when their ``_parts`` match."""
-    try:
-        twin = shared_descriptor(d.family, d.params)
-    except Exception as e:  # no built-in takes them, or not JSON
-        return None, str(e)
-    if twin is d:
-        return twin, None
-    if twin.family_id != d.family_id:
-        return twin, f"its family and params rebuild {twin.name}"
-    if _parts(twin) != _parts(d):
-        return twin, (f"its family and params rebuild {twin.name}, with "
-                      f"other kernels")
-    return twin, None
 
 
 def parse_state(data) -> AccumulatorState:

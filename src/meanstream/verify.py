@@ -14,7 +14,8 @@ import random
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .core import DomainInterval, MeanDescriptor, Record, evaluate_stream
+from .core import (DomainInterval, MeanDescriptor, Record, absorb_many,
+                   evaluate_stream, init, merge)
 from .errors import InvalidDescriptor, TooLarge
 from . import families
 
@@ -236,6 +237,27 @@ def check_g23_inequality(trials: int = 1000, n_max: int = 32,
     return PropertyReport("g23_inequality", "cube_vs_square_sums", True, slack)
 
 
+def check_merge_commutes(m: MeanDescriptor, trials: int = 100,
+                         n_max: int = 16, interval=(0.5, 20.0),
+                         seed=None) -> PropertyReport:
+    """merge(a, b) and merge(b, a) of the states of random vectors hold the
+    same count and reals, by ``float.hex`` (-0.0 is not 0.0), not by
+    ``serialize_state`` bytes, so a user-built descriptor is checked too."""
+    rng = _rng(seed)
+    empty = init(m)
+    for _ in range(trials):
+        xs = sample_vector(rng, m.domain, n_max, interval)
+        ys = sample_vector(rng, m.domain, n_max, interval)
+        a, b = absorb_many(empty, xs), absorb_many(empty, ys)
+        ab, ba = (([float(v).hex() for v in s.reals], s.count)
+                  for s in (merge(a, b), merge(b, a)))
+        if ab != ba:
+            return PropertyReport(
+                "merge_commutes", m.name, False, 0.0, witness=[xs, ys],
+                detail=f"merge(a, b) gave {ab}, merge(b, a) {ba}")
+    return PropertyReport("merge_commutes", m.name, True, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # independent non-streaming oracle
 
@@ -346,4 +368,7 @@ def run_suite(seed=None, trials: int = 200) -> list:
         reports.append(check_repetition_invariance(
             m, trials=min(trials, 50), seed=rng))
     reports.append(check_g23_inequality(trials=1000, seed=rng))
+    for m in standard_descriptors():  # last: earlier reports keep their draws
+        reports.append(check_merge_commutes(m, trials=min(trials, 100),
+                                            seed=rng))
     return reports

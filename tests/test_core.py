@@ -957,6 +957,29 @@ def test_finalize_merge_and_parse_refuse_a_state_by_one_rule(
         assert str(raised.value) == reason
 
 
+@pytest.mark.parametrize("d, reals, count, reason", [
+    (ms.median_mean(), (), 10 ** 5000,
+     "expected <int of 16610 bits> components, got 0"),
+    (ms.power_mean(1), (1.0,), -10 ** 5000,
+     "bad counter <int of 16610 bits>: not a non-negative int")],
+    ids=["median-huge-count", "huge-negative-count"])
+def test_a_count_past_the_digit_limit_is_refused_by_the_rule(d, reals, count,
+                                                             reason):
+    """The routes of the test above but the parses, which cannot get such a
+    count: ``json.loads`` refuses an int past Python's int-to-str digit
+    limit.  Witnesses: each raised a bare ValueError, formatting its
+    message."""
+    good = ms.absorb_many(ms.init(d), [1.0, 2.0])
+    smuggled = tuple.__new__(ms.AccumulatorState, (d, reals, count))
+    for refuse in (lambda: ms.AccumulatorState(d, reals, count),
+                   lambda: good._replace(reals=reals, count=count),
+                   lambda: copy.copy(smuggled),
+                   lambda: pickle.loads(pickle.dumps(smuggled))):
+        with pytest.raises(NumericalFailure) as raised:
+            refuse()
+        assert str(raised.value) == reason
+
+
 @pytest.mark.parametrize("descriptor, reals, count",
                          [(None, (), 0), ("power", (1.0,), 1)],
                          ids=["None", "str"])
@@ -1715,14 +1738,63 @@ class TestPickle:
     def test_a_user_step_under_a_built_in_name_does_not_serialize(self):
         state = ms.absorb(ms.init(self._user_power()), 3.0)
         with pytest.raises(InvalidDescriptor,
-                           match="cannot serialize .* other kernels"):
+                           match="cannot serialize .* built-in power"):
             ms.serialize_state(state)
 
     def test_a_user_closure_under_a_built_in_name_does_not_serialize(self):
         state = ms.absorb_many(ms.init(self._user_quasi_arithmetic()),
                                [1.0, 2.0])
         with pytest.raises(InvalidDescriptor,
-                           match="cannot serialize .* other kernels"):
+                           match="cannot serialize .* built-in quasi"):
+            ms.serialize_state(state)
+
+    @staticmethod
+    def _user_power_of_built_parts():
+        # witness: power_mean(1)'s own domain, ctype, blocks, finalizer and
+        # env, under its family and params, pickled and serialized: its
+        # parts equal the built-in's, but no builder made it
+        built = ms.power_mean(1)
+        return core.table_mean("power", {"p": 1.0}, built.domain, built.ctype,
+                               built.blocks, built.finalizer, built.block_env)
+
+    def test_a_user_descriptor_of_built_in_parts_does_not_pickle(self):
+        state = ms.absorb(ms.init(self._user_power_of_built_parts()), 3.0)
+        assert state.reals == ms.absorb(ms.init(ms.power_mean(1)), 3.0).reals
+        with pytest.raises(InvalidDescriptor, match="cannot pickle"):
+            pickle.dumps(state)
+        with pytest.raises(InvalidDescriptor,
+                           match="cannot serialize .* built-in power"):
+            ms.serialize_state(state)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ms.quasi_arithmetic(ms.generator_by_name("ln")),
+        lambda: ms.bajraktarevic(ms.pair_from_names("exp", "power:-1"))],
+        ids=["generator", "pair"])
+    def test_the_mean_of_a_registry_argument_pickles(self, make):
+        state = ms.absorb_many(ms.init(make()), [1.0, 2.0])
+        blob = ms.serialize_state(state)
+        assert ms.serialize_state(pickle.loads(pickle.dumps(state))) == blob
+        assert blob == ms.serialize_state(ms.absorb_many(
+            ms.init(ms.descriptor_from_params(state.descriptor.family,
+                                              state.descriptor.params)),
+            [1.0, 2.0]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: ms.GeneratorFunction("ln", math.log, math.exp,
+                                     ms.DomainInterval.positive(), True),
+        lambda: copy.copy(ms.generator_by_name("ln")),
+        lambda: copy.copy(ms.pair_from_names("exp", "power:-1"))],
+        ids=["generator", "generator-copy", "pair-copy"])
+    def test_the_mean_of_an_unregistered_argument_does_not(self, make):
+        # witness: each equals the registry's own, and its mean pickled and
+        # serialized
+        made = make()
+        d = (ms.quasi_arithmetic(made) if isinstance(made, ms.GeneratorFunction)
+             else ms.bajraktarevic(made))
+        state = ms.absorb_many(ms.init(d), [1.0, 2.0])
+        with pytest.raises(InvalidDescriptor, match="cannot pickle"):
+            pickle.dumps(state)
+        with pytest.raises(InvalidDescriptor, match="cannot serialize"):
             ms.serialize_state(state)
 
     @staticmethod
@@ -1771,7 +1843,8 @@ class TestPickle:
 
     def test_unpickled_states_share_one_descriptor(self, monkeypatch):
         # witness: 1000 separately pickled hamy(3) states loaded with 1000
-        # descriptors, and each dump and each load built one
+        # descriptors, and each dump and each load built one; a builder's
+        # descriptor dumps without building one
         d = ms.hamy(3)
         a, b = (pickle.loads(pickle.dumps(ms.absorb(ms.init(d), x)))
                 for x in (1.0, 2.0))
@@ -1783,7 +1856,7 @@ class TestPickle:
         fresh = ms.hamy(3)
         for x in range(1, 11):
             pickle.dumps(ms.absorb(ms.init(fresh), float(x)))
-        assert calls == [("hamy", {"r": 3})]
+        assert calls == []
 
 
 class TestDescriptorCopy:

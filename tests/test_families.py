@@ -17,7 +17,7 @@ from meanstream.errors import (DegenerateExponents, FamilyMismatch,
                                NumericalFailure, PairInvalid, ParseError)
 from meanstream.families import GeneratorFunction
 from meanstream.symfun import MAX_MULTI_EXPONENTS
-from inputs import SEED, random_vector, seeded_vectors
+from inputs import SEED, all_families, random_vector, seeded_vectors
 
 
 class TestPowerMean:
@@ -744,16 +744,32 @@ def _state(d, xs, many: bool):
     return s
 
 
-_MERGE_VALUES = st.lists(
-    st.floats(1e-3, 1e3) | st.sampled_from([1e-300, 1e200]), max_size=24)
+def _values_in(domain: DomainInterval):
+    """Lists of values inside domain: floats up to 1e3 in magnitude, and
+    those of 1e-300, 1e200, -1e-300 and -1e200 that it holds."""
+    inside = st.floats(max(domain.lo, -1e3), min(domain.hi, 1e3)).filter(
+        domain.contains)
+    extremes = [v for v in (1e-300, 1e200, -1e-300, -1e200)
+                if domain.contains(v)]
+    if extremes:
+        inside |= st.sampled_from(extremes)
+    return st.lists(inside, max_size=24)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([d for d, _ in ESYM_LAYOUTS]), _MERGE_VALUES,
-       _MERGE_VALUES, st.booleans(), st.booleans())
-def test_esym_merge_commutes_bit_for_bit(d, xs, ys, many_a, many_b):
+# every e-state layout, every descriptor the tests share, and the two
+# counterexample means
+_MERGED = ([d for d, _ in ESYM_LAYOUTS] + all_families()
+           + [ms.piecewise_counterexample(), ms.cube_over_square()])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(_MERGED).flatmap(lambda d: st.tuples(
+           st.just(d), _values_in(d.domain), _values_in(d.domain))),
+       st.booleans(), st.booleans())
+def test_builtin_merge_commutes_bit_for_bit(d_xs_ys, many_a, many_b):
     """merge(a, b) and merge(b, a) serialize to the same bytes, for every
-    e-state built-in (biplanar with c = 1 or d = 1, and with p = 0, too)."""
+    built-in of ``_MERGED``, with values drawn inside its domain."""
+    d, xs, ys = d_xs_ys
     a, b = _state(d, xs, many_a), _state(d, ys, many_b)
     assert (ms.serialize_state(ms.merge(a, b))
             == ms.serialize_state(ms.merge(b, a)))

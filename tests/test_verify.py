@@ -125,6 +125,37 @@ class TestG23Inequality:
         assert abs(sum(x ** 3 for x in xs)) <= sum(x ** 2 for x in xs) ** 1.5
 
 
+class TestMergeCommutes:
+    @pytest.mark.parametrize("d", ms.verify.standard_descriptors(),
+                             ids=lambda d: d.name)
+    def test_every_standard_descriptor_holds(self, d):
+        report = ms.check_merge_commutes(d, trials=100, seed=1)
+        assert (report.property, report.subject, report.holds,
+                report.witness) == ("merge_commutes", d.name, True, None)
+
+    def test_a_combine_that_does_not_commute_fails_with_a_witness(self):
+        # a user-built descriptor: the check compares reals, not blobs
+        d = ms.MeanDescriptor(
+            "lopsided", {}, DomainInterval.reals(), ms.ComplexityType(1, True),
+            lambda r, x: (r[0] + x,), lambda reals, n: reals[0] / n,
+            combine=lambda a, b: (a[0] + 2.0 * b[0],))
+        report = ms.check_merge_commutes(d, trials=20, seed=1)
+        assert not report.holds and report.property == "merge_commutes"
+        xs, ys = report.witness
+        a, b = (ms.absorb_many(ms.init(d), v) for v in (xs, ys))
+        assert ms.merge(a, b).reals != ms.merge(b, a).reals
+        assert report.detail.startswith("merge(a, b) gave (['0x")
+
+    def test_run_suite_checks_each_standard_descriptor_last(self):
+        reports = ms.run_suite(seed=1, trials=5)
+        names = [d.name for d in ms.verify.standard_descriptors()]
+        tail = reports[-len(names):]
+        assert [(r.property, r.subject) for r in tail] == [
+            ("merge_commutes", name) for name in names]
+        assert reports[-len(names) - 1].property == "g23_inequality"
+        assert all(r.holds for r in tail)
+
+
 class TestOracleDirect:
     def test_examples(self):
         assert ms.oracle_direct(ms.gini(2, 1), [3, 4]) == pytest.approx(25 / 7)
