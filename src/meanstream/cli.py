@@ -6,10 +6,13 @@ profile).  Input streams are newline- or comma-separated decimals on stdin
 or a file, or one column of a CSV file; a lone "#" line (or a CSV row whose
 first cell is "#") terminates the stream early, and a leading UTF-8
 byte-order mark is dropped.  eval reads its input in blocks of BLOCK_LINES
-lines, one block at a time, absorbs each with ``absorb_many``'s fold of its
-floats, in pure Python, and merges the blocks' states in ``merge_tree``, so
-its memory does not grow with the input (except for the median, whose state
-is the multiset itself).  Each block is parsed in a few C-level passes when
+lines, one block at a time, and hands the floats on to core's fold of a
+stream (``_fold_runs``), which cuts them into runs of 8192 values whatever
+the blocks, absorbs each run by ``absorb_many``'s fold and merges the runs'
+states in ``merge_tree``.  So eval's state is ``evaluate_stream``'s for any
+line layout, overflow is decided per run of 8192 values, and its memory
+does not grow with the input (except for the median, whose state is the
+multiset itself).  Each block is parsed in a few C-level passes when
 it can be: a quote-free CSV block whose lines are rows of the header's
 width by one split of its text and a slice of its column (_csv_values), and
 a plain ASCII block with no line break but "\n" by one float() per line as
@@ -26,6 +29,8 @@ cannot be read or is not UTF-8, an output file that cannot be written, or a
 myhill --max-len below 4, a negative --probe-len, or a probe or evaluation
 count over myhill's budget), 3 domain error, 4 empty input, 5 family
 mismatch, 1 any other library error; EXIT_CODES decides them all.
+--family-json names the whole family: with --family or a parameter flag
+too, it is a bad argument.
 
 eval imports only what its flags need: csv for --column, the state format
 (``state_io``, with json) for --state-out, and json for --family-json.
@@ -44,7 +49,7 @@ from itertools import chain, islice
 from . import families
 # absorb is not called here; it stays importable as cli.absorb beside the
 # other core operations, which bench/job.py wraps by attribute
-from .core import (_absorb_floats, _lazy_names, absorb,  # noqa: F401
+from .core import (_fold_runs, _lazy_names, absorb,  # noqa: F401
                    finalize, init, merge, merge_tree)
 from .errors import (BudgetExceeded, DomainError, EmptyStateError,
                      FamilyMismatch, InsufficientData, InvalidDescriptor,
@@ -52,7 +57,7 @@ from .errors import (BudgetExceeded, DomainError, EmptyStateError,
 
 EXIT_OK = 0
 
-BLOCK_LINES = 8192  # input lines per absorb_many fold in eval
+BLOCK_LINES = 8192  # input lines eval reads at a time
 
 
 class CliError(MeanStreamError):
@@ -72,7 +77,15 @@ EXIT_CODES = (
 
 
 def _family_params(args) -> tuple:
+    values = vars(args)
+    params = {key: values[key] for key in _PARAM_FLAGS
+              if values[key] is not None}
     if args.family_json:
+        mixed = ["--family"] * (args.family is not None) + [
+            f"--{key}" for key in params]
+        if mixed:  # which would win is a guess: refuse both
+            raise CliError(f"--family-json cannot be combined with "
+                           f"{', '.join(mixed)}")
         import json
 
         try:
@@ -85,9 +98,7 @@ def _family_params(args) -> tuple:
         return spec.pop("family"), spec
     if not args.family:
         raise CliError("--family (or --family-json) is required")
-    values = vars(args)
-    return args.family, {key: values[key] for key in _PARAM_FLAGS
-                         if values[key] is not None}
+    return args.family, params
 
 
 def _open_input(path: str, *args, **kwargs):
@@ -309,14 +320,12 @@ def cmd_eval(args) -> int:
     empty = init(_build_descriptor(args))
     blocks = _value_blocks(args)
     try:
-        # a tree of block states, not one running state: the median's merge
-        # copies both multisets.  map keeps no block's values once absorbed
-        state = merge_tree(merge, map(partial(_absorb_floats, empty), blocks))
+        state = _fold_runs(empty, chain.from_iterable(blocks))
     except DomainError:
         for _ in blocks:  # read on: a later parse error takes precedence
             pass
         raise
-    if state is None or state.is_empty():
+    if state.is_empty():
         raise EmptyStateError("empty input")
     value = finalize(state)
     if args.state_out:

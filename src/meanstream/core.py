@@ -40,6 +40,10 @@ from .errors import (
 # costs little next to the steps, and the tree above the leaves keeps the
 # rounding at the level of a pairwise sum
 LEAF = 64
+# the elements per run of a stream's fold (_fold_runs), each run one
+# _absorb_floats: a power of two of leaves, so the runs' tree is the tree
+# of leaves that one absorb_many of the whole stream builds
+RUN = 128 * LEAF
 
 
 class Record:
@@ -593,7 +597,8 @@ def absorb_many(state: AccumulatorState, xs) -> AccumulatorState:
 
 def _absorb_floats(state: AccumulatorState, xs: list) -> AccumulatorState:
     """absorb_many of a list of floats, which it neither copies nor
-    converts: eval's parsers hand it the floats they made."""
+    converts: _fold_runs hands it each run it cuts, of the floats that
+    eval's parsers made."""
     d, reals, count = state
     if not xs:
         return state
@@ -668,18 +673,25 @@ def _is_real(value) -> bool:
 
 
 def evaluate_stream(descriptor: MeanDescriptor, xs: Iterable[float]) -> float:
-    """The mean of xs: ``absorb_many`` of each run of 64 leaves (4096
-    elements), ``merge_tree`` of the runs' states, then finalize.  So a
+    """The mean of xs: finalize of ``_fold_runs`` of their floats.  So a
     stream is summed by the pairwise tree of one ``absorb_many`` call, the
-    accurate route for a batch, but only one run is held at a time: xs may
-    be a generator of any length.  Up to LEAF elements, the state is the one
-    that absorbing each in turn builds."""
-    empty = init(descriptor)
-    rest = iter(xs)
-    runs = iter(lambda: list(islice(rest, 64 * LEAF)), [])
+    accurate route for a batch, but only one run of RUN (8192) elements is
+    held at a time: xs may be a generator of any length.  Overflow is
+    decided per run, as ``absorb_many`` decides it per batch.  ``meanstream
+    eval`` folds its values by the same runs, so its state is this one for
+    any line layout.  Up to LEAF elements, the state is the one that
+    absorbing each in turn builds."""
+    return finalize(_fold_runs(init(descriptor), map(float, xs)))
+
+
+def _fold_runs(empty: AccumulatorState, xs) -> AccumulatorState:
+    """The state of an iterator of floats: ``_absorb_floats`` of each run
+    of RUN of them from the empty state, and ``merge_tree`` of the runs'
+    states by merge; the empty state for none.  The runs are cut from xs,
+    so they do not depend on how the caller read it."""
+    runs = iter(lambda: list(islice(xs, RUN)), [])
     # merge_tree gives None for no runs, and a state is a non-empty tuple
-    return finalize(merge_tree(merge, map(partial(absorb_many, empty), runs))
-                    or empty)
+    return merge_tree(merge, map(partial(_absorb_floats, empty), runs)) or empty
 
 
 def _lazy_names(namespace: dict, table: dict):

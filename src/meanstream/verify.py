@@ -3,7 +3,9 @@
 Every check is a black-box test of a mean: it only calls the mean on input
 vectors and compares values at stated tolerances.  Means under test are
 either MeanDescriptors (evaluated through the streaming path) or arbitrary
-callables wrapped in FunctionMean (used for the harness self-tests).
+callables wrapped in FunctionMean (used for the harness self-tests);
+``check_merge_commutes`` and ``oracle_direct``, which need a mean's states
+or its family, take a MeanDescriptor only.
 Sampling is seeded, so reports are reproducible: a ``seed`` is None (for
 DEFAULT_SEED), an int, or a ``random.Random`` to draw from.
 """
@@ -58,6 +60,14 @@ def _subject(m):
     if isinstance(m, MeanDescriptor):
         return (lambda xs: evaluate_stream(m, xs)), m.domain, m.name
     return m.evaluate, m.domain, m.name
+
+
+def _descriptor_only(m, check: str) -> None:
+    """Refuse anything but a MeanDescriptor for check, which needs its
+    states or its family, not only its values."""
+    if not isinstance(m, MeanDescriptor):
+        raise InvalidDescriptor(f"{check} takes a MeanDescriptor, not "
+                                f"{type(m).__name__}")
 
 
 def _rng(seed) -> random.Random:
@@ -243,6 +253,7 @@ def check_merge_commutes(m: MeanDescriptor, trials: int = 100,
     """merge(a, b) and merge(b, a) of the states of random vectors hold the
     same count and reals, by ``float.hex`` (-0.0 is not 0.0), not by
     ``serialize_state`` bytes, so a user-built descriptor is checked too."""
+    _descriptor_only(m, "check_merge_commutes")
     rng = _rng(seed)
     empty = init(m)
     for _ in range(trials):
@@ -264,6 +275,7 @@ def check_merge_commutes(m: MeanDescriptor, trials: int = 100,
 def oracle_direct(m: MeanDescriptor, xs: Sequence[float]) -> float:
     """Reference value computed from the family's closed-form definition,
     with brute-force symmetric sums for hamy/sympoly/biplanar (n <= 12)."""
+    _descriptor_only(m, "oracle_direct")
     xs = [float(x) for x in xs]
     n = len(xs)
     if n == 0:

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import io
@@ -9,8 +10,10 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meanstream as ms
 from meanstream import cli, core, families, myhill, state_io
@@ -18,6 +21,7 @@ from meanstream.cli import BLOCK_LINES, main
 from meanstream.errors import (BudgetExceeded, DomainError, EmptyStateError,
                                FamilyMismatch, InsufficientData,
                                InvalidDescriptor, NumericalFailure, ParseError)
+from inputs import all_families
 
 
 def run_cli(argv, stdin="", monkeypatch=None, capsys=None):
@@ -509,6 +513,21 @@ class TestEval:
         assert code == 0
         assert out.strip() == "3.5714285714285716"
 
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--family", "power", "--p", "1",
+          "--family-json", '{"family":"hamy","r":2}'], "--family, --p"),
+        (["--family-json", '{"family":"power","p":1}', "--p", "3"], "--p"),
+        (["--family-json", '{"family":"gini","p":2,"q":1}',
+          "--family", "gini"], "--family"),
+    ], ids=["family-and-param", "param", "family"])
+    def test_family_json_with_other_family_flags(self, monkeypatch, capsys,
+                                                 command, flags, named):
+        # witnesses: eval printed hamy(2)'s 2 for the first and power(1)'s
+        # 2.5 for the second, and exited 0: --family-json won silently
+        assert run_cli([command, *flags], "1\n4\n", monkeypatch, capsys) == (
+            2, "", f"error: --family-json cannot be combined with {named}\n")
+
     def test_csv_field_over_the_reader_limit(self, monkeypatch, capsys,
                                              tmp_path):
         # witness: csv.reader raised "_csv.Error: field larger than field
@@ -608,6 +627,93 @@ class TestEval:
                                  monkeypatch, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: No such file or directory\n"
+
+
+def _family_argv(d) -> list:
+    return ["--family-json", json.dumps({"family": d.family, **d.params})]
+
+
+def _eval_with_state(argv, stdin, state_path) -> tuple:
+    """(exit code, stdout, --state-out bytes) of an in-process eval."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out):
+        code = main(["eval", *argv, "--state-out", str(state_path)])
+    return code, out.getvalue(), state_path.read_bytes() if code == 0 else None
+
+
+def _assert_eval_is_evaluate_stream(d, values, argv, stdin, state_path):
+    """eval's state is absorb_many's of values, and its stdout
+    evaluate_stream's, whatever lines the values were laid out on."""
+    assert _eval_with_state(argv, stdin, state_path) == (
+        0, f"{ms.evaluate_stream(d, values):.17g}\n",
+        ms.serialize_state(ms.absorb_many(ms.init(d), values)))
+
+
+def _plain_layout(values, seps) -> str:
+    """values, each followed by its separator, then a closing "#"."""
+    return "".join(f"{v!r}{sep}" for v, sep in zip(values, seps)) + "#\nz\n"
+
+
+def _csv_layout(values, blank) -> str:
+    """A CSV file whose column v holds values, with a blank row after each
+    value whose index is in blank, and a closing "#" row."""
+    return "id,v\n" + "".join(f"{i},{v!r}\n" + ("\n" if i in blank else "")
+                              for i, v in enumerate(values)) + "#\nz,z\n"
+
+
+class TestLineLayout:
+    """eval folds its values by core's runs, not by the blocks it reads:
+    witness, with a blank line after every third of 20000 values, eval's
+    --state-out bytes differed from absorb_many's of the same values for
+    power(1), gini(2, 1) and hamy(4), and hamy(4) printed another value."""
+
+    @pytest.mark.parametrize("route", ["file", "stdin", "csv"])
+    def test_state_is_absorb_many_of_the_values(self, route, monkeypatch,
+                                                tmp_path):
+        monkeypatch.setattr(cli, "BLOCK_LINES", 7)
+        rng = random.Random(7)
+        values = [rng.uniform(0.5, 100) for _ in range(300)]
+        # lines of one and of three values in turn, a blank after every eighth
+        seps = [("\n\n" if i % 16 == 15 else "\n") if i % 4 in (0, 3)
+                else ", " for i in range(len(values))]
+        text = (_csv_layout(values, set(range(0, 300, 5))) if route == "csv"
+                else _plain_layout(values, seps))
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        flags = {"file": ["--input", str(path)], "stdin": [],
+                 "csv": ["--input", str(path), "--column", "v"]}[route]
+        for d in (ms.power_mean(1), ms.gini(2, 1), ms.hamy(4),
+                  ms.median_mean()):
+            _assert_eval_is_evaluate_stream(d, values,
+                                            [*_family_argv(d), *flags],
+                                            text, tmp_path / "s.json")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(all_families()),
+           st.lists(st.tuples(st.floats(0.5, 100.0),
+                              st.sampled_from([", ", "\n", "\n\n", "\n \n"])),
+                    min_size=1, max_size=200),
+           st.integers(1, 20))
+    def test_any_layout_and_block_size(self, tmp_path_factory, d, laid_out,
+                                       block_lines):
+        values = [v for v, _ in laid_out]
+        text = _plain_layout(values, [sep for _, sep in laid_out])
+        with mock.patch.object(cli, "BLOCK_LINES", block_lines):
+            _assert_eval_is_evaluate_stream(
+                d, values, _family_argv(d), text,
+                tmp_path_factory.mktemp("layout") / "s.json")
+
+    def test_overflow_is_decided_per_run_not_per_block(self, monkeypatch,
+                                                       capsys):
+        # witness: with ten lines a block, eval exited 1 with "state
+        # carries non-finite components" on this input
+        monkeypatch.setattr(cli, "BLOCK_LINES", 10)
+        xs = [100.0] + [0.0] * 63 + [-100.0, -100.0]
+        d = ms.quasi_arithmetic("affine:1e306,0")
+        assert run_cli(["eval", *_family_argv(d)],
+                       "".join(f"{x}\n" for x in xs), monkeypatch, capsys) == (
+            0, f"{ms.evaluate_stream(d, xs):.17g}\n", "")
 
 
 def _uniform_halves() -> tuple:

@@ -5,7 +5,7 @@ import pytest
 
 import meanstream as ms
 from meanstream.core import DomainInterval
-from meanstream.errors import TooLarge
+from meanstream.errors import InvalidDescriptor, TooLarge
 from inputs import random_vector
 
 POSITIVE = DomainInterval.positive()
@@ -154,6 +154,19 @@ class TestMergeCommutes:
             ("merge_commutes", name) for name in names]
         assert reports[-len(names) - 1].property == "g23_inequality"
         assert all(r.holds for r in tail)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: ms.check_merge_commutes(m, trials=5, seed=1),
+    lambda m: ms.oracle_direct(m, [1.0, 2.0]),
+], ids=["check_merge_commutes", "oracle_direct"])
+@pytest.mark.parametrize("m", [first_element_mean(), "power"],
+                         ids=["FunctionMean", "str"])
+def test_a_check_of_states_or_family_refuses_a_non_descriptor(call, m):
+    # witness: a FunctionMean raised a bare AttributeError ("... has no
+    # attribute '_empty'" and "... 'family'")
+    with pytest.raises(InvalidDescriptor, match="takes a MeanDescriptor"):
+        call(m)
 
 
 class TestOracleDirect:
