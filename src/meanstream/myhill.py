@@ -5,6 +5,8 @@ probe-extended word, within tolerance.  Symmetry lets us enumerate multisets
 instead of words.  Tolerance-based equivalence is not transitive, so classes
 are the connected components of the "within tolerance" graph (union-find);
 counts are therefore lower bounds on the exact class counts.
+``enumerate_classes`` takes a MeanDescriptor or a FunctionMean;
+``state_counts``, which counts reachable states, takes a MeanDescriptor only.
 """
 
 from functools import reduce
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 
 from .core import MeanDescriptor, Record, init, absorb
 from .errors import BudgetExceeded, InsufficientData
-from .verify import _subject
+from .verify import _descriptor_only, _subject
 
 EVALUATION_BUDGET = 10 ** 7
 DEFAULT_ATOL = 1e-12
@@ -133,7 +135,9 @@ def _signatures_close(a, b, atol, rtol) -> bool:
 def state_counts(descriptor: MeanDescriptor, alphabet: Sequence[float],
                  max_len: int, atol: float = DEFAULT_ATOL,
                  rtol: float = DEFAULT_RTOL) -> list:
-    """Distinct reachable state vectors per length; bounds the class count."""
+    """Distinct reachable state vectors per length; bounds the class count.
+    Raises InvalidDescriptor for anything but a MeanDescriptor."""
+    _descriptor_only(descriptor, "state_counts")
     counts = []
     for length in range(1, max_len + 1):
         states = []

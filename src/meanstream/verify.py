@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import (DomainInterval, MeanDescriptor, Record, absorb_many,
                    evaluate_stream, init, merge)
-from .errors import InvalidDescriptor, TooLarge
+from .errors import DomainError, EmptyStateError, InvalidDescriptor, TooLarge
 from . import families
 
 DEFAULT_SEED = 20260823
@@ -274,12 +274,18 @@ def check_merge_commutes(m: MeanDescriptor, trials: int = 100,
 
 def oracle_direct(m: MeanDescriptor, xs: Sequence[float]) -> float:
     """Reference value computed from the family's closed-form definition,
-    with brute-force symmetric sums for hamy/sympoly/biplanar (n <= 12)."""
+    with brute-force symmetric sums for hamy/sympoly/biplanar (n <= 12).
+    Refuses as the streaming path does: EmptyStateError for no values, and
+    DomainError, with absorb's text, at the first value outside the domain
+    (NaN included)."""
     _descriptor_only(m, "oracle_direct")
     xs = [float(x) for x in xs]
     n = len(xs)
     if n == 0:
-        raise ValueError("empty input")
+        raise EmptyStateError("oracle_direct of no values")
+    for x in xs:
+        if not m.domain.contains(x):
+            raise DomainError(f"{x} outside domain of {m.name}")
     fam = m.family
     p_ = m.params
 

@@ -182,6 +182,9 @@ BLOCK_CASES = [
     ("csv-domain-error", "value", "file",
      "id,value\n" + _rows(9, 7, "7,-1\n"),
      (3, '', 'error: -1.0 outside domain of power(p=1.0)\n')),
+    ("csv-bom-crlf-quoted-cell", "value", "file",
+     '\ufeffvalue,id\r\n"2",1\r\n4,2\r\n',
+     (0, '3\n', '')),
     ("csv-exact-blocks", "value", "file",
      "id,value\n" + _rows(8),
      (0, '6.75\n', '')),
@@ -469,6 +472,7 @@ class TestEval:
         '[1]', '"x"', '{"p":1}', '{"family":"hamy","r":4.7}',
         '{"family":"quasiarithmetic","f":5}', '{"family":"hamy","r":3,"p":2}',
         '{"family":"cube_over_square","kind":"lower"}',
+        '{"family":"power","p":true}',
         # witnesses: exit 1 with a ValueError traceback from json's digit
         # limit, and with a RecursionError traceback
         pytest.param('{"family":"hamy","r":%s}' % ("9" * 5000),
@@ -1049,6 +1053,10 @@ class TestVerifyCommand:
                      if r["subject"].startswith("piecewise")
                      and r["property"] == "repetition_invariance"]
         assert piecewise and not piecewise[0]["holds"]
+        commutes = [r for r in reports if r["property"] == "merge_commutes"]
+        assert [r["subject"] for r in commutes] == [
+            d.name for d in ms.verify.standard_descriptors()]
+        assert all(r["holds"] for r in commutes)
 
 
     def test_seed_from_the_environment(self, monkeypatch, capsys):

@@ -135,6 +135,8 @@ assert loaded(LIGHT) == ["meanstream.generators"], loaded(LIGHT)
 assert families.generator_by_name is ms.generator_by_name
 from meanstream.families import GeneratorFunction, pair_from_names
 assert pair_from_names is ms.generators.pair_from_names
+assert (GeneratorFunction is ms.GeneratorFunction
+        is ms.generators.GeneratorFunction)
 print("streaming core")
 """
 

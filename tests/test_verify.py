@@ -5,7 +5,8 @@ import pytest
 
 import meanstream as ms
 from meanstream.core import DomainInterval
-from meanstream.errors import InvalidDescriptor, TooLarge
+from meanstream.errors import (DomainError, EmptyStateError, InvalidDescriptor,
+                               TooLarge)
 from inputs import random_vector
 
 POSITIVE = DomainInterval.positive()
@@ -159,12 +160,13 @@ class TestMergeCommutes:
 @pytest.mark.parametrize("call", [
     lambda m: ms.check_merge_commutes(m, trials=5, seed=1),
     lambda m: ms.oracle_direct(m, [1.0, 2.0]),
-], ids=["check_merge_commutes", "oracle_direct"])
+    lambda m: ms.state_counts(m, [1.0, 2.0], 4),
+], ids=["check_merge_commutes", "oracle_direct", "state_counts"])
 @pytest.mark.parametrize("m", [first_element_mean(), "power"],
                          ids=["FunctionMean", "str"])
 def test_a_check_of_states_or_family_refuses_a_non_descriptor(call, m):
     # witness: a FunctionMean raised a bare AttributeError ("... has no
-    # attribute '_empty'" and "... 'family'")
+    # attribute '_empty'" and "... 'family'"; state_counts' "... '_empty'")
     with pytest.raises(InvalidDescriptor, match="takes a MeanDescriptor"):
         call(m)
 
@@ -174,6 +176,31 @@ class TestOracleDirect:
         assert ms.oracle_direct(ms.gini(2, 1), [3, 4]) == pytest.approx(25 / 7)
         assert ms.oracle_direct(ms.hamy(2), [4, 4, 9, 9]) == pytest.approx(37 / 6)
         assert ms.oracle_direct(ms.power_mean(0), [1, 4]) == pytest.approx(2.0)
+
+    def test_no_values_is_an_empty_state(self):
+        # witness: a bare ValueError("empty input")
+        with pytest.raises(EmptyStateError):
+            ms.oracle_direct(ms.power_mean(1), [])
+
+    @pytest.mark.parametrize("d, xs", [
+        (ms.power_mean(1), [-1.0, 1.0]),
+        (ms.power_mean(1), [1.0, math.nan]),
+        (ms.piecewise_counterexample(), [3.0, 4.5]),
+        (ms.piecewise_counterexample(), [2.5]),
+    ], ids=["negative", "nan", "above_closed_hi", "below_closed_lo"])
+    def test_a_value_outside_the_domain_is_refused_as_absorb_does(self, d, xs):
+        # witness: power(1) of [-1.0, 1.0] returned 0.0
+        with pytest.raises(DomainError) as streamed:
+            ms.absorb_many(ms.init(d), xs)
+        with pytest.raises(DomainError) as direct:
+            ms.oracle_direct(d, xs)
+        assert str(direct.value) == str(streamed.value)
+
+    def test_closed_domain_ends_are_accepted(self):
+        d = ms.piecewise_counterexample()
+        assert ms.oracle_direct(d, [3.0, 4.0]) == 3.5
+        assert ms.oracle_direct(d, [3.0]) == 3.0
+        assert ms.oracle_direct(d, [4.0]) == 4.0
 
     def test_size_limit(self):
         with pytest.raises(TooLarge):
